@@ -10,7 +10,6 @@ from .analysis import (
     analyze_trajectory,
     calibrate_views,
     cross_validate,
-    reprojection_rmse,
 )
 from .calibrate import (
     CalibrationResult,
@@ -24,14 +23,12 @@ from .calibrate import (
     project_points,
     refine,
     refit_view_pose,
+    view_rmse,
 )
 from .geometry import (
-    BoardPoint,
-    Correspondence,
     Homography,
     Line2,
     Point2,
-    apply_homography,
     estimate_homography,
     symmetric_transfer_error,
 )

@@ -4,12 +4,9 @@ principal-point trajectory analysis."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .calibrate import (
     CalibrationResult,
@@ -20,16 +17,10 @@ from .calibrate import (
     calibrate_geometric,
     refine,
     refit_view_pose,
-    view_rmse,
 )
 from .errors import CaliblabError, MissingPose, TooFewPoints
 from .geometry import Point2
 from .synth import Dataset, FocalSetting, PoseLabel
-
-THREADS_ENV = "CALIBLAB_THREADS"
-
-reprojection_rmse = view_rmse
-
 
 @dataclass(frozen=True)
 class TrajectoryReport:
@@ -91,19 +82,6 @@ def calibrate_views(method: str, views, pl_outlier_px: float) -> CalibrationResu
     if method == "algebraic-refined":
         return refine(calibrate_algebraic(views), views)
     raise ValueError(f"unknown calibration method {method!r}")
-
-
-def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        return max(1, max_workers)
-    env = os.environ.get(THREADS_ENV)
-    default = min(4, os.cpu_count() or 1)
-    if env:
-        try:
-            return max(1, min(default, int(env)))
-        except ValueError:
-            return default
-    return default
 
 
 def _crossval_setting(
@@ -173,7 +151,6 @@ def cross_validate(
     dataset: Dataset,
     method: str = "geometric",
     pl_outlier_px: float = 5.0,
-    max_workers: int | None = None,
 ) -> CrossValReport:
     """Pose-transfer evaluation per focal setting.
 
@@ -182,29 +159,36 @@ def cross_validate(
     views with pose a's intrinsics frozen and each view's pose refit. The
     diagonal is computed with the same refit procedure, so the comparison
     is fair. Missing or failing cells leave NaN entries and a notice.
-    Results are deterministic: per-setting jobs may run on a small thread
-    pool (capped by CALIBLAB_THREADS) and are merged by index.
     """
     poses = dataset.poses()
-    settings = dataset.settings()
-    jobs = list(enumerate(settings))
-    workers = _worker_count(max_workers)
-
-    def run(job):
-        index, setting = job
-        return _crossval_setting(dataset, index, setting, poses, method, pl_outlier_px)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    per_setting = tuple(entry for entry, _ in outcomes)
+    per_setting = []
     notices: list[str] = []
-    for _, batch in outcomes:
+    for index, setting in enumerate(dataset.settings()):
+        entry, batch = _crossval_setting(dataset, index, setting, poses, method, pl_outlier_px)
+        per_setting.append(entry)
         notices.extend(batch)
-    return CrossValReport(method=method, settings=per_setting, notices=tuple(notices))
+    return CrossValReport(method=method, settings=tuple(per_setting), notices=tuple(notices))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    group = np.cumsum(starts) - 1
+    bounds = np.r_[np.flatnonzero(starts), len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation: Pearson's r of the average ranks, NaN
+    when either series is constant."""
+    ranks = np.column_stack([_average_ranks(np.asarray(x)), _average_ranks(np.asarray(y))])
+    if np.any(ranks.min(axis=0) == ranks.max(axis=0)):
+        return math.nan
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def analyze_trajectory(pps: list[Point2]) -> TrajectoryReport:
@@ -234,7 +218,7 @@ def analyze_trajectory(pps: list[Point2]) -> TrajectoryReport:
     angle = math.degrees(math.atan2(direction[1], direction[0])) % 180.0
     axis = np.array([math.cos(math.radians(angle)), math.sin(math.radians(angle))])
     arc = centered @ axis
-    rho = spearmanr(np.arange(len(pps)), arc).statistic
+    rho = spearman(np.arange(len(pps)), arc)
     if not math.isfinite(rho):
         rho = 0.0
     return TrajectoryReport(

@@ -25,14 +25,7 @@ from .errors import (
     InsufficientViews,
     NoFocalEstimate,
 )
-from .geometry import (
-    BoardPoint,
-    Correspondence,
-    Homography,
-    Point2,
-    estimate_homography,
-    symmetric_transfer_error,
-)
+from .geometry import Homography, Point2, estimate_homography
 from .principal_line import (
     DEFAULT_OUTLIER_THRESHOLD_PX,
     PPEstimate,
@@ -99,13 +92,12 @@ class Extrinsics:
 
 @dataclass(frozen=True, eq=False)
 class CalibrationView:
-    """One board observation: correspondences, their homography, and (when
-    the view has perspective) its principal line."""
+    """One board observation: matching (n, 2) board and image corner
+    arrays, their homography, and (when the view has perspective) its
+    principal line."""
 
     id: str
-    correspondences: tuple[Correspondence, ...]
     homography: Homography
-    transfer_error_px: float
     principal_line: PrincipalLine | None
     board_xy: np.ndarray
     image_uv: np.ndarray
@@ -118,11 +110,9 @@ class CalibrationView:
             raise ValueError("board and image points must both be (n, 2) arrays")
         if len(board_xy) < 4:
             raise ValueError(f"a calibration view needs at least 4 corners, got {len(board_xy)}")
-        corrs = tuple(
-            Correspondence(BoardPoint(bx, by), Point2(iu, iv))
-            for (bx, by), (iu, iv) in zip(board_xy, image_uv)
-        )
-        homography = estimate_homography(corrs)
+        if not (np.all(np.isfinite(board_xy)) and np.all(np.isfinite(image_uv))):
+            raise ValueError(f"view {view_id}: corner coordinates must be finite")
+        homography = estimate_homography(board_xy, image_uv)
         try:
             pl = principal_line(homography, source_view=view_id)
         except (DegenerateView, AmbiguousDirection):
@@ -131,9 +121,7 @@ class CalibrationView:
         image_uv.setflags(write=False)
         return cls(
             id=view_id,
-            correspondences=corrs,
             homography=homography,
-            transfer_error_px=symmetric_transfer_error(homography, corrs),
             principal_line=pl,
             board_xy=board_xy,
             image_uv=image_uv,
@@ -161,8 +149,8 @@ def project_points(intr: Intrinsics, extr: Extrinsics, board_xy: np.ndarray) -> 
 
 
 def view_rmse(intr: Intrinsics, extr: Extrinsics, view: CalibrationView) -> float:
-    if len(view.correspondences) == 0:
-        raise EmptyView(f"view {view.id} holds no correspondences")
+    if len(view.board_xy) == 0:
+        raise EmptyView(f"view {view.id} holds no corners")
     d = project_points(intr, extr, view.board_xy) - view.image_uv
     return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
 

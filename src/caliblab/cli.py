@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis, dataset_io, reports
@@ -37,10 +37,8 @@ class RunConfig:
     out_dir: Path | None
     out_path: Path | None
     method: str
-    scene: SceneConfig | None
     pl_outlier_px: float
     max_views: int | None
-    seed: int | None
     no_refine: bool
 
 def _fail(message: str, code: int) -> int:
@@ -71,10 +69,8 @@ def _run_config(args) -> RunConfig:
         out_dir=Path(args.out_dir) if getattr(args, "out_dir", None) else None,
         out_path=Path(args.out) if getattr(args, "out", None) else None,
         method=getattr(args, "method", "geometric"),
-        scene=None,
         pl_outlier_px=getattr(args, "pl_outlier_px", 5.0),
         max_views=getattr(args, "max_views", None),
-        seed=getattr(args, "seed", None),
         no_refine=bool(getattr(args, "no_refine", False)),
     )
 
@@ -91,16 +87,15 @@ def cmd_simulate(args) -> int:
     print(f"wrote {dataset.n_views()} views to {args.out}")
     return EXIT_OK
 
-def _read_dataset(path: str) -> Dataset:
+def _read_dataset(run: RunConfig) -> Dataset:
+    """Read the run's dataset, keeping the first --max-views views of each cell."""
     try:
-        return dataset_io.read_dataset(path)
-    except OSError as err:
-        raise ConfigError(f"cannot read dataset {path}: {err}") from None
-
-def _subsample(views, max_views):
-    if max_views is None or max_views >= len(views):
-        return list(views)
-    return list(views[:max_views])
+        dataset = dataset_io.read_dataset(run.dataset_path)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read dataset {run.dataset_path}: {err}") from None
+    if run.max_views is None:
+        return dataset
+    return replace(dataset, cells={key: views[: run.max_views] for key, views in dataset.cells.items()})
 
 def _effective_method(run: RunConfig) -> str:
     if run.no_refine and run.method == "algebraic-refined":
@@ -127,7 +122,6 @@ def _calibrate_cells(
             views = dataset.cells.get((pose, setting))
             if views is None:
                 continue
-            views = _subsample(views, run.max_views)
             truth = (dataset.ground_truth or {}).get((pose, setting))
             gt_cols = [truth[0].pp.u, truth[0].pp.v, truth[0].f] if truth else [None, None, None]
             try:
@@ -169,7 +163,7 @@ def _scatter_payload(results: dict[tuple[PoseLabel, int], CalibrationResult]) ->
 def cmd_calibrate(args) -> int:
     run = _run_config(args)
     try:
-        dataset = _read_dataset(args.dataset)
+        dataset = _read_dataset(run)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
     out_dir = run.out_dir or Path(".")
@@ -206,7 +200,7 @@ def cmd_calibrate(args) -> int:
 def cmd_crossval(args) -> int:
     run = _run_config(args)
     try:
-        dataset = _read_dataset(args.dataset)
+        dataset = _read_dataset(run)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
     out_dir = run.out_dir or Path(".")
@@ -256,7 +250,7 @@ def cmd_crossval(args) -> int:
 def cmd_analyze(args) -> int:
     run = _run_config(args)
     try:
-        dataset = _read_dataset(args.dataset)
+        dataset = _read_dataset(run)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
     out_dir = run.out_dir or Path(".")
@@ -344,6 +338,24 @@ def cmd_analyze(args) -> int:
     print(f"analyzed {len(rows)} cells -> {out_dir / 'summary.json'}")
     return EXIT_OK
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caliblab",
@@ -360,20 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-sigma", dest="noise_sigma_px", type=float, default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    for name, func, needs_method in (
-        ("calibrate", cmd_calibrate, True),
-        ("crossval", cmd_crossval, True),
-        ("analyze", cmd_analyze, True),
-    ):
+    for name, func in (("calibrate", cmd_calibrate), ("crossval", cmd_crossval), ("analyze", cmd_analyze)):
         cmd = sub.add_parser(name, help=f"{name} a dataset")
         cmd.add_argument("--dataset", required=True, help="dataset JSON path")
         cmd.add_argument("--out-dir", dest="out_dir", required=True, help="report output directory")
-        if needs_method:
-            cmd.add_argument("--method", choices=METHODS, default="geometric")
-        cmd.add_argument("--max-views", dest="max_views", type=int, default=None)
-        cmd.add_argument("--pl-outlier-px", dest="pl_outlier_px", type=float, default=5.0)
+        cmd.add_argument("--method", choices=METHODS, default="geometric")
+        cmd.add_argument("--max-views", dest="max_views", type=_positive_int, default=None)
+        cmd.add_argument("--pl-outlier-px", dest="pl_outlier_px", type=_positive_float, default=5.0)
         cmd.add_argument("--no-refine", dest="no_refine", action="store_true")
-        cmd.add_argument("--seed", type=int, default=None)
         cmd.set_defaults(func=func)
 
     return parser

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .calibrate import CalibrationView, Extrinsics, Intrinsics
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Point2
 from .rotations import rodrigues, rvec_from_rotation
 from .synth import Dataset, FocalSetting, PoseLabel
@@ -125,33 +125,42 @@ def dumps_dataset(dataset: Dataset) -> str:
     return dumps_json(dataset_to_node(dataset))
 
 
-def _parse_cell(node: dict) -> tuple[PoseLabel, FocalSetting, tuple, tuple | None]:
+def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple, tuple | None]:
+    """Parse one cell; any malformed field raises ConfigError naming the
+    cell index and, inside a view, the view id."""
+    where = f"cell {index}"
     try:
         pose = PoseLabel(node["pose"])
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"bad pose in dataset cell: {err}") from None
-    label = float(node["focal_label_mm"])
-    f_px = float(node.get("focal_px", label * 1000.0 / _FALLBACK_PITCH_UM))
-    setting = FocalSetting(label, f_px)
-    views = []
-    for vnode in node["views"]:
-        corners = vnode["corners"]
-        board = np.array([[c["x_mm"], c["y_mm"]] for c in corners], dtype=float)
-        image = np.array([[c["u_px"], c["v_px"]] for c in corners], dtype=float)
-        views.append(CalibrationView.from_points(str(vnode["id"]), board, image))
-    truth = None
-    if "ground_truth" in node:
-        g = node["ground_truth"]
-        intr = Intrinsics(float(g["f_px"]), Point2(float(g["pp_u_px"]), float(g["pp_v_px"])))
-        extrs = []
-        for e in g["views"]:
-            rvec = tuple(float(x) for x in e["rvec"])
-            extr = Extrinsics(rodrigues(np.array(rvec)), np.array(e["t_mm"], dtype=float))
-            object.__setattr__(extr, "_rvec_cache", rvec)
-            extrs.append(extr)
-        if len(extrs) != len(views):
-            raise ConfigError("ground truth view count does not match the cell's views")
-        truth = (intr, tuple(extrs))
+        label = float(node["focal_label_mm"])
+        f_px = float(node.get("focal_px", label * 1000.0 / _FALLBACK_PITCH_UM))
+        setting = FocalSetting(label, f_px)
+        views = []
+        for vnode in node["views"]:
+            where = f"cell {index}, view {len(views)}"  # by position until the id is read
+            view_id = str(vnode["id"])
+            where = f"cell {index}, view {view_id}"
+            corners = vnode["corners"]
+            board = np.array([[c["x_mm"], c["y_mm"]] for c in corners], dtype=float)
+            image = np.array([[c["u_px"], c["v_px"]] for c in corners], dtype=float)
+            views.append(CalibrationView.from_points(view_id, board, image))
+        where = f"cell {index}, ground truth"
+        truth = None
+        if "ground_truth" in node:
+            g = node["ground_truth"]
+            intr = Intrinsics(float(g["f_px"]), Point2(float(g["pp_u_px"]), float(g["pp_v_px"])))
+            extrs = []
+            for e in g["views"]:
+                rvec = tuple(float(x) for x in e["rvec"])
+                extr = Extrinsics(rodrigues(np.array(rvec)), np.array(e["t_mm"], dtype=float))
+                object.__setattr__(extr, "_rvec_cache", rvec)
+                extrs.append(extr)
+            if len(extrs) != len(views):
+                raise ValueError("ground truth view count does not match the cell's views")
+            truth = (intr, tuple(extrs))
+    except KeyError as err:
+        raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
+    except (TypeError, ValueError, DegenerateConfiguration) as err:
+        raise ConfigError(f"malformed dataset at {where}: {err}") from None
     return pose, setting, tuple(views), truth
 
 
@@ -160,12 +169,12 @@ def loads_dataset(text: str) -> Dataset:
         root = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"dataset file is not valid JSON: {err}") from None
-    if not isinstance(root, dict) or "cells" not in root:
+    if not isinstance(root, dict) or not isinstance(root.get("cells"), list):
         raise ConfigError("dataset file must be an object with a 'cells' array")
     cells = {}
     truth = {}
-    for node in root["cells"]:
-        pose, setting, views, cell_truth = _parse_cell(node)
+    for index, node in enumerate(root["cells"]):
+        pose, setting, views, cell_truth = _parse_cell(index, node)
         key = (pose, setting)
         if key in cells:
             raise ConfigError(f"duplicate cell for pose {pose.value}, setting {setting.label_mm} mm")

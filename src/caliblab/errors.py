@@ -6,7 +6,7 @@ class CaliblabError(Exception):
 
 
 class DegenerateConfiguration(CaliblabError):
-    """Correspondence set cannot determine a unique homography
+    """Point pairs cannot determine a unique homography
     (too few, collinear, or duplicated board points)."""
 
 
@@ -54,7 +54,7 @@ class BehindCamera(CaliblabError):
 
 
 class EmptyView(CaliblabError):
-    """View holds no correspondences."""
+    """View holds no corners."""
 
 
 class TooFewPoints(CaliblabError):

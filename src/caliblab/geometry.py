@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,26 +36,6 @@ class Point2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v])
-
-
-@dataclass(frozen=True)
-class BoardPoint:
-    """Point on the calibration-board plane (z = 0 in world coordinates), mm."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"board point must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One labeled board corner and its observed image position."""
-
-    board: BoardPoint
-    image: Point2
 
 
 @dataclass(frozen=True)
@@ -121,20 +100,15 @@ class Homography:
         return Homography(np.linalg.inv(self.h))
 
 
-def _map_through(matrix: np.ndarray, x: float, y: float) -> tuple[float, float]:
-    w = matrix[2, 0] * x + matrix[2, 1] * y + matrix[2, 2]
-    if abs(w) <= W_EPS:
-        raise PointAtInfinity(f"point ({x}, {y}) maps to infinity (w = {w:.3e})")
-    return (
-        (matrix[0, 0] * x + matrix[0, 1] * y + matrix[0, 2]) / w,
-        (matrix[1, 0] * x + matrix[1, 1] * y + matrix[1, 2]) / w,
-    )
-
-
-def apply_homography(homography: Homography, p: BoardPoint) -> Point2:
-    """Map a board point into the image. Raises PointAtInfinity when the
-    denominator h7*x + h8*y + h9 vanishes."""
-    return Point2(*_map_through(homography.h, p.x, p.y))
+def _map_points(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Map (n, 2) points through a 3x3 projective matrix. Raises
+    PointAtInfinity when a denominator h7*x + h8*y + h9 vanishes."""
+    w = pts @ matrix[2, :2] + matrix[2, 2]
+    at_infinity = np.flatnonzero(np.abs(w) <= W_EPS)
+    if at_infinity.size:
+        x, y = pts[at_infinity[0]]
+        raise PointAtInfinity(f"point ({x}, {y}) maps to infinity (w = {w[at_infinity[0]]:.3e})")
+    return (pts @ matrix[:2, :2].T + matrix[:2, 2]) / w[:, None]
 
 
 def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,24 +123,24 @@ def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (pts - centroid) * s, t
 
 
-def estimate_homography(correspondences: Iterable[Correspondence]) -> Homography:
+def estimate_homography(board_xy: np.ndarray, image_uv: np.ndarray) -> Homography:
     """Direct linear transform with isotropic normalization of both point sets.
 
-    Builds the 2n x 9 design matrix from normalized coordinates, takes the
-    right singular vector of the smallest singular value, and denormalizes.
-    Raises DegenerateConfiguration when fewer than four correspondences are
+    Takes matching (n, 2) arrays of finite board and image points. Builds
+    the 2n x 9 design matrix from normalized coordinates, takes the right
+    singular vector of the smallest singular value, and denormalizes.
+    Raises DegenerateConfiguration when fewer than four point pairs are
     given or the design matrix is rank deficient (collinear or duplicated
     board points).
     """
-    corrs = list(correspondences)
-    if len(corrs) < 4:
-        raise DegenerateConfiguration(f"need at least 4 correspondences, got {len(corrs)}")
-    board = np.array([[c.board.x, c.board.y] for c in corrs])
-    image = np.array([[c.image.u, c.image.v] for c in corrs])
+    board = np.asarray(board_xy, dtype=float)
+    image = np.asarray(image_uv, dtype=float)
+    n = len(board)
+    if n < 4:
+        raise DegenerateConfiguration(f"need at least 4 point pairs, got {n}")
     bn, tb = _normalize_points(board)
     qn, tq = _normalize_points(image)
 
-    n = len(corrs)
     x, y = bn[:, 0], bn[:, 1]
     u, v = qn[:, 0], qn[:, 1]
     zeros = np.zeros(n)
@@ -184,17 +158,13 @@ def estimate_homography(correspondences: Iterable[Correspondence]) -> Homography
     return Homography(np.linalg.inv(tq) @ h_norm @ tb)
 
 
-def symmetric_transfer_error(homography: Homography, correspondences: Sequence[Correspondence]) -> float:
+def symmetric_transfer_error(homography: Homography, board_xy: np.ndarray, image_uv: np.ndarray) -> float:
     """Max residual of mapping board points forward (px) and image points
-    backward (board units) through the homography."""
-    inv = np.linalg.inv(homography.h)
-    worst = 0.0
-    for c in correspondences:
-        fu, fv = _map_through(homography.h, c.board.x, c.board.y)
-        bu, bv = _map_through(inv, c.image.u, c.image.v)
-        worst = max(
-            worst,
-            math.hypot(fu - c.image.u, fv - c.image.v),
-            math.hypot(bu - c.board.x, bv - c.board.y),
-        )
-    return worst
+    backward (board units) through the homography. Raises PointAtInfinity
+    when a point maps onto the line at infinity either way."""
+    board = np.asarray(board_xy, dtype=float)
+    image = np.asarray(image_uv, dtype=float)
+    forward = _map_points(homography.h, board) - image
+    backward = _map_points(np.linalg.inv(homography.h), image) - board
+    both = np.vstack([forward, backward])
+    return float(np.hypot(both[:, 0], both[:, 1]).max(initial=0.0))

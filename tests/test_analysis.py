@@ -2,18 +2,23 @@
 pose-transfer cross-validation."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caliblab
 from caliblab.analysis import (
     analyze_gravity,
     analyze_trajectory,
     cross_validate,
-    reprojection_rmse,
+    spearman,
 )
-from caliblab.calibrate import Extrinsics, Intrinsics
+from caliblab.calibrate import Extrinsics, Intrinsics, view_rmse
 from caliblab.errors import MissingPose, TooFewPoints
 from caliblab.geometry import Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
@@ -36,7 +41,7 @@ class TestReprojectionRmse:
         views, truth = tilted_scene_views()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         for view, (rot, t) in zip(views, truth):
-            assert reprojection_rmse(intr, Extrinsics(rot, t), view) < 1e-9
+            assert view_rmse(intr, Extrinsics(rot, t), view) < 1e-9
 
     def test_noise_floor_matches_sigma(self):
         # with the true parameters each residual axis is N(0, sigma), so
@@ -48,9 +53,52 @@ class TestReprojectionRmse:
             rng = np.random.default_rng(seed)
             views, truth = tilted_scene_views(rolls=[30.0], sigma=sigma, rng=rng)
             rot, t = truth[0]
-            values.append(reprojection_rmse(intr, Extrinsics(rot, t), views[0]))
+            values.append(view_rmse(intr, Extrinsics(rot, t), views[0]))
         mean = float(np.mean(values))
         assert 0.8 * sigma * math.sqrt(2.0) <= mean <= 1.2 * sigma * math.sqrt(2.0)
+
+
+class TestSpearman:
+    def test_hand_computed(self):
+        # ranks of y: (1, 3, 2, 4); rho = 1 - 6 * 2 / (4 * 15)
+        assert spearman([1, 2, 3, 4], [10.0, 30.0, 20.0, 40.0]) == pytest.approx(0.8, abs=1e-15)
+
+    def test_ties_take_average_ranks(self):
+        # ranks of y: (1, 2, 3.5, 5, 3.5); r = 8 / sqrt(10 * 9.5)
+        assert spearman([1, 2, 3, 4, 5], [5.0, 6.0, 7.0, 8.0, 7.0]) == pytest.approx(8.0 / math.sqrt(95.0), abs=1e-15)
+        # ties in both series: ranks (1.5, 1.5, 3) against (1, 2.5, 2.5)
+        assert spearman([0.0, 0.0, 1.0], [-1.0, 4.0, 4.0]) == pytest.approx(0.5, abs=1e-15)
+
+    def test_reversed_and_monotone_transform(self):
+        assert spearman(np.arange(7), np.arange(7)[::-1]) == -1.0
+        assert spearman(np.arange(7), np.exp(np.arange(7.0))) == 1.0
+
+    def test_constant_series_is_undefined(self):
+        assert math.isnan(spearman([1, 2, 3], [4.0, 4.0, 4.0]))
+
+    def test_matches_scipy_bit_for_bit(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        for n in range(3, 10):
+            for _ in range(40):
+                y = rng.normal(size=n)
+                if rng.random() < 0.3:
+                    y = np.round(y)
+                if np.all(y == y[0]):
+                    continue
+                assert spearman(np.arange(n), y) == stats.spearmanr(np.arange(n), y).statistic
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(caliblab.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, caliblab; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestAnalyzeTrajectory:
@@ -209,13 +257,4 @@ class TestCrossValidate:
         a = cross_validate(generate_dataset(config))
         b = cross_validate(generate_dataset(config))
         for ea, eb in zip(a.settings, b.settings):
-            np.testing.assert_array_equal(ea.matrix, eb.matrix)
-
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        config = crossval_config(gravity_px=15.0, sigma=0.2, seed=5, n_settings=2)
-        dataset = generate_dataset(config)
-        parallel = cross_validate(dataset, max_workers=4)
-        monkeypatch.setenv("CALIBLAB_THREADS", "1")
-        serial = cross_validate(dataset)
-        for ea, eb in zip(parallel.settings, serial.settings):
             np.testing.assert_array_equal(ea.matrix, eb.matrix)

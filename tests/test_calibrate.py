@@ -262,9 +262,7 @@ class TestExtrinsicEdgeCases:
 
         hollow = CalibrationView(
             id="empty",
-            correspondences=(),
             homography=Homography(np.eye(3)),
-            transfer_error_px=0.0,
             principal_line=None,
             board_xy=np.zeros((0, 2)),
             image_uv=np.zeros((0, 2)),

@@ -164,7 +164,73 @@ class TestCalibrate:
         assert outs[0] == outs[1]
 
 
+class TestRunOptions:
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-views", "-3", "argument --max-views"),
+            ("--max-views", "0", "argument --max-views"),
+            ("--max-views", "two", "argument --max-views"),
+            ("--pl-outlier-px", "nan", "argument --pl-outlier-px"),
+            ("--pl-outlier-px", "inf", "argument --pl-outlier-px"),
+            ("--pl-outlier-px", "0", "argument --pl-outlier-px"),
+            ("--pl-outlier-px", "-1", "argument --pl-outlier-px"),
+            ("--seed", "0", "unrecognized arguments: --seed 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "crossval", "analyze"])
+    def test_bad_option_exits_2(self, tmp_path, capsys, command, option, value, message):
+        # rejected while parsing, before the dataset is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(tmp_path / "ds.json"), "--out-dir", str(tmp_path / "out"), option, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mutate, in_view, detail",
+        [
+            (lambda cell: cell["views"][1]["corners"][0].pop("u_px"), True, "missing field 'u_px'"),
+            (lambda cell: cell.update(focal_label_mm=None), False, "float()"),
+            (lambda cell: cell["views"][1].update(corners=cell["views"][1]["corners"][:3]), True, "at least 4 corners"),
+            (lambda cell: cell["views"][1]["corners"][5].update(v_px=float("nan")), True, "must be finite"),
+            (lambda cell: [c.update(y_mm=0.0) for c in cell["views"][1]["corners"]], True, "rank deficient"),
+        ],
+        ids=["missing-u", "null-focal-label", "three-corners", "nan-corner", "collinear-board"],
+    )
+    def test_malformed_dataset_exits_2(self, dataset_path, tmp_path, capsys, mutate, in_view, detail):
+        data = json.loads(dataset_path.read_text())
+        cell = data["cells"][2]
+        mutate(cell)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["calibrate", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        location = f"cell 2, view {cell['views'][1]['id']}:" if in_view else "cell 2:"
+        assert err.startswith(f"error: malformed dataset at {location}")
+        assert detail in err
+        assert len(err.splitlines()) == 1
+
+
 class TestCrossval:
+    def test_max_views_matches_truncated_dataset(self, tmp_path):
+        config = write_config(tmp_path, noise_sigma_px=0.5, focal_settings=[{"label_mm": 12.0, "f_px": 3000.0}])
+        ds = tmp_path / "ds.json"
+        assert main(["simulate", "--config", str(config), "--out", str(ds)]) == 0
+        data = json.loads(ds.read_text())
+        for cell in data["cells"]:
+            cell["views"] = cell["views"][:4]
+            cell["ground_truth"]["views"] = cell["ground_truth"]["views"][:4]
+        truncated = tmp_path / "ds4.json"
+        truncated.write_text(json.dumps(data))
+        outs = []
+        for dataset, extra in ((ds, ["--max-views", "4"]), (truncated, []), (ds, [])):
+            out = tmp_path / f"cv{len(outs)}"
+            assert main(["crossval", "--dataset", str(dataset), "--out-dir", str(out), *extra]) == 0
+            outs.append((out / "crossval.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]
+
     def test_gravity_free_noise_free_matrix_near_zero(self, tmp_path):
         config = write_config(
             tmp_path, drift={"gravity_px": 0.0}, focal_settings=[{"label_mm": 12.0, "f_px": 3000.0}]
