@@ -16,6 +16,7 @@ from .calibrate import (
     CalibrationView,
     Extrinsics,
     Intrinsics,
+    PoseRefits,
     calibrate_algebraic,
     calibrate_geometric,
     extrinsics_from_homography,
@@ -23,6 +24,7 @@ from .calibrate import (
     project_points,
     refine,
     refit_view_pose,
+    refit_view_poses,
     view_rmse,
 )
 from .geometry import (

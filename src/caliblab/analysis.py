@@ -16,7 +16,7 @@ from .calibrate import (
     calibrate_algebraic,
     calibrate_geometric,
     refine,
-    refit_view_pose,
+    refit_view_poses,
 )
 from .errors import CaliblabError, MissingPose, TooFewPoints
 from .geometry import Point2
@@ -113,27 +113,25 @@ def _crossval_setting(
         intrinsics[pose] = result.intrinsics
         self_rmse[pose] = result.rmse
 
+    cells = [(b, pose_b, dataset.cells.get((pose_b, setting))) for b, pose_b in enumerate(poses)]
+    cells = [(b, pose_b, views) for b, pose_b, views in cells if views]
     for a, pose_a in enumerate(poses):
         intr = intrinsics.get(pose_a)
         if intr is None:
             continue
-        for b, pose_b in enumerate(poses):
-            views = dataset.cells.get((pose_b, setting))
-            if not views:
-                continue
-            total = 0.0
-            count = 0
-            try:
-                for view in views:
-                    _, rmse = refit_view_pose(intr, view)
-                    total += rmse
-                    count += 1
-            except CaliblabError as err:
+        # every view of the setting is refit under pose a's intrinsics at once
+        refits = refit_view_poses(intr, [view for _, _, views in cells for view in views])
+        start = 0
+        for b, pose_b, views in cells:
+            cell = slice(start, start + len(views))
+            start += len(views)
+            err = next((e for e in refits.errors[cell] if e is not None), None)
+            if err is not None:
                 notices.append(
                     f"setting {setting.label_mm} mm: pose refit {pose_a.value}->{pose_b.value} failed: {err}"
                 )
                 continue
-            matrix[a, b] = total / count
+            matrix[a, b] = sum(refits.rmse[cell].tolist()) / len(views)
 
     return (
         CrossValSetting(

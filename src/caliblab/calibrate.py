@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AmbiguousDirection,
     BehindCamera,
+    CaliblabError,
     DegenerateSystem,
     DegenerateView,
     EmptyView,
@@ -34,7 +35,7 @@ from .principal_line import (
     flag_outlier_lines,
     principal_line,
 )
-from .rotations import nearest_rotation, rodrigues, rotate_point_jacobian, rvec_from_rotation
+from .rotations import nearest_rotation, rodrigues, rotate_point_jacobian, rvec_from_rotation, vector_norm
 
 # Focal-length constraints are skipped when their denominator is this small
 # relative to the perspective terms h7^2 + h8^2 (scale free in H).
@@ -141,11 +142,22 @@ class CalibrationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _board_points(board_xy: np.ndarray) -> np.ndarray:
+    """Board-plane corners (..., n, 2) as 3D points (..., n, 3) with z = 0."""
+    return np.concatenate([board_xy, np.zeros(board_xy.shape[:-1] + (1,))], axis=-1)
+
+
+def _project(f, u0, v0, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole projection of board points (..., n, 3) through poses
+    rot (..., 3, 3), t (..., 3): camera-frame points (..., n, 3) and pixels
+    (..., n, 2)."""
+    cam = pts @ np.swapaxes(rot, -1, -2) + t[..., None, :]
+    return cam, f * cam[..., :2] / cam[..., 2:3] + np.array([u0, v0])
+
+
 def project_points(intr: Intrinsics, extr: Extrinsics, board_xy: np.ndarray) -> np.ndarray:
     """Pinhole projection of board-plane points, returning (n, 2) pixels."""
-    pts = np.column_stack([board_xy, np.zeros(len(board_xy))])
-    cam = pts @ extr.rot.T + extr.t
-    return intr.f * cam[:, :2] / cam[:, 2:3] + np.array([intr.pp.u, intr.pp.v])
+    return _project(intr.f, intr.pp.u, intr.pp.v, extr.rot, extr.t, _board_points(board_xy))[1]
 
 
 def view_rmse(intr: Intrinsics, extr: Extrinsics, view: CalibrationView) -> float:
@@ -196,6 +208,29 @@ def focal_from_homography(homography: Homography, pp: Point2) -> list[float]:
     return estimates
 
 
+def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked form of `extrinsics_from_homography` for homographies
+    (B, 3, 3) under one set of intrinsics: rotations (B, 3, 3),
+    translations (B, 3), and a (B,) mask of the views whose board plane
+    passes through the camera center, whose poses are not usable."""
+    f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
+    kinv = np.array([[1.0 / f, 0.0, -u0 / f], [0.0, 1.0 / f, -v0 / f], [0.0, 0.0, 1.0]])
+    a = kinv @ hs
+    scale = 2.0 / (vector_norm(a[..., 0]) + vector_norm(a[..., 1]))
+    t = scale[:, None] * a[..., 2]
+    sign = np.where(t[:, 2] < 0.0, -1.0, 1.0)
+    scale, t = sign * scale, sign[:, None] * t
+    through_center = np.abs(t[:, 2]) <= 1e-9 * vector_norm(t)
+    r1 = scale[:, None] * a[..., 0]
+    r2 = scale[:, None] * a[..., 1]
+    rot = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=-1))
+    return rot, t, through_center
+
+
+def _through_center_error() -> BehindCamera:
+    return BehindCamera("board plane passes through the camera center (t_z ~ 0)")
+
+
 def extrinsics_from_homography(homography: Homography, intr: Intrinsics) -> Extrinsics:
     """Decompose H = K [r1 r2 t] into a proper rotation and translation.
 
@@ -203,19 +238,17 @@ def extrinsics_from_homography(homography: Homography, intr: Intrinsics) -> Extr
     overall sign by requiring t_z > 0, and [r1 r2 r1xr2] is projected onto
     the nearest rotation.
     """
-    f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
-    kinv = np.array([[1.0 / f, 0.0, -u0 / f], [0.0, 1.0 / f, -v0 / f], [0.0, 0.0, 1.0]])
-    a = kinv @ homography.h
-    scale = 2.0 / (np.linalg.norm(a[:, 0]) + np.linalg.norm(a[:, 1]))
-    t = scale * a[:, 2]
-    if t[2] < 0.0:
-        scale, t = -scale, -t
-    if abs(t[2]) <= 1e-9 * np.linalg.norm(t):
-        raise BehindCamera("board plane passes through the camera center (t_z ~ 0)")
-    r1 = scale * a[:, 0]
-    r2 = scale * a[:, 1]
-    rot = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return Extrinsics(rot, t)
+    rot, t, through_center = _decompose_homographies(homography.h[None], intr)
+    if through_center[0]:
+        raise _through_center_error()
+    return Extrinsics(rot[0], t[0])
+
+
+def _decompose_views(views: Sequence[CalibrationView], intr: Intrinsics) -> list[Extrinsics | None]:
+    """Per-view `extrinsics_from_homography`, None where the board plane
+    passes through the camera center."""
+    rots, ts, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
+    return [None if bad else Extrinsics(rot, t) for rot, t, bad in zip(rots, ts, through_center)]
 
 
 def _median(values: Sequence[float]) -> float:
@@ -268,12 +301,12 @@ def calibrate_geometric(
     intr = Intrinsics(_median(samples), pp_est.pp)
     per_view = []
     kept = []
-    for view in accepted:
-        try:
-            per_view.append(extrinsics_from_homography(view.homography, intr))
-            kept.append(view)
-        except BehindCamera:
+    for view, extr in zip(accepted, _decompose_views(accepted, intr)):
+        if extr is None:
             flags.append(view.id)
+        else:
+            per_view.append(extr)
+            kept.append(view)
     if len(kept) < 2:
         raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
 
@@ -363,13 +396,13 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
     per_view = []
     kept = []
     samples: list[float] = []
-    for view in views:
-        try:
-            per_view.append(extrinsics_from_homography(view.homography, intr))
+    for view, extr in zip(views, _decompose_views(views, intr)):
+        if extr is None:
+            flags.append(view.id)
+        else:
+            per_view.append(extr)
             kept.append(view)
             samples.extend(focal_from_homography(view.homography, intr.pp))
-        except BehindCamera:
-            flags.append(view.id)
     if len(kept) < 2:
         raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
 
@@ -387,120 +420,183 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
 
 
 def _pack(f: float, pp: Point2, poses: Sequence[Extrinsics], fit_intrinsics: bool) -> np.ndarray:
-    head = [f, pp.u, pp.v] if fit_intrinsics else []
-    body = []
-    for extr in poses:
-        body.extend(rvec_from_rotation(extr.rot))
-        body.extend(extr.t)
-    return np.array(head + body)
+    rvecs = rvec_from_rotation(np.array([extr.rot for extr in poses]))
+    body = np.concatenate([rvecs, np.array([extr.t for extr in poses])], axis=1).ravel()
+    return np.concatenate([[f, pp.u, pp.v], body]) if fit_intrinsics else body
 
 
-def _unpack(params: np.ndarray, n_views: int, fit_intrinsics: bool, intr0: Intrinsics):
+def _unpack(params: np.ndarray, fit_intrinsics: bool, intr0: Intrinsics):
+    """(f, u0, v0, poses) with poses a (n_views, 6) array of (rvec, t) rows."""
     if fit_intrinsics:
-        f, u0, v0 = params[0], params[1], params[2]
-        base = 3
-    else:
-        f, u0, v0 = intr0.f, intr0.pp.u, intr0.pp.v
-        base = 0
-    poses = []
-    for i in range(n_views):
-        off = base + 6 * i
-        poses.append((params[off : off + 3], params[off + 3 : off + 6]))
-    return f, u0, v0, poses
+        return params[0], params[1], params[2], params[3:].reshape(-1, 6)
+    return intr0.f, intr0.pp.u, intr0.pp.v, params.reshape(-1, 6)
 
 
-def _residuals(params, views, fit_intrinsics, intr0) -> np.ndarray:
-    f, u0, v0, poses = _unpack(params, len(views), fit_intrinsics, intr0)
-    parts = []
-    for (rvec, t), view in zip(poses, views):
-        rot = rodrigues(rvec)
-        pts = np.column_stack([view.board_xy, np.zeros(len(view.board_xy))])
-        cam = pts @ rot.T + t
-        uv = f * cam[:, :2] / cam[:, 2:3] + np.array([u0, v0])
-        parts.append((uv - view.image_uv).ravel())
-    return np.concatenate(parts)
+def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray) -> np.ndarray:
+    """d(u, v)/d(rvec, t) of every projected corner, shape (..., n, 2, 6),
+    for poses rvec (..., 3), board points pts (..., n, 3) and their
+    camera-frame positions cam (..., n, 3)."""
+    x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
+    duv_dq = np.zeros(cam.shape[:-1] + (2, 3))  # d(u, v)/d(cam point)
+    duv_dq[..., 0, 0] = f / z
+    duv_dq[..., 0, 2] = -f * x / (z * z)
+    duv_dq[..., 1, 1] = f / z
+    duv_dq[..., 1, 2] = -f * y / (z * z)
+    block = np.einsum("...ij,...jk->...ik", duv_dq, rotate_point_jacobian(rvec, pts))
+    return np.concatenate([block, duv_dq], axis=-1)
 
 
-def _jacobian(params, views, fit_intrinsics, intr0) -> np.ndarray:
+def _stack_views(views: Sequence[CalibrationView]):
+    """Board points (V, n, 3), image corners (V, n, 2) and the (V, n) mask
+    of real corners, with views shorter than the longest one padded."""
+    n = max(len(v.board_xy) for v in views)
+    board = np.zeros((len(views), n, 2))
+    image = np.zeros((len(views), n, 2))
+    mask = np.zeros((len(views), n), dtype=bool)
+    for i, view in enumerate(views):
+        k = len(view.board_xy)
+        board[i, :k], image[i, :k], mask[i, :k] = view.board_xy, view.image_uv, True
+    return _board_points(board), image, mask
+
+
+def _cell_residuals(params, stack, fit_intrinsics, intr0) -> np.ndarray:
+    f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
+    pts, image, mask = stack
+    _, uv = _project(f, u0, v0, rodrigues(poses[:, :3]), poses[:, 3:], pts)
+    return (uv - image)[mask].ravel()
+
+
+def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     """Analytic Jacobian of the reprojection residuals.
 
     Rows alternate (u, v) per corner per view; columns are the optional
     (f, u0, v0) head followed by (rvec, t) per view.
     """
-    f, u0, v0, poses = _unpack(params, len(views), fit_intrinsics, intr0)
-    n_res = 2 * sum(len(v.board_xy) for v in views)
-    n_par = (3 if fit_intrinsics else 0) + 6 * len(views)
-    jac = np.zeros((n_res, n_par))
-    row = 0
-    base = 3 if fit_intrinsics else 0
-    for vi, ((rvec, t), view) in enumerate(zip(poses, views)):
-        rot = rodrigues(rvec)
-        pts = np.column_stack([view.board_xy, np.zeros(len(view.board_xy))])
-        cam = pts @ rot.T + t
-        n = len(pts)
-        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-
-        # d(u, v)/d(cam point), shape (n, 2, 3)
-        duv_dq = np.zeros((n, 2, 3))
-        duv_dq[:, 0, 0] = f / z
-        duv_dq[:, 0, 2] = -f * x / (z * z)
-        duv_dq[:, 1, 1] = f / z
-        duv_dq[:, 1, 2] = -f * y / (z * z)
-
-        dq_drot = rotate_point_jacobian(rvec, pts)  # (n, 3, 3)
-        block = np.einsum("nij,njk->nik", duv_dq, dq_drot)  # (n, 2, 3)
-
-        rows = slice(row, row + 2 * n)
-        col = base + 6 * vi
-        jac[rows, col : col + 3] = block.reshape(2 * n, 3)
-        jac[rows, col + 3 : col + 6] = duv_dq.reshape(2 * n, 3)
-        if fit_intrinsics:
-            jac[row : row + 2 * n : 2, 0] = x / z
-            jac[row + 1 : row + 2 * n : 2, 0] = y / z
-            jac[row : row + 2 * n : 2, 1] = 1.0
-            jac[row + 1 : row + 2 * n : 2, 2] = 1.0
-        row += 2 * n
-    return jac
+    f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
+    pts, _, mask = stack
+    n_views = len(poses)
+    cam, _ = _project(f, u0, v0, rodrigues(poses[:, :3]), poses[:, 3:], pts)
+    jac = np.zeros(mask.shape + (2, n_views, 6))
+    diag = np.arange(n_views)
+    jac[diag, :, :, diag] = _pose_jacobian(f, poses[:, :3], pts, cam)
+    jac = jac.reshape(mask.shape + (2, 6 * n_views))
+    if fit_intrinsics:
+        head = np.zeros(mask.shape + (2, 3))
+        head[..., 0] = cam[..., :2] / cam[..., 2:3]
+        head[..., 0, 1] = 1.0
+        head[..., 1, 2] = 1.0
+        jac = np.concatenate([head, jac], axis=-1)
+    return jac[mask].reshape(-1, jac.shape[-1])
 
 
-def _levenberg_marquardt(params0, views, fit_intrinsics, intr0, max_iters=LM_MAX_ITERS):
-    """Damped Gauss-Newton with a multiplicative lambda schedule:
-    x10 on reject, x0.1 on accept, stop on relative cost change < 1e-12."""
-    params = params0.copy()
-    res = _residuals(params, views, fit_intrinsics, intr0)
-    cost = float(res @ res)
-    lam = LM_INITIAL_LAMBDA
-    converged = False
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        jac = _jacobian(params, views, fit_intrinsics, intr0)
-        grad = jac.T @ res
-        hess = jac.T @ jac
-        damping = np.diag(np.maximum(np.diag(hess), 1e-12))
-        accepted = False
-        while lam <= 1e12:
+def _residuals(params, views, fit_intrinsics, intr0) -> np.ndarray:
+    return _cell_residuals(params, _stack_views(views), fit_intrinsics, intr0)
+
+
+def _jacobian(params, views, fit_intrinsics, intr0) -> np.ndarray:
+    return _cell_jacobian(params, _stack_views(views), fit_intrinsics, intr0)
+
+
+def _pose_problem(intr: Intrinsics, pts: np.ndarray, image: np.ndarray):
+    """Residual and Jacobian callbacks of independent pose-only refits:
+    problem i is the view with board points pts[i] (n, 3) and image
+    corners image[i] (n, 2), its parameters (rvec, t)."""
+    f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
+
+    def residuals(params, rows):
+        _, uv = _project(f, u0, v0, rodrigues(params[:, :3]), params[:, 3:], pts[rows])
+        return (uv - image[rows]).reshape(len(rows), -1)
+
+    def jacobian(params, rows):
+        cam, _ = _project(f, u0, v0, rodrigues(params[:, :3]), params[:, 3:], pts[rows])
+        return _pose_jacobian(f, params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
+
+    return residuals, jacobian
+
+
+def _sum_squares(res: np.ndarray) -> np.ndarray:
+    """Row-wise sum of squares of (B, m) residuals, reduced like `res @ res`."""
+    return (res[:, None, :] @ res[:, :, None])[:, 0, 0]
+
+
+def _damped_steps(hess, damping, lam, grad):
+    """Solve (H + lam diag(d)) step = -g for every problem of the stack.
+    Returns the steps and a mask of the problems whose system was not
+    singular; a singular system affects only its own problem."""
+    systems = hess + (lam[:, None] * damping)[..., None] * np.eye(hess.shape[-1])
+    rhs = -grad[..., None]
+    solved = np.ones(len(systems), dtype=bool)
+    try:
+        return np.linalg.solve(systems, rhs)[..., 0], solved
+    except np.linalg.LinAlgError:
+        steps = np.zeros(grad.shape)
+        for i, (system, b) in enumerate(zip(systems, rhs)):
             try:
-                step = np.linalg.solve(hess + lam * damping, -grad)
+                steps[i] = np.linalg.solve(system, b)[:, 0]
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            trial_res = _residuals(trial, views, fit_intrinsics, intr0)
-            trial_cost = float(trial_res @ trial_res)
-            if trial_cost <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        rel = (cost - trial_cost) / max(cost, 1e-300)
-        params, res, cost = trial, trial_res, trial_cost
-        lam = max(lam * 0.1, 1e-12)
-        if rel < LM_REL_TOL:
-            converged = True
-            break
+                solved[i] = False
+        return steps, solved
+
+
+def _levenberg_marquardt(params0, residuals, jacobian, max_iters=LM_MAX_ITERS):
+    """Damped Gauss-Newton on a stack of independent least-squares problems.
+
+    params0 is (B, P). residuals(params, rows) and jacobian(params, rows)
+    evaluate the problems `rows` at params (len(rows), P) and return
+    (len(rows), m) and (len(rows), m, P). Every problem follows its own
+    multiplicative lambda schedule, as if it were solved alone: x10 on
+    reject (a singular damped system is a reject), x0.1 on accept, give up
+    once lambda exceeds 1e12, stop on relative cost change < 1e-12 or after
+    max_iters Jacobians. Returns params, cost, converged and iteration
+    counts, each per problem.
+    """
+    params = np.array(params0, dtype=float)
+    every = np.arange(len(params))
+    res = residuals(params, every)
+    cost = _sum_squares(res)
+    lam = np.full(len(params), LM_INITIAL_LAMBDA)
+    converged = np.zeros(len(params), dtype=bool)
+    iters = np.zeros(len(params), dtype=int)
+    live = every if max_iters > 0 else every[:0]
+    while live.size:
+        iters[live] += 1
+        jac = jacobian(params[live], live)
+        jac_t = np.swapaxes(jac, -1, -2)
+        grad = (jac_t @ res[live][..., None])[..., 0]
+        hess = jac_t @ jac
+        damping = np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
+        accepted = np.zeros(len(live), dtype=bool)
+        rel = np.zeros(len(live))
+        search = np.flatnonzero(lam[live] <= 1e12)  # positions in live
+        while search.size:
+            rows = live[search]
+            steps, solved = _damped_steps(hess[search], damping[search], lam[rows], grad[search])
+            tried, tried_rows = search[solved], rows[solved]
+            if tried.size:
+                trial = params[tried_rows] + steps[solved]
+                trial_res = residuals(trial, tried_rows)
+                trial_cost = _sum_squares(trial_res)
+                ok = trial_cost <= cost[tried_rows]
+                took = tried_rows[ok]
+                rel[tried[ok]] = (cost[took] - trial_cost[ok]) / np.maximum(cost[took], 1e-300)
+                params[took], res[took], cost[took] = trial[ok], trial_res[ok], trial_cost[ok]
+                accepted[tried[ok]] = True
+            search = search[~accepted[search]]
+            lam[live[search]] *= 10.0
+            search = search[lam[live[search]] <= 1e12]
+        took = live[accepted]
+        lam[took] = np.maximum(lam[took] * 0.1, 1e-12)
+        converged[took] = rel[accepted] < LM_REL_TOL
+        live = live[accepted & ~converged[live] & (iters[live] < max_iters)]
     return params, cost, converged, iters
+
+
+def _usable_poses(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the solved poses that are finite, proper and put the board
+    in front of the camera."""
+    finite = np.all(np.isfinite(rot), axis=(-2, -1)) & np.all(np.isfinite(t), axis=-1)
+    det = np.linalg.det(np.where(finite[:, None, None], rot, np.eye(3)))
+    return finite & (t[:, 2] > 0.0) & (det > 0.0)
 
 
 def refine(result: CalibrationResult, views: Sequence[CalibrationView], max_iters: int = LM_MAX_ITERS) -> CalibrationResult:
@@ -509,24 +605,34 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView], max_iter
 
     The refined cost never exceeds the starting cost. If the iteration
     budget runs out before the relative cost change drops below 1e-12, the
-    best iterate is returned with diagnostics["converged"] = False.
+    best iterate is returned with diagnostics["converged"] = False. Raises
+    BehindCamera, naming the view, when a refined pose is not finite or
+    puts the board behind the camera.
     """
     by_id = {v.id: v for v in views}
     accepted = [by_id[i] for i in result.accepted_ids]
     if len(accepted) < 2:
         raise InsufficientViews("refinement needs at least 2 accepted views")
 
-    params0 = _pack(result.intrinsics.f, result.intrinsics.pp, result.per_view, fit_intrinsics=True)
+    stack = _stack_views(accepted)
+    intr0 = result.intrinsics
     params, cost, converged, iters = _levenberg_marquardt(
-        params0, accepted, fit_intrinsics=True, intr0=result.intrinsics, max_iters=max_iters
+        _pack(intr0.f, intr0.pp, result.per_view, fit_intrinsics=True)[None],
+        lambda p, rows: _cell_residuals(p[0], stack, True, intr0)[None],
+        lambda p, rows: _cell_jacobian(p[0], stack, True, intr0)[None],
+        max_iters=max_iters,
     )
-    f, u0, v0, poses = _unpack(params, len(accepted), True, result.intrinsics)
+    f, u0, v0, poses = _unpack(params[0], True, intr0)
+    rots = rodrigues(poses[:, :3])
+    for view, usable in zip(accepted, _usable_poses(rots, poses[:, 3:])):
+        if not usable:
+            raise BehindCamera(f"view {view.id}: refined pose is not finite or lies behind the camera")
     intr = Intrinsics(f, Point2(u0, v0))
-    per_view = tuple(Extrinsics(rodrigues(rvec), np.asarray(t)) for rvec, t in poses)
+    per_view = tuple(Extrinsics(rot, t) for rot, t in zip(rots, poses[:, 3:]))
     n_res = sum(len(v.board_xy) for v in accepted)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(
-        {"converged": converged, "lm_iterations": iters, "initial_rmse": result.rmse}
+        {"converged": bool(converged[0]), "lm_iterations": int(iters[0]), "initial_rmse": result.rmse}
     )
     return CalibrationResult(
         method="refined",
@@ -535,20 +641,65 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView], max_iter
         accepted_ids=result.accepted_ids,
         pp_estimate=result.pp_estimate,
         focal_samples=result.focal_samples,
-        rmse=math.sqrt(cost / n_res),
+        rmse=math.sqrt(cost[0] / n_res),
         flags=result.flags,
         diagnostics=diagnostics,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class PoseRefits:
+    """Pose-only refits of a sequence of views under one set of frozen
+    intrinsics. Entry i belongs to view i: rotation rot[i] (3, 3),
+    translation t[i] (3,) and reprojection RMSE rmse[i]. Where errors[i]
+    is set, the refit failed and the entry's pose and RMSE are NaN."""
+
+    rot: np.ndarray
+    t: np.ndarray
+    rmse: np.ndarray
+    errors: tuple[CaliblabError | None, ...]
+
+
+def refit_view_poses(intr: Intrinsics, views: Sequence[CalibrationView]) -> PoseRefits:
+    """Best pose of each view under frozen intrinsics: closed-form
+    decomposition followed by pose-only refinement.
+
+    Views with the same corner count are solved as one stacked LM, each
+    with its own damping and stopping, so every entry is what refitting
+    its view alone gives. A view fails with BehindCamera when its board
+    plane passes through the camera center, or (naming the view) when its
+    refit pose is not finite or puts the board behind the camera.
+    """
+    count = len(views)
+    rot = np.full((count, 3, 3), np.nan)
+    t = np.full((count, 3), np.nan)
+    rmse = np.full(count, np.nan)
+    if count == 0:
+        return PoseRefits(rot, t, rmse, ())
+    rot0, t0, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
+    corners = np.array([len(v.board_xy) for v in views])
+    for n in np.unique(corners[~through_center]):
+        rows = np.flatnonzero((corners == n) & ~through_center)
+        pts = _board_points(np.array([views[i].board_xy for i in rows]))
+        image = np.array([views[i].image_uv for i in rows])
+        params0 = np.concatenate([rvec_from_rotation(rot0[rows]), t0[rows]], axis=1)
+        params, cost, _, _ = _levenberg_marquardt(params0, *_pose_problem(intr, pts, image))
+        rot[rows], t[rows], rmse[rows] = rodrigues(params[:, :3]), params[:, 3:], np.sqrt(cost / n)
+    usable = _usable_poses(rot, t) & np.isfinite(rmse)
+    errors: list[CaliblabError | None] = [None] * count
+    for i in np.flatnonzero(~usable):
+        if through_center[i]:
+            errors[i] = _through_center_error()
+        else:
+            errors[i] = BehindCamera(f"view {views[i].id}: refit pose is not finite or lies behind the camera")
+    rot[~usable], t[~usable], rmse[~usable] = np.nan, np.nan, np.nan
+    return PoseRefits(rot, t, rmse, tuple(errors))
+
+
 def refit_view_pose(intr: Intrinsics, view: CalibrationView) -> tuple[Extrinsics, float]:
-    """Best pose of a single view under frozen intrinsics: closed-form
-    decomposition followed by pose-only refinement. Returns the pose and
-    its reprojection RMSE."""
-    extr0 = extrinsics_from_homography(view.homography, intr)
-    params0 = _pack(intr.f, intr.pp, [extr0], fit_intrinsics=False)
-    params, cost, _, _ = _levenberg_marquardt(params0, [view], fit_intrinsics=False, intr0=intr)
-    _, _, _, poses = _unpack(params, 1, False, intr)
-    rvec, t = poses[0]
-    extr = Extrinsics(rodrigues(rvec), np.asarray(t))
-    return extr, math.sqrt(cost / len(view.board_xy))
+    """Best pose of a single view under frozen intrinsics (see
+    `refit_view_poses`). Returns the pose and its reprojection RMSE."""
+    refits = refit_view_poses(intr, [view])
+    if refits.errors[0] is not None:
+        raise refits.errors[0]
+    return Extrinsics(refits.rot[0], refits.t[0]), float(refits.rmse[0])

@@ -73,17 +73,16 @@ def dumps_json(node: Any) -> str:
     return "".join(out)
 
 
-def _rvec_for_write(extr: Extrinsics):
-    """Axis-angle vector to serialize for a pose.
+def _rvecs_for_write(extrs) -> list:
+    """Axis-angle vectors to serialize for a cell's poses.
 
     Poses loaded from a file keep their parsed axis-angle verbatim, so a
     write -> read -> write cycle reproduces the file byte for byte; the
-    log map is only evaluated for freshly generated poses.
+    log map (one stacked call per cell) is used for freshly generated poses.
     """
-    cached = getattr(extr, "_rvec_cache", None)
-    if cached is not None:
-        return cached
-    return rvec_from_rotation(extr.rot)
+    fresh = rvec_from_rotation(np.array([e.rot for e in extrs]).reshape(-1, 3, 3))
+    cached = [getattr(e, "_rvec_cache", None) for e in extrs]
+    return [rvec if c is None else c for rvec, c in zip(fresh, cached)]
 
 
 def _view_node(view: CalibrationView) -> dict:
@@ -111,10 +110,10 @@ def dataset_to_node(dataset: Dataset) -> dict:
                 "pp_v_px": float(intr.pp.v),
                 "views": [
                     {
-                        "rvec": [float(x) for x in _rvec_for_write(e)],
+                        "rvec": [float(x) for x in rvec],
                         "t_mm": [float(x) for x in e.t],
                     }
-                    for e in extrs
+                    for rvec, e in zip(_rvecs_for_write(extrs), extrs)
                 ],
             }
         cells.append(node)
@@ -148,10 +147,12 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
         if "ground_truth" in node:
             g = node["ground_truth"]
             intr = Intrinsics(float(g["f_px"]), Point2(float(g["pp_u_px"]), float(g["pp_v_px"])))
+            rvecs = [tuple(float(x) for x in e["rvec"]) for e in g["views"]]
+            if any(len(rvec) != 3 for rvec in rvecs):
+                raise ValueError("a ground-truth rvec needs 3 components")
             extrs = []
-            for e in g["views"]:
-                rvec = tuple(float(x) for x in e["rvec"])
-                extr = Extrinsics(rodrigues(np.array(rvec)), np.array(e["t_mm"], dtype=float))
+            for e, rvec, rot in zip(g["views"], rvecs, rodrigues(np.array(rvecs).reshape(-1, 3))):
+                extr = Extrinsics(rot, np.array(e["t_mm"], dtype=float))
                 object.__setattr__(extr, "_rvec_cache", rvec)
                 extrs.append(extr)
             if len(extrs) != len(views):

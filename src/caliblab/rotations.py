@@ -23,80 +23,112 @@ def rot_z(deg: float) -> np.ndarray:
 
 
 def skew(v) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix of a 3-vector; a (..., 3) stack maps to a
+    (..., 3, 3) stack."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape[:-1] + (3, 3))
+
+
+def vector_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, bit for bit equal to
+    np.linalg.norm of each vector (both reduce through a BLAS dot, which a
+    plain sum of squares does not reproduce)."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def rodrigues(rvec) -> np.ndarray:
-    """Axis-angle vector to rotation matrix (exponential map)."""
+    """Axis-angle vector to rotation matrix (exponential map); a (..., 3)
+    stack maps to a (..., 3, 3) stack."""
     rvec = np.asarray(rvec, dtype=float)
-    theta = float(np.linalg.norm(rvec))
-    if theta < 1e-12:
-        return np.eye(3) + skew(rvec)
-    k = rvec / theta
-    km = skew(k)
-    return np.eye(3) + math.sin(theta) * km + (1.0 - math.cos(theta)) * (km @ km)
+    theta = vector_norm(rvec)[..., None, None]
+    small = theta < 1e-12
+    km = skew(rvec / np.where(small, 1.0, theta)[..., 0])
+    rot = np.eye(3) + np.sin(theta) * km + (1.0 - np.cos(theta)) * (km @ km)
+    return np.where(small, np.eye(3) + skew(rvec), rot)
+
+
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def rvec_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Rotation matrix to axis-angle, stable near 0 and pi.
+    """Rotation matrix to axis-angle, stable near 0 and pi; a (..., 3, 3)
+    stack maps to a (..., 3) stack.
 
     Goes through the quaternion with the largest-pivot extraction and a
     canonical nonnegative scalar part, so the returned vector has angle in
-    [0, pi] and is a deterministic function of the input.
+    [0, pi] and is a deterministic function of the input. The angle comes
+    from libm's atan2 (numpy's vectorized arctan2 differs in the last
+    bit), so serialized axis-angle vectors do not depend on batch size.
     """
     r = np.asarray(rot, dtype=float)
-    t = r[0, 0] + r[1, 1] + r[2, 2]
-    if t > max(r[0, 0], r[1, 1], r[2, 2]):
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    axis_norm = float(np.linalg.norm(q[1:]))
-    if axis_norm < 1e-12:
-        return np.zeros(3)
-    theta = 2.0 * math.atan2(axis_norm, q[0])
-    return q[1:] / axis_norm * theta
+    r00, r11, r22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
+    d21 = r[..., 2, 1] - r[..., 1, 2]
+    d02 = r[..., 0, 2] - r[..., 2, 0]
+    d10 = r[..., 1, 0] - r[..., 0, 1]
+    s01 = r[..., 0, 1] + r[..., 1, 0]
+    s02 = r[..., 0, 2] + r[..., 2, 0]
+    s12 = r[..., 1, 2] + r[..., 2, 1]
+    # pivot: 0 = scalar part, 1..3 = the largest diagonal entry
+    pivot = np.select(
+        [r00 + r11 + r22 > np.maximum(np.maximum(r00, r11), r22), (r00 >= r11) & (r00 >= r22), r11 >= r22],
+        [0, 1, 2],
+        3,
+    )
+    arg = np.choose(pivot, [r00 + r11 + r22 + 1.0, 1.0 + r00 - r11 - r22, 1.0 + r11 - r00 - r22, 1.0 + r22 - r00 - r11])
+    s = np.sqrt(arg) * 2.0
+    quarter = 0.25 * s
+    q = np.choose(
+        pivot[..., None],
+        [
+            np.stack([quarter, d21 / s, d02 / s, d10 / s], axis=-1),
+            np.stack([d21 / s, quarter, s01 / s, s02 / s], axis=-1),
+            np.stack([d02 / s, s01 / s, quarter, s12 / s], axis=-1),
+            np.stack([d10 / s, s02 / s, s12 / s, quarter], axis=-1),
+        ],
+    )
+    q = q / vector_norm(q)[..., None]
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    axis_norm = vector_norm(q[..., 1:])
+    small = axis_norm < 1e-12
+    theta = 2.0 * np.asarray(_atan2(axis_norm, q[..., 0]), dtype=float)
+    return np.where(small[..., None], 0.0, q[..., 1:] / np.where(small, 1.0, axis_norm)[..., None] * theta[..., None])
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of m with determinant +1."""
+    """Orthogonal polar factor of m with determinant +1; works on (..., 3, 3)
+    stacks."""
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    flip = np.linalg.det(r) < 0.0
+    if np.any(flip):
+        r = np.where(flip[..., None, None], (u * [1.0, 1.0, -1.0]) @ vt, r)
     return r
 
 
 def rotate_point_jacobian(rvec, points) -> np.ndarray:
-    """d(R(rvec) @ p) / d(rvec) for each point p, shape (n, 3, 3).
+    """d(R(rvec) @ p) / d(rvec) for each point p: shape (n, 3, 3) for one
+    rotation vector and (n, 3) points, (..., n, 3, 3) for a (..., 3) stack
+    of rotation vectors and (..., n, 3) points.
 
     Exact derivative of the exponential map; at rvec = 0 the limit is
     -skew(p).
     """
     rvec = np.asarray(rvec, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    theta2 = float(rvec @ rvec)
-    if theta2 < 1e-24:
-        jac = np.empty((len(pts), 3, 3))
-        for n, p in enumerate(pts):
-            jac[n] = -skew(p)
-        return jac
+    theta2 = (rvec[..., None, :] @ rvec[..., :, None])[..., 0, 0]  # a BLAS dot, as rvec @ rvec
+    small = theta2 < 1e-24
     r = rodrigues(rvec)
-    rotated = pts @ r.T
+    rotated = pts @ np.swapaxes(r, -1, -2)
     eye_minus_r = np.eye(3) - r
-    jac = np.empty((len(pts), 3, 3))
+    rvec_skew = skew(rvec)
+    scale = np.where(small, 1.0, theta2)[..., None, None]
+    jac = np.empty(np.broadcast_shapes(pts.shape, rotated.shape) + (3,))
     for i in range(3):
-        mi = (rvec[i] * skew(rvec) + skew(np.cross(rvec, eye_minus_r[:, i]))) / theta2
-        jac[:, :, i] = rotated @ mi.T
+        mi = (rvec[..., i, None, None] * rvec_skew + skew(np.cross(rvec, eye_minus_r[..., :, i]))) / scale
+        jac[..., i] = rotated @ np.swapaxes(mi, -1, -2)
+    if np.any(small):
+        jac[...] = np.where(small[..., None, None, None], -skew(pts), jac)
     return jac

@@ -1,6 +1,7 @@
 """Tests for reprojection metrics, trajectory and gravity analysis, and
 pose-transfer cross-validation."""
 
+import json
 import math
 import os
 import subprocess
@@ -12,18 +13,21 @@ import numpy as np
 import pytest
 
 import caliblab
+from caliblab import calibrate
 from caliblab.analysis import (
     analyze_gravity,
     analyze_trajectory,
+    calibrate_views,
     cross_validate,
     spearman,
 )
-from caliblab.calibrate import Extrinsics, Intrinsics, view_rmse
-from caliblab.errors import MissingPose, TooFewPoints
-from caliblab.geometry import Point2
+from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, refit_view_pose, view_rmse
+from caliblab.dataset_io import dumps_dataset, loads_dataset
+from caliblab.errors import CaliblabError, MissingPose, TooFewPoints
+from caliblab.geometry import Homography, Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
 
-from conftest import tilted_scene_views
+from conftest import oracle_rot_x, scene_homography, tilted_scene_views
 
 
 def crossval_config(gravity_px, sigma, seed, n_settings=1):
@@ -258,3 +262,115 @@ class TestCrossValidate:
         b = cross_validate(generate_dataset(config))
         for ea, eb in zip(a.settings, b.settings):
             np.testing.assert_array_equal(ea.matrix, eb.matrix)
+
+
+def per_view_crossval(dataset, method="geometric"):
+    """Unbatched reference for cross_validate: one refit_view_pose call per
+    view, and the first view of a cell whose refit fails voids the entry."""
+    poses = dataset.poses()
+    matrices, notices = [], []
+    for setting in dataset.settings():
+        intrinsics = {}
+        for pose in poses:
+            try:
+                intrinsics[pose] = calibrate_views(method, dataset.cells[(pose, setting)], 5.0).intrinsics
+            except (KeyError, CaliblabError):
+                pass
+        matrix = np.full((len(poses), len(poses)), np.nan)
+        for a, pose_a in enumerate(poses):
+            for b, pose_b in enumerate(poses):
+                views = dataset.cells.get((pose_b, setting))
+                if pose_a not in intrinsics or not views:
+                    continue
+                try:
+                    rmses = [refit_view_pose(intrinsics[pose_a], view)[1] for view in views]
+                except CaliblabError as err:
+                    notices.append(
+                        f"setting {setting.label_mm} mm: pose refit {pose_a.value}->{pose_b.value} failed: {err}"
+                    )
+                    continue
+                matrix[a, b] = sum(rmses) / len(rmses)
+        matrices.append(matrix)
+    return matrices, notices
+
+
+class TestBatchedCrossval:
+    """cross_validate refits every view under one pose's intrinsics as one
+    stack; its matrices and notices must be what per-view refits give."""
+
+    @staticmethod
+    def assert_matches_reference(dataset):
+        report = cross_validate(dataset)
+        matrices, notices = per_view_crossval(dataset)
+        for entry, expected in zip(report.settings, matrices, strict=True):
+            np.testing.assert_array_equal(np.isnan(entry.matrix), np.isnan(expected))
+            np.testing.assert_allclose(entry.matrix, expected, rtol=0.0, atol=1e-12)
+        assert [n for n in report.notices if "pose refit" in n] == notices
+        return report
+
+    @staticmethod
+    def dataset(n_settings=1):
+        return generate_dataset(crossval_config(gravity_px=15.0, sigma=0.3, seed=4, n_settings=n_settings))
+
+    def test_ragged_corner_counts(self):
+        data = json.loads(dumps_dataset(self.dataset(n_settings=2)))
+        for c, cell in enumerate(data["cells"]):
+            for v, view in enumerate(cell["views"]):
+                if (c + v) % 3 == 1:
+                    view["corners"] = view["corners"][: 18 + 9 * ((c + v) % 2)]
+        dataset = loads_dataset(json.dumps(data))
+        counts = {len(v.board_xy) for views in dataset.cells.values() for v in views}
+        assert counts == {18, 27, 54}
+        report = self.assert_matches_reference(dataset)
+        assert all(np.all(np.isfinite(entry.matrix)) for entry in report.settings)
+
+    def test_permuted_views(self, rng):
+        dataset = self.dataset()
+        cells = {key: tuple(views[i] for i in rng.permutation(len(views))) for key, views in dataset.cells.items()}
+        self.assert_matches_reference(replace(dataset, cells=cells))
+
+    def test_failing_cell(self):
+        dataset = self.dataset()
+        key = (PoseLabel.N, dataset.settings()[0])
+        views = list(dataset.cells[key])
+        # a view whose board plane passes through the camera center under
+        # any intrinsics: its pose decomposition fails
+        through_center = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
+        views.insert(
+            2,
+            CalibrationView(
+                id="through-center",
+                homography=Homography(through_center),
+                principal_line=None,
+                board_xy=views[2].board_xy,
+                image_uv=views[2].image_uv,
+            ),
+        )
+        report = self.assert_matches_reference(replace(dataset, cells={**dataset.cells, key: tuple(views)}))
+        entry = report.settings[0]
+        n = entry.poses.index(PoseLabel.N)
+        assert np.all(np.isnan(entry.matrix[:, n]))
+        assert np.isfinite(np.delete(entry.matrix, n, axis=1)).all()
+        assert sum("pose refit" in notice and "camera center" in notice for notice in report.notices) == 4
+
+    def test_failed_refit_voids_entry_without_traceback(self, monkeypatch):
+        # a refit whose final pose lies behind the camera used to escape as
+        # a plain ValueError; now it is a BehindCamera notice naming the view
+        dataset = self.dataset()
+        kernel = calibrate._levenberg_marquardt
+
+        def broken(params0, *callbacks, **kwargs):
+            params, *rest = kernel(params0, *callbacks, **kwargs)
+            params = params.copy()
+            params[1, 3:] *= -1.0  # the second view of the first pose's cell
+            return (params, *rest)
+
+        monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
+        report = cross_validate(dataset)
+        entry = report.settings[0]
+        assert np.all(np.isnan(entry.matrix[:, 0]))
+        assert np.isfinite(entry.matrix[:, 1:]).all()
+        view_id = dataset.cells[(entry.poses[0], dataset.settings()[0])][1].id
+        refit_notices = [n for n in report.notices if "pose refit" in n]
+        assert len(refit_notices) == 4
+        assert all(f"failed: view {view_id}: " in n for n in refit_notices)

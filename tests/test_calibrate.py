@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from caliblab import calibrate
 from caliblab.calibrate import (
     CalibrationResult,
     CalibrationView,
     Extrinsics,
     Intrinsics,
+    _board_points,
     _jacobian,
+    _levenberg_marquardt,
     _pack,
+    _pose_problem,
     _residuals,
     calibrate_algebraic,
     calibrate_geometric,
@@ -19,10 +23,12 @@ from caliblab.calibrate import (
     focal_from_homography,
     refine,
     refit_view_pose,
+    refit_view_poses,
     view_rmse,
 )
-from caliblab.errors import DegenerateSystem, InsufficientViews
+from caliblab.errors import BehindCamera, DegenerateSystem, InsufficientViews
 from caliblab.geometry import Homography, Point2
+from caliblab.rotations import rvec_from_rotation
 
 from conftest import (
     bias_half_board,
@@ -245,6 +251,98 @@ class TestRefine:
         extr, rmse = refit_view_pose(intr, views[0])
         np.testing.assert_allclose(extr.rot, truth[0][0], atol=1e-7)
         assert rmse < 1e-7
+
+
+class TestBatchedPoseRefit:
+    def test_pose_jacobian_matches_central_differences(self, rng):
+        # one stacked pose-only problem per view; view 0 sits at rvec = 0
+        # exactly, so the small-angle limit runs inside the batch
+        views, truth = tilted_scene_views(rolls=[0.0, 45.0, 200.0], sigma=0.5, rng=rng)
+        intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
+        pts = _board_points(np.array([v.board_xy for v in views]))
+        image = np.array([v.image_uv for v in views])
+        params = np.array([np.concatenate([rng.normal(0.0, 0.5, 3), t]) for _, t in truth])
+        params[0, :3] = 0.0
+        residuals, jacobian = _pose_problem(intr, pts, image)
+        rows = np.arange(len(views))
+        jac = jacobian(params, rows)
+        fd = np.empty_like(jac)
+        for j in range(6):
+            dp = np.zeros_like(params)
+            dp[:, j] = 1e-6 * np.maximum(1.0, np.abs(params[:, j]))
+            fd[..., j] = (residuals(params + dp, rows) - residuals(params - dp, rows)) / (2 * dp[:, None, j])
+        col_scale = np.abs(fd).max(axis=1)
+        assert (np.abs(jac - fd).max(axis=1) / col_scale).max() < 1e-4
+        # a problem's Jacobian does not depend on the batch around it
+        np.testing.assert_array_equal(jacobian(params[:1], rows[:1])[0], jac[0])
+
+    def test_kernel_keeps_per_problem_schedule(self, rng):
+        # starts at different distances from the optimum take different
+        # numbers of iterations; each problem must stop and damp as if solved
+        # alone, so iteration counts and results match one-problem calls
+        views, truth = tilted_scene_views(sigma=0.5, rng=rng)
+        intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
+        pts = _board_points(np.array([v.board_xy for v in views]))
+        image = np.array([v.image_uv for v in views])
+        params0 = np.array([np.concatenate([rvec_from_rotation(rot), t]) for rot, t in truth])
+        params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(views))[:, None]
+        residuals, jacobian = _pose_problem(intr, pts, image)
+        stacked = _levenberg_marquardt(params0, residuals, jacobian)
+        assert len(set(stacked[3].tolist())) > 1
+        for i in range(len(views)):
+            alone = _levenberg_marquardt(
+                params0[i : i + 1],
+                *_pose_problem(intr, pts[i : i + 1], image[i : i + 1]),
+            )
+            np.testing.assert_allclose(stacked[0][i], alone[0][0], rtol=1e-12, atol=0.0)
+            assert abs(stacked[1][i] - alone[1][0]) <= 1e-12 * alone[1][0]
+            assert (stacked[2][i], stacked[3][i]) == (alone[2][0], alone[3][0])
+
+    def test_batch_equals_single_refits(self, rng):
+        views, _ = tilted_scene_views(sigma=0.5, rng=rng)
+        # a view with fewer corners is solved in a stack of its own
+        short = CalibrationView.from_points("short", views[3].board_xy[:27], views[3].image_uv[:27])
+        views = [views[5], short, *views[:3]]
+        intr = Intrinsics(3010.0, Point2(3030.0, 2000.0))
+        refits = refit_view_poses(intr, views)
+        assert refits.errors == (None,) * len(views)
+        for i, view in enumerate(views):
+            extr, rmse = refit_view_pose(intr, view)
+            np.testing.assert_allclose(refits.rot[i], extr.rot, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(refits.t[i], extr.t, rtol=0.0, atol=1e-9)
+            assert abs(refits.rmse[i] - rmse) <= 1e-12
+
+    @staticmethod
+    def break_kernel(monkeypatch, behind, non_finite):
+        """Make the LM kernel return the problems `behind` with the board
+        behind the camera and the problems `non_finite` with a NaN pose."""
+        kernel = calibrate._levenberg_marquardt
+
+        def broken(params0, *callbacks, **kwargs):
+            params, *rest = kernel(params0, *callbacks, **kwargs)
+            params = params.copy()
+            params[behind, 3:] *= -1.0
+            params[non_finite, 0] = np.nan
+            return (params, *rest)
+
+        monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
+
+    def test_failed_refit_names_its_view(self, monkeypatch):
+        views, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0])
+        intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
+        self.break_kernel(monkeypatch, behind=[1], non_finite=[2])
+        refits = refit_view_poses(intr, views)
+        assert refits.errors[0] is None and np.isfinite(refits.rmse[0])
+        for i in (1, 2):
+            assert isinstance(refits.errors[i], BehindCamera)
+            assert str(refits.errors[i]).startswith(f"view {views[i].id}: ")
+            assert np.isnan(refits.rmse[i]) and np.all(np.isnan(refits.t[i]))
+
+    def test_single_failed_refit_raises_behind_camera(self, monkeypatch):
+        views, _ = tilted_scene_views(rolls=[45.0])
+        self.break_kernel(monkeypatch, behind=[0], non_finite=[])
+        with pytest.raises(BehindCamera, match="^view v0: "):
+            refit_view_pose(Intrinsics(3000.0, Point2(3024.0, 2012.0)), views[0])
 
 
 class TestExtrinsicEdgeCases:

@@ -195,8 +195,9 @@ class TestRunOptions:
             (lambda cell: cell["views"][1].update(corners=cell["views"][1]["corners"][:3]), True, "at least 4 corners"),
             (lambda cell: cell["views"][1]["corners"][5].update(v_px=float("nan")), True, "must be finite"),
             (lambda cell: [c.update(y_mm=0.0) for c in cell["views"][1]["corners"]], True, "rank deficient"),
+            (lambda cell: cell["ground_truth"]["views"][1].update(rvec=[0.1, 0.2]), "truth", "3 components"),
         ],
-        ids=["missing-u", "null-focal-label", "three-corners", "nan-corner", "collinear-board"],
+        ids=["missing-u", "null-focal-label", "three-corners", "nan-corner", "collinear-board", "short-rvec"],
     )
     def test_malformed_dataset_exits_2(self, dataset_path, tmp_path, capsys, mutate, in_view, detail):
         data = json.loads(dataset_path.read_text())
@@ -206,7 +207,10 @@ class TestRunOptions:
         bad.write_text(json.dumps(data))
         assert main(["calibrate", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip()
-        location = f"cell 2, view {cell['views'][1]['id']}:" if in_view else "cell 2:"
+        if in_view == "truth":
+            location = "cell 2, ground truth:"
+        else:
+            location = f"cell 2, view {cell['views'][1]['id']}:" if in_view else "cell 2:"
         assert err.startswith(f"error: malformed dataset at {location}")
         assert detail in err
         assert len(err.splitlines()) == 1
