@@ -26,11 +26,13 @@ from .calibrate import (
     refit_view_pose,
     refit_view_poses,
     view_rmse,
+    views_from_points,
 )
 from .geometry import (
     Homography,
     Line2,
     Point2,
+    estimate_homographies,
     estimate_homography,
     symmetric_transfer_error,
 )
@@ -40,6 +42,7 @@ from .principal_line import (
     estimate_pp,
     flag_outlier_lines,
     principal_line,
+    principal_lines,
 )
 from .synth import (
     CAMERA_PRESETS,
@@ -48,6 +51,7 @@ from .synth import (
     FocalSetting,
     PoseLabel,
     SceneConfig,
+    generate_cell,
     generate_dataset,
     generate_view,
     true_pp,

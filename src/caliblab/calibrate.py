@@ -26,14 +26,14 @@ from .errors import (
     InsufficientViews,
     NoFocalEstimate,
 )
-from .geometry import Homography, Point2, estimate_homography
+from .geometry import Homography, Point2, estimate_homographies
 from .principal_line import (
     DEFAULT_OUTLIER_THRESHOLD_PX,
     PPEstimate,
     PrincipalLine,
     estimate_pp,
     flag_outlier_lines,
-    principal_line,
+    principal_lines,
 )
 from .rotations import nearest_rotation, rodrigues, rotate_point_jacobian, rvec_from_rotation, vector_norm
 
@@ -105,28 +105,65 @@ class CalibrationView:
 
     @classmethod
     def from_points(cls, view_id: str, board_xy, image_uv) -> "CalibrationView":
+        """`views_from_points` for one view; raises its error."""
+        views, errors = views_from_points([view_id], [board_xy], [image_uv])
+        if errors[0] is not None:
+            raise errors[0]
+        return views[0]
+
+
+def views_from_points(
+    view_ids: Sequence[str], boards: Sequence, images: Sequence
+) -> tuple[list[CalibrationView | None], list[Exception | None]]:
+    """Build the views of a cell from matching (n, 2) board and image
+    corner arrays, one pair per view id.
+
+    Views with the same corner count share one stacked DLT, and all views
+    one stacked principal-line pass; a view without perspective gets no
+    principal line. Returns the views and, aligned with them, the error of
+    each view that cannot be built: ValueError for mismatched shapes,
+    fewer than 4 corners or non-finite coordinates, DegenerateConfiguration
+    for coincident, collinear or duplicated points.
+    """
+    count = len(view_ids)
+    views: list[CalibrationView | None] = [None] * count
+    errors: list[Exception | None] = [None] * count
+    arrays = []
+    for i, (view_id, board_xy, image_uv) in enumerate(zip(view_ids, boards, images)):
         board_xy = np.array(board_xy, dtype=float)
         image_uv = np.array(image_uv, dtype=float)
         if board_xy.shape != image_uv.shape or board_xy.ndim != 2 or board_xy.shape[1] != 2:
-            raise ValueError("board and image points must both be (n, 2) arrays")
-        if len(board_xy) < 4:
-            raise ValueError(f"a calibration view needs at least 4 corners, got {len(board_xy)}")
-        if not (np.all(np.isfinite(board_xy)) and np.all(np.isfinite(image_uv))):
-            raise ValueError(f"view {view_id}: corner coordinates must be finite")
-        homography = estimate_homography(board_xy, image_uv)
-        try:
-            pl = principal_line(homography, source_view=view_id)
-        except (DegenerateView, AmbiguousDirection):
-            pl = None
+            errors[i] = ValueError("board and image points must both be (n, 2) arrays")
+        elif len(board_xy) < 4:
+            errors[i] = ValueError(f"a calibration view needs at least 4 corners, got {len(board_xy)}")
+        elif not (np.all(np.isfinite(board_xy)) and np.all(np.isfinite(image_uv))):
+            errors[i] = ValueError(f"view {view_id}: corner coordinates must be finite")
         board_xy.setflags(write=False)
         image_uv.setflags(write=False)
-        return cls(
-            id=view_id,
-            homography=homography,
-            principal_line=pl,
-            board_xy=board_xy,
-            image_uv=image_uv,
+        arrays.append((board_xy, image_uv))
+
+    homographies: dict[int, Homography] = {}
+    corners = [len(board) if err is None else 0 for (board, _), err in zip(arrays, errors)]
+    for n in sorted(set(corners) - {0}):
+        rows = [i for i, k in enumerate(corners) if k == n]
+        built, failed = estimate_homographies(
+            np.array([arrays[i][0] for i in rows]), np.array([arrays[i][1] for i in rows])
         )
+        for i, homography, err in zip(rows, built, failed):
+            if err is None:
+                homographies[i] = homography
+            else:
+                errors[i] = err
+
+    rows = sorted(homographies)
+    lines, failed = principal_lines([homographies[i] for i in rows], [view_ids[i] for i in rows])
+    for i, line, err in zip(rows, lines, failed):
+        if err is not None and not isinstance(err, (DegenerateView, AmbiguousDirection)):
+            errors[i] = err
+            continue
+        board_xy, image_uv = arrays[i]
+        views[i] = CalibrationView(view_ids[i], homographies[i], line, board_xy, image_uv)
+    return views, errors
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ so write -> read -> write round trips byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .calibrate import CalibrationView, Extrinsics, Intrinsics
+from .calibrate import CalibrationView, Extrinsics, Intrinsics, views_from_points
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Point2
 from .rotations import rodrigues, rvec_from_rotation
@@ -32,7 +33,7 @@ _FALLBACK_PITCH_UM = 4.0
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return f"{x:.9g}"
 
@@ -87,8 +88,8 @@ def _rvecs_for_write(extrs) -> list:
 
 def _view_node(view: CalibrationView) -> dict:
     corners = [
-        {"x_mm": float(b), "y_mm": float(by), "u_px": float(u), "v_px": float(v)}
-        for (b, by), (u, v) in zip(view.board_xy, view.image_uv)
+        {"x_mm": x, "y_mm": y, "u_px": u, "v_px": v}
+        for (x, y), (u, v) in zip(view.board_xy.tolist(), view.image_uv.tolist())
     ]
     return {"id": view.id, "corners": corners}
 
@@ -133,15 +134,22 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
         label = float(node["focal_label_mm"])
         f_px = float(node.get("focal_px", label * 1000.0 / _FALLBACK_PITCH_UM))
         setting = FocalSetting(label, f_px)
-        views = []
+        ids, boards, images = [], [], []
         for vnode in node["views"]:
-            where = f"cell {index}, view {len(views)}"  # by position until the id is read
+            where = f"cell {index}, view {len(ids)}"  # by position until the id is read
             view_id = str(vnode["id"])
             where = f"cell {index}, view {view_id}"
+            if view_id in ids:
+                raise ValueError("duplicate view id")
             corners = vnode["corners"]
-            board = np.array([[c["x_mm"], c["y_mm"]] for c in corners], dtype=float)
-            image = np.array([[c["u_px"], c["v_px"]] for c in corners], dtype=float)
-            views.append(CalibrationView.from_points(view_id, board, image))
+            boards.append(np.array([[c["x_mm"], c["y_mm"]] for c in corners], dtype=float))
+            images.append(np.array([[c["u_px"], c["v_px"]] for c in corners], dtype=float))
+            ids.append(view_id)
+        views, errors = views_from_points(ids, boards, images)
+        for view_id, err in zip(ids, errors):
+            if err is not None:
+                where = f"cell {index}, view {view_id}"
+                raise err
         where = f"cell {index}, ground truth"
         truth = None
         if "ground_truth" in node:

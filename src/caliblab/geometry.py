@@ -82,7 +82,11 @@ class Homography:
         if norm == 0.0:
             raise DegenerateConfiguration("zero homography matrix")
         m = m / norm
-        if abs(np.linalg.det(m)) <= 1e-12:
+        # Measure the determinant against Hadamard's bound, the product of
+        # the column norms: the translation column of a plane homography
+        # can dwarf the other two, which gives a regular matrix a tiny
+        # determinant (f = 500 px with the board at 3 m is one such view).
+        if abs(np.linalg.det(m)) <= 1e-12 * math.prod(map(math.hypot, *m)):
             raise DegenerateConfiguration("homography matrix is singular")
         for pivot in (m[2, 2], m[2, 0], m[2, 1]):
             if pivot != 0.0:
@@ -111,51 +115,86 @@ def _map_points(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (pts @ matrix[:2, :2].T + matrix[:2, 2]) / w[:, None]
 
 
-def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity that moves the centroid to the origin and the mean distance
-    to sqrt(2); returns (transformed points, 3x3 transform)."""
-    centroid = pts.mean(axis=0)
-    d = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
-    if d <= 1e-12:
-        raise DegenerateConfiguration("all points coincide")
-    s = math.sqrt(2.0) / d
-    t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
-    return (pts - centroid) * s, t
+def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Similarity that moves the centroid of each (..., n, 2) point set to
+    the origin and its mean distance to sqrt(2). Returns the transformed
+    points, the (..., 3, 3) transforms and the (...) mask of the sets whose
+    points all coincide, which have no such similarity (their transform is
+    a placeholder)."""
+    centroid = pts.mean(axis=-2)
+    d = np.sqrt(((pts - centroid[..., None, :]) ** 2).sum(axis=-1)).mean(axis=-1)
+    coincide = d <= 1e-12
+    s = math.sqrt(2.0) / np.where(coincide, 1.0, d)
+    t = np.zeros(d.shape + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    return (pts - centroid[..., None, :]) * s[..., None, None], t, coincide
 
 
-def estimate_homography(board_xy: np.ndarray, image_uv: np.ndarray) -> Homography:
-    """Direct linear transform with isotropic normalization of both point sets.
+def estimate_homographies(
+    board_xy: np.ndarray, image_uv: np.ndarray
+) -> tuple[list[Homography | None], list[Exception | None]]:
+    """Direct linear transform with isotropic normalization of both point
+    sets (Hartley 1997), for a stack of V views with n corners each.
 
-    Takes matching (n, 2) arrays of finite board and image points. Builds
-    the 2n x 9 design matrix from normalized coordinates, takes the right
-    singular vector of the smallest singular value, and denormalizes.
-    Raises DegenerateConfiguration when fewer than four point pairs are
-    given or the design matrix is rank deficient (collinear or duplicated
-    board points).
+    Takes matching (V, n, 2) arrays of finite board and image points.
+    Builds each view's 2n x 9 design matrix from normalized coordinates,
+    takes the right singular vector of the smallest singular value, and
+    denormalizes, all as stacked array operations. Returns the
+    homographies and, aligned with them, the error of each view that has
+    none: DegenerateConfiguration when fewer than four point pairs are
+    given, the points of either set coincide, or the design matrix is rank
+    deficient (collinear or duplicated board points).
     """
     board = np.asarray(board_xy, dtype=float)
     image = np.asarray(image_uv, dtype=float)
-    n = len(board)
+    count, n = board.shape[:2]
     if n < 4:
-        raise DegenerateConfiguration(f"need at least 4 point pairs, got {n}")
-    bn, tb = _normalize_points(board)
-    qn, tq = _normalize_points(image)
+        error = DegenerateConfiguration(f"need at least 4 point pairs, got {n}")
+        return [None] * count, [error] * count
+    bn, tb, board_coincide = _normalize_points(board)
+    qn, tq, image_coincide = _normalize_points(image)
 
-    x, y = bn[:, 0], bn[:, 1]
-    u, v = qn[:, 0], qn[:, 1]
-    zeros = np.zeros(n)
-    ones = np.ones(n)
-    design = np.empty((2 * n, 9))
-    design[0::2] = np.column_stack([-x, -y, -ones, zeros, zeros, zeros, u * x, u * y, u])
-    design[1::2] = np.column_stack([zeros, zeros, zeros, -x, -y, -ones, v * x, v * y, v])
+    x, y = bn[..., 0], bn[..., 1]
+    u, v = qn[..., 0], qn[..., 1]
+    zeros = np.zeros(x.shape)
+    ones = np.ones(x.shape)
+    design = np.empty((count, 2 * n, 9))
+    design[:, 0::2] = np.stack([-x, -y, -ones, zeros, zeros, zeros, u * x, u * y, u], axis=-1)
+    design[:, 1::2] = np.stack([zeros, zeros, zeros, -x, -y, -ones, v * x, v * y, v], axis=-1)
 
-    _, sing, vt = np.linalg.svd(design)
-    if sing[7] <= DLT_RANK_RTOL * sing[0]:
-        raise DegenerateConfiguration(
-            "design matrix is rank deficient (collinear or duplicated board points)"
-        )
-    h_norm = vt[-1].reshape(3, 3)
-    return Homography(np.linalg.inv(tq) @ h_norm @ tb)
+    # With four corners (2n = 8 rows) only the full SVD holds a null vector.
+    _, sing, vt = np.linalg.svd(design, full_matrices=2 * n < 9)
+    rank_deficient = sing[:, 7] <= DLT_RANK_RTOL * sing[:, 0]
+    raw = np.linalg.inv(tq) @ vt[:, -1].reshape(count, 3, 3) @ tb
+
+    homographies: list[Homography | None] = [None] * count
+    errors: list[Exception | None] = [None] * count
+    for i in range(count):
+        if board_coincide[i] or image_coincide[i]:
+            errors[i] = DegenerateConfiguration("all points coincide")
+        elif rank_deficient[i]:
+            errors[i] = DegenerateConfiguration(
+                "design matrix is rank deficient (collinear or duplicated board points)"
+            )
+        else:
+            try:
+                homographies[i] = Homography(raw[i])
+            except (ValueError, DegenerateConfiguration) as err:
+                errors[i] = err
+    return homographies, errors
+
+
+def estimate_homography(board_xy: np.ndarray, image_uv: np.ndarray) -> Homography:
+    """`estimate_homographies` for one view: matching (n, 2) arrays of
+    finite board and image points. Raises DegenerateConfiguration."""
+    homographies, errors = estimate_homographies(
+        np.asarray(board_xy, dtype=float)[None], np.asarray(image_uv, dtype=float)[None]
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return homographies[0]
 
 
 def symmetric_transfer_error(homography: Homography, board_xy: np.ndarray, image_uv: np.ndarray) -> float:

@@ -71,36 +71,85 @@ class PPEstimate:
     condition: float
 
 
-def principal_line(homography: Homography, source_view: str | None = None) -> PrincipalLine:
-    """Closed-form symmetry axis of the view described by the homography.
+def principal_lines(
+    homographies: list[Homography], source_views: list[str | None]
+) -> tuple[list[PrincipalLine | None], list[Exception | None]]:
+    """Closed-form symmetry axes of a stack of views, one per homography.
 
-    Raises DegenerateView for a fronto-parallel board (h7 = h8 = 0, no
-    perspective) and AmbiguousDirection when the in-image component of the
-    board normal vanishes.
+    The perspective and direction tests, the vanishing points and the line
+    coefficients are computed on the whole stack; each line is then built
+    on its own. Returns the lines and, aligned with them, the error of each
+    view that has none: DegenerateView for a fronto-parallel board
+    (h7 = h8 = 0, no perspective) and AmbiguousDirection when the in-image
+    component of the board normal vanishes.
     """
-    h = homography.h
-    h7, h8 = h[2, 0], h[2, 1]
+    count = len(homographies)
+    hs = np.array([hom.h for hom in homographies]).reshape(count, 3, 3)
+    h7, h8 = hs[:, 2, 0], hs[:, 2, 1]
     persp = h7 * h7 + h8 * h8
-    norm2 = float(np.sum(h * h))
-    if persp <= PERSPECTIVE_EPS * norm2:
-        raise DegenerateView("board is parallel to the image plane (h7 = h8 = 0)")
+    norm2 = (hs * hs).reshape(count, 9).sum(axis=-1)
+    flat = persp <= PERSPECTIVE_EPS * norm2
 
-    w = np.cross(h[:, 0], h[:, 1])
-    col_bound = float(h[:, 0] @ h[:, 0]) * float(h[:, 1] @ h[:, 1])
-    if w[0] * w[0] + w[1] * w[1] <= DIRECTION_EPS * col_bound:
-        raise AmbiguousDirection("in-image component of the board normal vanishes")
+    col_a, col_b = hs[:, :, 0], hs[:, :, 1]
+    w = np.cross(col_a, col_b)
+    # squared column norms reduce through a BLAS dot, as h[:, 0] @ h[:, 0] does
+    col_bound = (col_a[:, None, :] @ col_a[:, :, None])[:, 0, 0] * (col_b[:, None, :] @ col_b[:, :, None])[:, 0, 0]
+    ambiguous = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] <= DIRECTION_EPS * col_bound
 
     # Vanishing point of the board's steepest-ascent direction (h7, h8);
     # its homogeneous weight is h7^2 + h8^2 > 0, so it is always finite.
-    vd = h @ np.array([h7, h8, 0.0])
+    steepest = np.stack([h7, h8, np.zeros(count)], axis=-1)
+    vd = (hs @ steepest[:, :, None])[:, :, 0]
     # Line through vd along (w1, w2), assembled homogeneously to avoid the
     # cancellation of a far-away anchor.
-    coeffs = np.cross(vd, np.array([w[0], w[1], 0.0]))
-    line = Line2(coeffs[0], coeffs[1], coeffs[2])
+    coeffs = np.cross(vd, np.stack([w[:, 0], w[:, 1], np.zeros(count)], axis=-1))
 
-    anchor = Point2(vd[0] / vd[2], vd[1] / vd[2])
-    dnorm = math.hypot(w[0], w[1])
-    return PrincipalLine(line, source_view, anchor, (w[0] / dnorm, w[1] / dnorm))
+    lines: list[PrincipalLine | None] = [None] * count
+    errors: list[Exception | None] = [None] * count
+    for i, source_view in enumerate(source_views):
+        if flat[i]:
+            errors[i] = DegenerateView("board is parallel to the image plane (h7 = h8 = 0)")
+        elif ambiguous[i]:
+            errors[i] = AmbiguousDirection("in-image component of the board normal vanishes")
+        else:
+            try:
+                a, b, c = coeffs[i].tolist()
+                u, v, z = vd[i].tolist()
+                w1, w2 = w[i, 0].item(), w[i, 1].item()
+                dnorm = math.hypot(w1, w2)
+                anchor = Point2(u / z, v / z)
+                lines[i] = PrincipalLine(Line2(a, b, c), source_view, anchor, (w1 / dnorm, w2 / dnorm))
+            except ValueError as err:
+                errors[i] = err
+    return lines, errors
+
+
+def principal_line(homography: Homography, source_view: str | None = None) -> PrincipalLine:
+    """`principal_lines` for one view. Raises DegenerateView or
+    AmbiguousDirection."""
+    lines, errors = principal_lines([homography], [source_view])
+    if errors[0] is not None:
+        raise errors[0]
+    return lines[0]
+
+
+def _intersections(normals: np.ndarray, offsets: np.ndarray, condition_limit: float):
+    """Least-squares intersections of a stack of B bundles of m unit-normal
+    lines, normals (B, m, 2) and offsets (B, m). Returns the (B, 2) points
+    (NaN where the bundle is ill-conditioned), the (B,) condition numbers
+    of the 2x2 normal matrices and the (B,) mask of the bundles that are
+    well-conditioned."""
+    nmat = np.swapaxes(normals, -1, -2) @ normals
+    cond = np.linalg.cond(nmat)
+    solvable = np.isfinite(cond) & (cond < condition_limit)
+    sol = np.full(offsets.shape[:-1] + (2,), np.nan)
+    if np.any(solvable):
+        kept = normals[solvable]
+        # negated before the transpose, as -normals.T is, so each product
+        # runs through the same BLAS kernel and rounding as for one bundle
+        rhs = np.swapaxes(-kept, -1, -2) @ offsets[solvable][..., None]
+        sol[solvable] = np.linalg.solve(nmat[solvable], rhs)[..., 0]
+    return sol, cond, solvable
 
 
 def estimate_pp(
@@ -117,18 +166,29 @@ def estimate_pp(
         raise TooFewLines(f"need at least 2 principal lines, got {len(lines)}")
     normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
     offsets = np.array([pl.line.c for pl in lines])
-    nmat = normals.T @ normals
-    cond = float(np.linalg.cond(nmat))
-    if not math.isfinite(cond) or cond >= condition_limit:
-        raise ParallelLines(f"line bundle is near parallel (condition {cond:.3e})")
-    sol = np.linalg.solve(nmat, -normals.T @ offsets)
-    residuals = normals @ sol + offsets
+    sol, cond, solvable = _intersections(normals[None], offsets[None], condition_limit)
+    if not solvable[0]:
+        raise ParallelLines(f"line bundle is near parallel (condition {float(cond[0]):.3e})")
+    residuals = normals @ sol[0] + offsets
     return PPEstimate(
-        pp=Point2(sol[0], sol[1]),
+        pp=Point2(sol[0, 0], sol[0, 1]),
         rms_residual=float(np.sqrt(np.mean(residuals**2))),
         per_line_residual=tuple(float(r) for r in residuals),
-        condition=cond,
+        condition=float(cond[0]),
     )
+
+
+def _loo_distances(lines: list[PrincipalLine]) -> np.ndarray:
+    """Distance of each line to the intersection of all the others, -inf
+    where those others are near parallel (the line cannot be judged). The
+    k leave-one-out bundles are solved as one stack."""
+    k = len(lines)
+    normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
+    offsets = np.array([pl.line.c for pl in lines])
+    others = np.broadcast_to(np.arange(k), (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    sol, _, solvable = _intersections(normals[others], offsets[others], DEFAULT_CONDITION_LIMIT)
+    distances = np.abs(normals[:, 0] * sol[:, 0] + normals[:, 1] * sol[:, 1] + offsets)
+    return np.where(solvable, distances, -np.inf)
 
 
 def flag_outlier_lines(
@@ -141,7 +201,8 @@ def flag_outlier_lines(
     removes the single worst line whose distance to its leave-one-out
     estimate exceeds the threshold, until the bundle is stable. Removing
     one offender at a time keeps a gross outlier from dragging the
-    consensus and implicating clean lines.
+    consensus and implicating clean lines. Each round solves its k
+    leave-one-out bundles as one stack.
 
     Returns (inliers, outliers). Raises TooFewLines for fewer than four
     lines and AllFlagged if screening would leave fewer than three
@@ -152,15 +213,7 @@ def flag_outlier_lines(
     inliers = list(lines)
     outliers: list[PrincipalLine] = []
     while len(inliers) >= 4:
-        distances = []
-        for i, candidate in enumerate(inliers):
-            rest = inliers[:i] + inliers[i + 1 :]
-            try:
-                est = estimate_pp(rest)
-            except ParallelLines:
-                distances.append(-math.inf)  # cannot judge this line
-                continue
-            distances.append(candidate.line.distance(est.pp))
+        distances = _loo_distances(inliers)
         worst = int(np.argmax(distances))
         if distances[worst] <= threshold_px:
             break

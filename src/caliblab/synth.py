@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationView, Extrinsics, Intrinsics, project_points
+from .calibrate import CalibrationView, Extrinsics, Intrinsics, _board_points, _project, views_from_points
 from .errors import BoardOutOfView, ConfigError
 from .geometry import Point2
 from .rotations import rot_x, rot_y, rot_z
@@ -46,6 +47,19 @@ def mix_seed(seed: int, pose_index: int, setting_index: int, roll_index: int) ->
     return state
 
 
+def _require_finite(what: str, **values) -> None:
+    """ConfigError naming the first field whose value, or any of whose
+    values for a sequence, is not a finite number."""
+    for name, value in values.items():
+        for x in value if isinstance(value, (tuple, list)) else (value,):
+            try:
+                finite = math.isfinite(x)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{what} {name} must be a finite number, got {x!r}")
+
+
 class PoseLabel(Enum):
     DOWN = "DOWN"
     N = "N"
@@ -64,6 +78,7 @@ class FocalSetting:
     def __post_init__(self):
         if not (math.isfinite(self.f_px) and self.f_px > 0.0):
             raise ConfigError(f"focal setting must have f_px > 0, got {self.f_px}")
+        _require_finite("focal setting", label_mm=self.label_mm)
 
 
 # Unit gravity offsets per pose, in image axes (u right, v down). Tipping
@@ -90,6 +105,9 @@ class DriftModel:
     flip_gravity: bool = False
 
     def __post_init__(self):
+        _require_finite(
+            "drift", drift_total=self.drift_total, gravity_px=self.gravity_px, pose_tilt_deg=self.pose_tilt_deg
+        )
         norm = math.hypot(*self.drift_dir)
         if norm == 0.0 or not math.isfinite(norm):
             raise ConfigError("drift direction must be a nonzero finite vector")
@@ -179,6 +197,20 @@ class SceneConfig:
     fill_fraction: float = 0.6
 
     def __post_init__(self):
+        _require_finite(
+            "scene",
+            board_cols=self.board_cols,
+            board_rows=self.board_rows,
+            square_mm=self.square_mm,
+            image_width=self.image_width,
+            image_height=self.image_height,
+            tilt_deg=self.tilt_deg,
+            noise_sigma_px=self.noise_sigma_px,
+            fill_fraction=self.fill_fraction,
+            rolls=self.rolls,
+        )
+        if not isinstance(self.rng_seed, int):
+            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         if self.board_cols < 2 or self.board_rows < 2:
             raise ConfigError("board needs at least 2x2 inner corners")
         if self.square_mm <= 0.0:
@@ -192,6 +224,9 @@ class SceneConfig:
             )
         if len(self.rolls) < 2:
             raise ConfigError("need at least 2 roll angles")
+        labels = [f"{roll:g}" for roll in self.rolls]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"roll angles must give distinct view labels (rounded to 6 digits), got {labels}")
         if self.noise_sigma_px < 0.0:
             raise ConfigError("noise sigma must be nonnegative")
         if not self.focal_settings:
@@ -272,31 +307,38 @@ def _pose_rotation(pose: PoseLabel, tilt_deg: float) -> np.ndarray:
     return rot_y(-tilt_deg)
 
 
-def generate_view(
+def generate_cell(
     config: SceneConfig,
     pose: PoseLabel,
     setting: FocalSetting,
-    roll_deg: float,
-    rng: np.random.Generator,
-) -> tuple[CalibrationView, Extrinsics]:
-    """One synthetic view plus its ground-truth pose.
+    rolls: Sequence[float],
+    rngs: Sequence[np.random.Generator],
+) -> tuple[tuple[CalibrationView, ...], tuple[Extrinsics, ...]]:
+    """Synthetic views of one (pose, setting) cell, one per roll, plus
+    their ground-truth poses; rngs[i] draws the noise of roll i.
 
     The board is tilted by the dihedral angle, rolled about the optical
     axis, and placed so its center projects to the image center at a
-    distance that makes it span the configured fill fraction. If any
-    corner lands outside the image (with a 6 sigma + 1 px noise margin)
-    the distance is grown by 30 percent, up to 5 retries.
+    distance that makes it span the configured fill fraction. Every roll
+    with a corner outside the image (with a 6 sigma + 1 px noise margin)
+    or not in front of the camera has its distance grown by 30 percent,
+    up to 5 retries. All rolls are placed, projected and turned into views
+    as stacks; each roll's result is the one a cell of that roll alone
+    gives. Raises BoardOutOfView naming the first roll that does not fit.
     """
     try:
         setting_index = config.focal_settings.index(setting)
     except ValueError:
         raise ConfigError(f"setting {setting} is not part of the configuration") from None
     pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
-    intr = Intrinsics(setting.f_px, pp)
+    count = len(rolls)
+    if len(rngs) != count:
+        raise ValueError(f"need one noise generator per roll, got {len(rngs)} for {count} rolls")
 
     board = config.board_grid()
     center = board.mean(axis=0)
-    rot = _pose_rotation(pose, config.drift.pose_tilt_deg) @ rot_z(roll_deg) @ rot_x(config.tilt_deg)
+    roll_rots = np.array([rot_z(roll) for roll in rolls]).reshape(count, 3, 3)
+    rots = _pose_rotation(pose, config.drift.pose_tilt_deg) @ roll_rots @ rot_x(config.tilt_deg)
 
     # Aim the image center at the board center.
     aim = np.array(
@@ -310,31 +352,61 @@ def generate_view(
     span_h = (config.board_rows - 1) * config.square_mm
     distance = setting.f_px * max(span_w / config.image_width, span_h / config.image_height)
     distance /= config.fill_fraction
+    distances = np.full(count, distance)
 
     margin = 6.0 * config.noise_sigma_px + 1.0
     center3 = np.array([center[0], center[1], 0.0])
+    pts = _board_points(board)
+    t = np.empty((count, 3))
+    uv = np.empty((count, len(board), 2))
+    pending = np.arange(count)
     for _ in range(_BOARD_RETRIES + 1):
-        t = distance * aim - rot @ center3
-        extr = Extrinsics(rot, t)
-        uv = project_points(intr, extr, board)
-        if (
-            np.all(uv[:, 0] >= margin)
-            and np.all(uv[:, 0] <= config.image_width - margin)
-            and np.all(uv[:, 1] >= margin)
-            and np.all(uv[:, 1] <= config.image_height - margin)
-        ):
+        trial_t = distances[pending, None] * aim - rots[pending] @ center3
+        # a corner on or behind the camera plane does not fit either
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cam, trial_uv = _project(setting.f_px, pp.u, pp.v, rots[pending], trial_t, pts)
+        u, v = trial_uv[..., 0], trial_uv[..., 1]
+        fits = np.all(
+            (cam[..., 2] > 0.0)
+            & (u >= margin)
+            & (u <= config.image_width - margin)
+            & (v >= margin)
+            & (v <= config.image_height - margin),
+            axis=-1,
+        )
+        t[pending[fits]], uv[pending[fits]] = trial_t[fits], trial_uv[fits]
+        pending = pending[~fits]
+        if not pending.size:
             break
-        distance *= 1.3
-    else:
+        distances[pending] *= 1.3
+    if pending.size:
         raise BoardOutOfView(
             f"board does not fit the image for pose {pose.value}, setting {setting.label_mm} mm, "
-            f"roll {roll_deg}"
+            f"roll {rolls[pending[0]]}"
         )
 
     if config.noise_sigma_px > 0.0:
-        uv = uv + rng.normal(0.0, config.noise_sigma_px, size=uv.shape)
-    view_id = f"{pose.value}-s{setting_index}-r{roll_deg:g}"
-    return CalibrationView.from_points(view_id, board, uv), extr
+        for i, rng in enumerate(rngs):
+            uv[i] += rng.normal(0.0, config.noise_sigma_px, size=uv[i].shape)
+    view_ids = [f"{pose.value}-s{setting_index}-r{roll:g}" for roll in rolls]
+    views, errors = views_from_points(view_ids, [board] * count, uv)
+    for err in errors:
+        if err is not None:
+            raise err
+    return tuple(views), tuple(Extrinsics(rot, shift) for rot, shift in zip(rots, t))
+
+
+def generate_view(
+    config: SceneConfig,
+    pose: PoseLabel,
+    setting: FocalSetting,
+    roll_deg: float,
+    rng: np.random.Generator,
+) -> tuple[CalibrationView, Extrinsics]:
+    """One synthetic view plus its ground-truth pose: `generate_cell` for
+    a single roll."""
+    views, extrs = generate_cell(config, pose, setting, [roll_deg], [rng])
+    return views[0], extrs[0]
 
 
 def generate_dataset(config: SceneConfig) -> Dataset:
@@ -345,26 +417,22 @@ def generate_dataset(config: SceneConfig) -> Dataset:
     truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, tuple[Extrinsics, ...]]] = {}
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
-            views = []
-            extrs = []
-            for roll_index, roll in enumerate(config.rolls):
-                rng = np.random.default_rng(
-                    mix_seed(config.rng_seed, pose_index, setting_index, roll_index)
-                )
-                try:
-                    view, extr = generate_view(config, pose, setting, roll, rng)
-                except BoardOutOfView as err:
-                    raise BoardOutOfView(
-                        f"cell (pose {pose.value}, setting {setting.label_mm} mm): {err}"
-                    ) from err
-                views.append(view)
-                extrs.append(extr)
+            rngs = [
+                np.random.default_rng(mix_seed(config.rng_seed, pose_index, setting_index, roll_index))
+                for roll_index in range(len(config.rolls))
+            ]
+            try:
+                views, extrs = generate_cell(config, pose, setting, config.rolls, rngs)
+            except BoardOutOfView as err:
+                raise BoardOutOfView(
+                    f"cell (pose {pose.value}, setting {setting.label_mm} mm): {err}"
+                ) from err
             intr = Intrinsics(
                 setting.f_px,
                 true_pp(config.drift, setting_index, len(config.focal_settings), pose),
             )
-            cells[(pose, setting)] = tuple(views)
-            truth[(pose, setting)] = (intr, tuple(extrs))
+            cells[(pose, setting)] = views
+            truth[(pose, setting)] = (intr, extrs)
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth)
 
 
@@ -414,8 +482,11 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
     if drift_raw is not None:
         drift_kwargs = dict(drift_raw)
         if "pp0" in drift_kwargs:
-            u, v = drift_kwargs.pop("pp0")
-            drift_kwargs["pp0"] = Point2(float(u), float(v))
+            try:
+                u, v = drift_kwargs.pop("pp0")
+                drift_kwargs["pp0"] = Point2(float(u), float(v))
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"invalid drift model: pp0: {err}") from None
         else:
             drift_kwargs["pp0"] = base.drift.pp0
         if "drift_dir" in drift_kwargs:

@@ -1,5 +1,6 @@
 """Tests for the geometric and algebraic calibrators and LM refinement."""
 
+import json
 import math
 
 import numpy as np
@@ -25,9 +26,21 @@ from caliblab.calibrate import (
     refit_view_pose,
     refit_view_poses,
     view_rmse,
+    views_from_points,
 )
-from caliblab.errors import BehindCamera, DegenerateSystem, InsufficientViews
-from caliblab.geometry import Homography, Point2
+from caliblab.dataset_io import dumps_dataset, dumps_json, loads_dataset
+from caliblab.errors import (
+    AmbiguousDirection,
+    BehindCamera,
+    ConfigError,
+    DegenerateConfiguration,
+    DegenerateSystem,
+    DegenerateView,
+    InsufficientViews,
+)
+from caliblab.geometry import DLT_RANK_RTOL, Homography, Point2
+from caliblab.principal_line import DIRECTION_EPS, PERSPECTIVE_EPS
+from caliblab.synth import SceneConfig, generate_dataset
 from caliblab.rotations import rvec_from_rotation
 
 from conftest import (
@@ -383,3 +396,160 @@ class TestViewRmse:
         shifted = Intrinsics(3000.0, Point2(3024.0 + 50.0, 2012.0))
         _, rmse = refit_view_pose(shifted, views[0])
         assert rmse > 0.05
+
+
+def reference_homography(board, image):
+    """One view's normalized DLT, as a loop over views computes it: the
+    raw matrix handed to Homography, or the error."""
+
+    def normalize(pts):
+        centroid = pts.mean(axis=0)
+        d = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+        if d <= 1e-12:
+            raise DegenerateConfiguration("all points coincide")
+        s = math.sqrt(2.0) / d
+        t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+        return (pts - centroid) * s, t
+
+    n = len(board)
+    bn, tb = normalize(board)
+    qn, tq = normalize(image)
+    x, y = bn[:, 0], bn[:, 1]
+    u, v = qn[:, 0], qn[:, 1]
+    zeros, ones = np.zeros(n), np.ones(n)
+    design = np.empty((2 * n, 9))
+    design[0::2] = np.column_stack([-x, -y, -ones, zeros, zeros, zeros, u * x, u * y, u])
+    design[1::2] = np.column_stack([zeros, zeros, zeros, -x, -y, -ones, v * x, v * y, v])
+    _, sing, vt = np.linalg.svd(design)
+    if sing[7] <= DLT_RANK_RTOL * sing[0]:
+        raise DegenerateConfiguration("design matrix is rank deficient (collinear or duplicated board points)")
+    return np.linalg.inv(tq) @ vt[-1].reshape(3, 3) @ tb
+
+
+def reference_line(homography):
+    """One view's principal line as (a, b, c, anchor u, anchor v, direction
+    u, direction v), or the error, as a loop over views computes it."""
+    h = homography.h
+    h7, h8 = h[2, 0], h[2, 1]
+    if h7 * h7 + h8 * h8 <= PERSPECTIVE_EPS * float(np.sum(h * h)):
+        raise DegenerateView("board is parallel to the image plane (h7 = h8 = 0)")
+    w = np.cross(h[:, 0], h[:, 1])
+    if w[0] * w[0] + w[1] * w[1] <= DIRECTION_EPS * float(h[:, 0] @ h[:, 0]) * float(h[:, 1] @ h[:, 1]):
+        raise AmbiguousDirection("in-image component of the board normal vanishes")
+    vd = h @ np.array([h7, h8, 0.0])
+    coeffs = np.cross(vd, np.array([w[0], w[1], 0.0]))
+    norm = math.hypot(coeffs[0], coeffs[1])
+    a, b, c = coeffs[0] / norm, coeffs[1] / norm, coeffs[2] / norm
+    if a < 0.0 or (a == 0.0 and b < 0.0):
+        a, b, c = -a, -b, -c
+    dnorm = math.hypot(w[0], w[1])
+    return (a, b, c, vd[0] / vd[2], vd[1] / vd[2], w[0] / dnorm, w[1] / dnorm)
+
+
+def assert_matches_reference(view):
+    expected = Homography(reference_homography(view.board_xy, view.image_uv))
+    assert view.homography.h.tobytes() == expected.h.tobytes()
+    try:
+        line = reference_line(expected)
+    except (DegenerateView, AmbiguousDirection):
+        assert view.principal_line is None
+        return
+    pl = view.principal_line
+    got = (pl.line.a, pl.line.b, pl.line.c, pl.anchor.u, pl.anchor.v, *pl.direction)
+    assert np.array(got).tobytes() == np.array(line).tobytes()
+    assert pl.source_view == view.id
+
+
+def fronto_parallel_uv(board):
+    """Image of a board parallel to the image plane, rotated by 90 degrees
+    and scaled by 4: exact in 9 digits, no perspective."""
+    return np.column_stack([3000.0 - 4.0 * board[:, 1], 500.0 + 4.0 * board[:, 0]])
+
+
+class TestStackedViewBuild:
+    def test_ragged_json_cell_matches_per_view_reference(self):
+        dataset = generate_dataset(SceneConfig.for_camera("cam1", rng_seed=1792, noise_sigma_px=0.5))
+        node = json.loads(dumps_dataset(dataset))
+        cell = node["cells"][5]
+        views = cell["views"]
+        keep = {0: range(54), 1: [0, 8, 45, 53], 2: range(0, 54, 2), 3: range(20), 4: range(54), 5: [0, 8, 45, 53]}
+        for index, rows in keep.items():
+            views[index]["corners"] = [views[index]["corners"][r] for r in rows]
+        for corner in views[4]["corners"]:
+            corner["u_px"], corner["v_px"] = fronto_parallel_uv(np.array([[corner["x_mm"], corner["y_mm"]]]))[0]
+        loaded = loads_dataset(dumps_json(node))
+        (built,) = [
+            views
+            for (pose, setting), views in loaded.cells.items()
+            if pose.value == cell["pose"] and setting.label_mm == cell["focal_label_mm"]
+        ]
+        assert [len(v.board_xy) for v in built] == [54, 4, 27, 20, 54, 4, 54, 54]
+        assert built[4].principal_line is None
+        for view in built:
+            assert_matches_reference(view)
+        for views in loaded.cells.values():
+            for view in views:
+                assert_matches_reference(view)
+
+    def test_stack_equals_one_view_calls(self, rng):
+        board = grid_board()
+        stack_views, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0, 200.0], sigma=0.5, rng=rng)
+        ids = ["a", "b", "flat", "c", "d"]
+        boards = [board, board[[0, 8, 45, 53]], board, board[:30], board]
+        images = [
+            stack_views[0].image_uv,
+            stack_views[1].image_uv[[0, 8, 45, 53]],
+            fronto_parallel_uv(board),
+            stack_views[2].image_uv[:30],
+            stack_views[3].image_uv,
+        ]
+        views, errors = views_from_points(ids, boards, images)
+        assert errors == [None] * 5
+        assert views[2].principal_line is None
+        for view_id, view, b, i in zip(ids, views, boards, images):
+            single = CalibrationView.from_points(view_id, b, i)
+            assert view.id == view_id
+            assert view.homography.h.tobytes() == single.homography.h.tobytes()
+            assert view.board_xy.tobytes() == single.board_xy.tobytes()
+            assert not view.board_xy.flags.writeable and not view.image_uv.flags.writeable
+            assert_matches_reference(view)
+
+    def test_bad_views_fail_alone(self):
+        board = grid_board()
+        good, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0])
+        collinear = board.copy()
+        collinear[:, 1] = 0.0
+        with_nan = good[2].image_uv.copy()
+        with_nan[5, 1] = np.nan
+        ids = ["g0", "line", "g1", "nan", "same", "three"]
+        boards = [board, collinear, board, board, board, board[:3]]
+        coincident = np.full((54, 2), 7.0)
+        images = [good[0].image_uv, good[1].image_uv, good[1].image_uv, with_nan, coincident, good[0].image_uv[:3]]
+        views, errors = views_from_points(ids, boards, images)
+        assert [v is not None for v in views] == [True, False, True, False, False, False]
+        assert "rank deficient" in str(errors[1]) and isinstance(errors[1], DegenerateConfiguration)
+        assert str(errors[3]) == "view nan: corner coordinates must be finite"
+        assert str(errors[4]) == "all points coincide"
+        assert "at least 4 corners" in str(errors[5])
+        alone = CalibrationView.from_points("g1", board, good[1].image_uv)
+        assert views[2].homography.h.tobytes() == alone.homography.h.tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, detail",
+        [
+            (
+                lambda corners: [c.update(y_mm=0.0) for c in corners],
+                "design matrix is rank deficient (collinear or duplicated board points)",
+            ),
+            (lambda corners: corners[5].update(u_px=float("nan")), "view {id}: corner coordinates must be finite"),
+        ],
+        ids=["collinear", "nan"],
+    )
+    def test_bad_view_in_json_cell_is_named(self, corrupt, detail):
+        dataset = generate_dataset(SceneConfig.for_camera("cam1", rng_seed=256, noise_sigma_px=0.5))
+        node = json.loads(dumps_dataset(dataset))
+        view = node["cells"][1]["views"][3]
+        corrupt(view["corners"])
+        with pytest.raises(ConfigError) as exc:
+            loads_dataset(json.dumps(node))
+        assert str(exc.value) == f"malformed dataset at cell 1, view {view['id']}: " + detail.format(id=view["id"])

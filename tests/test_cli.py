@@ -74,6 +74,37 @@ class TestSimulate:
         config = write_config(tmp_path, bogus_key=1)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_option_exits_2(self, tmp_path, capsys, value):
+        code = main(["simulate", "--noise-sigma", value, "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: scene noise_sigma_px must be a finite number, got {float(value)!r}"
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"square_mm": math.nan}, "scene square_mm must be a finite number"),
+            ({"rolls": [0.0, math.nan]}, "scene rolls must be a finite number"),
+            ({"drift": {"pose_tilt_deg": math.nan}}, "drift pose_tilt_deg must be a finite number"),
+            ({"drift": {"pp0": [math.nan, 0.0]}}, "invalid drift model: pp0"),
+            (
+                {"focal_settings": [{"label_mm": math.inf, "f_px": 3000.0}]},
+                "focal setting label_mm must be a finite number",
+            ),
+            ({"rolls": [45, 45.0000001, 90]}, "distinct view labels"),
+        ],
+        ids=["square", "roll", "pose-tilt", "pp0", "focal-label", "colliding-rolls"],
+    )
+    def test_bad_scene_number_exits_2(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, **overrides)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
     def test_generation_failure_exits_3(self, tmp_path, capsys):
         # a 400 px noise margin cannot fit any corner inside the frame
         config = write_config(tmp_path, noise_sigma_px=400.0)
@@ -214,6 +245,17 @@ class TestRunOptions:
         assert err.startswith(f"error: malformed dataset at {location}")
         assert detail in err
         assert len(err.splitlines()) == 1
+
+
+    def test_duplicate_view_id_exits_2(self, dataset_path, tmp_path, capsys):
+        data = json.loads(dataset_path.read_text())
+        views = data["cells"][2]["views"]
+        views[4]["id"] = views[1]["id"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["calibrate", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: malformed dataset at cell 2, view {views[1]['id']}: duplicate view id"
 
 
 class TestCrossval:

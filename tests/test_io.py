@@ -1,5 +1,6 @@
 """Tests for the dataset file format and report writers."""
 
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -87,6 +88,19 @@ class TestDatasetRoundTrip:
         assert format_float(0.123456789123) == "0.123456789"
         with pytest.raises(ValueError):
             format_float(float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_format_float_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_float(bad)
+
+    def test_duplicate_view_id_rejected(self, dataset):
+        node = json.loads(dumps_dataset(dataset))
+        views = node["cells"][1]["views"]
+        views[2]["id"] = views[1]["id"]
+        with pytest.raises(ConfigError) as exc:
+            loads_dataset(json.dumps(node))
+        assert str(exc.value) == f"malformed dataset at cell 1, view {views[1]['id']}: duplicate view id"
 
 
 class TestCsv:

@@ -14,11 +14,14 @@ from caliblab.errors import (
 )
 from caliblab.geometry import Homography, Line2, Point2
 from caliblab.principal_line import (
+    DEFAULT_CONDITION_LIMIT,
     PrincipalLine,
+    _loo_distances,
     estimate_pp,
     flag_outlier_lines,
     principal_line,
 )
+from caliblab.synth import SceneConfig, generate_dataset
 
 from conftest import line_close, oracle_rot_x, oracle_rot_z, scene_homography
 
@@ -178,6 +181,64 @@ class TestFlagOutliers:
         lines = star_lines(n=4, offsets=[0.0, 80.0, -90.0, 70.0])
         with pytest.raises(AllFlagged):
             flag_outlier_lines(lines, threshold_px=1.0)
+
+
+def reference_loo_distances(lines):
+    """Distance of each line to the least-squares intersection of the
+    others, one bundle at a time (-inf where the others are near
+    parallel): the math the stacked leave-one-out pass must reproduce bit
+    for bit."""
+    distances = []
+    for i, candidate in enumerate(lines):
+        rest = lines[:i] + lines[i + 1 :]
+        normals = np.array([[pl.line.a, pl.line.b] for pl in rest])
+        offsets = np.array([pl.line.c for pl in rest])
+        nmat = normals.T @ normals
+        cond = float(np.linalg.cond(nmat))
+        if not math.isfinite(cond) or cond >= DEFAULT_CONDITION_LIMIT:
+            distances.append(-math.inf)
+            continue
+        sol = np.linalg.solve(nmat, -normals.T @ offsets)
+        distances.append(candidate.line.distance(Point2(sol[0], sol[1])))
+    return np.array(distances)
+
+
+class TestStackedLeaveOneOut:
+    def test_outlier_bundle_matches_per_subset_loop(self):
+        dataset = generate_dataset(SceneConfig.for_camera("cam2", rng_seed=54016, noise_sigma_px=0.5))
+        checked = 0
+        for views in dataset.cells.values():
+            lines = [v.principal_line for v in views]
+            # push one line 40 px off, as a corrupted view would
+            bad = lines[3].line
+            lines[3] = PrincipalLine.from_line(Line2(bad.a, bad.b, bad.c + 40.0), "outlier")
+            while len(lines) >= 4:
+                got = _loo_distances(lines)
+                assert got.tobytes() == reference_loo_distances(lines).tobytes()
+                lines.pop(int(np.argmax(got)))
+                checked += 1
+        assert checked == 28 * 5
+
+    def test_parallel_subsets_match_per_subset_loop(self):
+        # three parallel lines and one crossing line: leaving out the
+        # crossing line leaves a parallel bundle that cannot judge it
+        lines = [PrincipalLine.from_line(Line2(1.0, 0.0, -c), f"p{k}") for k, c in enumerate((10.0, 12.0, 30.0))]
+        lines.append(PrincipalLine.from_line(Line2(0.0, 1.0, -5.0), "cross"))
+        got = _loo_distances(lines)
+        assert got[3] == -math.inf
+        assert np.all(np.isfinite(got[:3]))
+        assert got.tobytes() == reference_loo_distances(lines).tobytes()
+        # a near-parallel pair among a star, with one line far off
+        star = star_lines(offsets=[0.0] * 7 + [40.0])
+        star.append(PrincipalLine.from_line(Line2(star[0].line.a, star[0].line.b, star[0].line.c + 3.0), "twin"))
+        assert _loo_distances(star).tobytes() == reference_loo_distances(star).tobytes()
+
+    def test_parallel_subset_does_not_stop_screening(self):
+        lines = [PrincipalLine.from_line(Line2(1.0, 0.0, -c), f"p{k}") for k, c in enumerate((10.0, 12.0, 30.0))]
+        lines.append(PrincipalLine.from_line(Line2(0.0, 1.0, -5.0), "cross"))
+        inliers, outliers = flag_outlier_lines(lines, threshold_px=5.0)
+        assert [pl.source_view for pl in outliers] == ["p2"]
+        assert [pl.source_view for pl in inliers] == ["p0", "p1", "cross"]
 
 
 class TestAmbiguousDirection:

@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, project_points
+from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
 from caliblab.principal_line import principal_line
+from caliblab.rotations import rot_x, rot_y, rot_z
 from caliblab.synth import (
     CAMERA_PRESETS,
+    Dataset,
     DriftModel,
     FocalSetting,
     PoseLabel,
     SceneConfig,
+    generate_cell,
     generate_dataset,
     generate_view,
     mix_seed,
@@ -208,7 +213,172 @@ class TestGenerateDataset:
         assert angle == pytest.approx(10.0, abs=1e-9)
 
 
+def reference_view(config, pose, setting, roll_deg, rng):
+    """One view placed, projected and built on its own, roll by roll: the
+    synthesis math the stacked `generate_cell` must reproduce bit for bit.
+    Also returns how many times the distance was grown."""
+    setting_index = config.focal_settings.index(setting)
+    pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
+    intr = Intrinsics(setting.f_px, pp)
+    board = config.board_grid()
+    center = board.mean(axis=0)
+    tilt = config.drift.pose_tilt_deg
+    pose_rot = {
+        PoseLabel.DOWN: np.eye(3),
+        PoseLabel.N: rot_x(-tilt),
+        PoseLabel.W: rot_y(tilt),
+        PoseLabel.E: rot_y(-tilt),
+    }[pose]
+    rot = pose_rot @ rot_z(roll_deg) @ rot_x(config.tilt_deg)
+    aim = np.array(
+        [
+            (config.image_width / 2 - pp.u) / setting.f_px,
+            (config.image_height / 2 - pp.v) / setting.f_px,
+            1.0,
+        ]
+    )
+    span_w = (config.board_cols - 1) * config.square_mm
+    span_h = (config.board_rows - 1) * config.square_mm
+    distance = setting.f_px * max(span_w / config.image_width, span_h / config.image_height)
+    distance /= config.fill_fraction
+    margin = 6.0 * config.noise_sigma_px + 1.0
+    center3 = np.array([center[0], center[1], 0.0])
+    for retries in range(6):
+        t = distance * aim - rot @ center3
+        extr = Extrinsics(rot, t)
+        uv = project_points(intr, extr, board)
+        if (
+            np.all(uv[:, 0] >= margin)
+            and np.all(uv[:, 0] <= config.image_width - margin)
+            and np.all(uv[:, 1] >= margin)
+            and np.all(uv[:, 1] <= config.image_height - margin)
+        ):
+            break
+        distance *= 1.3
+    else:
+        raise BoardOutOfView(f"roll {roll_deg}")
+    if config.noise_sigma_px > 0.0:
+        uv = uv + rng.normal(0.0, config.noise_sigma_px, size=uv.shape)
+    view_id = f"{pose.value}-s{setting_index}-r{roll_deg:g}"
+    return CalibrationView.from_points(view_id, board, uv), extr, retries
+
+
+def reference_dataset(config):
+    """`generate_dataset` assembled from `reference_view`, plus the number
+    of retries of every view."""
+    cells, truth, retries = {}, {}, []
+    for pose_index, pose in enumerate(config.poses):
+        for setting_index, setting in enumerate(config.focal_settings):
+            views, extrs = [], []
+            for roll_index, roll in enumerate(config.rolls):
+                rng = np.random.default_rng(mix_seed(config.rng_seed, pose_index, setting_index, roll_index))
+                view, extr, grown = reference_view(config, pose, setting, roll, rng)
+                views.append(view)
+                extrs.append(extr)
+                retries.append(grown)
+            pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
+            cells[(pose, setting)] = tuple(views)
+            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp), tuple(extrs))
+    return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth), retries
+
+
+class TestStackedSynthesis:
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [256, 1792])
+    def test_default_dataset_matches_per_roll_reference(self, seed, sigma):
+        config = SceneConfig.for_camera("cam1", rng_seed=seed, noise_sigma_px=sigma)
+        reference, _ = reference_dataset(config)
+        assert dumps_dataset(generate_dataset(config)) == dumps_dataset(reference)
+
+    def test_cell_with_retries_matches_reference(self):
+        # a tall board at a large fill fraction: some rolls fit at once,
+        # others only after the distance has been grown
+        config = small_config(
+            board_cols=5,
+            board_rows=9,
+            fill_fraction=0.95,
+            rolls=(0.0, 30.0, 60.0, 90.0, 120.0, 150.0),
+            poses=(PoseLabel.DOWN, PoseLabel.W),
+            noise_sigma_px=0.5,
+            rng_seed=5,
+        )
+        reference, retries = reference_dataset(config)
+        assert min(retries) == 0 and max(retries) >= 1
+        dataset = generate_dataset(config)
+        assert dumps_dataset(dataset) == dumps_dataset(reference)
+        for key, views in dataset.cells.items():
+            for view, ref in zip(views, reference.cells[key]):
+                assert view.homography.h.tobytes() == ref.homography.h.tobytes()
+                assert (view.principal_line is None) == (ref.principal_line is None)
+
+    def test_first_failing_roll_is_reported(self):
+        # at 400 px of noise no roll fits; the error names the first one
+        config = small_config(noise_sigma_px=400.0)
+        rngs = [np.random.default_rng(k) for k in range(len(config.rolls))]
+        with pytest.raises(BoardOutOfView, match=r"roll 0\.0$"):
+            generate_cell(config, PoseLabel.DOWN, config.focal_settings[0], config.rolls, rngs)
+
+    def test_one_generator_per_roll(self):
+        config = small_config(noise_sigma_px=0.5)
+        with pytest.raises(ValueError, match="one noise generator per roll"):
+            generate_cell(config, PoseLabel.DOWN, config.focal_settings[0], config.rolls, [np.random.default_rng(0)])
+
+    def test_board_behind_camera_is_moved_back_or_out_of_view(self):
+        # at f = 700 px the first placements put board corners behind the
+        # camera; growing the distance brings the whole board in front
+        config = small_config(focal_settings=(FocalSetting(1.0, 700.0),))
+        view, extr = generate_view(config, PoseLabel.DOWN, config.focal_settings[0], 30.0, np.random.default_rng(0))
+        cam_z = (np.column_stack([view.board_xy, np.zeros(len(view.board_xy))]) @ extr.rot.T + extr.t)[:, 2]
+        assert cam_z.min() > 0.0
+        assert view.image_uv.min() >= 1.0
+        # at f = 10 px five retries do not suffice
+        config = small_config(focal_settings=(FocalSetting(1.0, 10.0),))
+        with pytest.raises(BoardOutOfView, match="roll 0.0"):
+            generate_dataset(config)
+
+    def test_generate_view_is_a_cell_of_one_roll(self):
+        config = small_config(noise_sigma_px=0.5)
+        setting = config.focal_settings[1]
+        view, extr = generate_view(config, PoseLabel.DOWN, setting, 90.0, np.random.default_rng(3))
+        ref_view, ref_extr, _ = reference_view(config, PoseLabel.DOWN, setting, 90.0, np.random.default_rng(3))
+        assert view.id == ref_view.id
+        assert view.image_uv.tobytes() == ref_view.image_uv.tobytes()
+        assert extr.rot.tobytes() == ref_extr.rot.tobytes()
+        assert extr.t.tobytes() == ref_extr.t.tobytes()
+
+
 class TestConfig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: small_config(noise_sigma_px=x),
+            lambda x: small_config(square_mm=x),
+            lambda x: small_config(board_cols=x),
+            lambda x: small_config(image_width=x),
+            lambda x: small_config(rolls=(0.0, x)),
+            lambda x: small_config(focal_settings=(FocalSetting(x, 3000.0),)),
+            lambda x: small_config(drift=DriftModel(pp0=Point2(0.0, 0.0), pose_tilt_deg=x)),
+            lambda x: small_config(drift=DriftModel(pp0=Point2(0.0, 0.0), drift_total=x)),
+            lambda x: small_config(drift=DriftModel(pp0=Point2(0.0, 0.0), gravity_px=x)),
+        ],
+        ids=[
+            "noise", "square", "board-cols", "image-width", "roll", "focal-label", "pose-tilt", "drift-total", "gravity"
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, build, bad):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            build(bad)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            small_config(rng_seed=1.5)
+
+    @pytest.mark.parametrize("rolls", [(45.0, 45.0000001, 90.0), (0.0, 90.0, 0.0)])
+    def test_colliding_view_labels_rejected(self, rolls):
+        with pytest.raises(ConfigError, match="distinct view labels"):
+            small_config(rolls=rolls)
+
     def test_tilt_bounds(self):
         with pytest.raises(ConfigError, match="dihedral"):
             small_config(tilt_deg=0.0)
