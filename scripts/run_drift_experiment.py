@@ -20,6 +20,7 @@ from pathlib import Path
 from caliblab.analysis import analyze_trajectory, calibrate_views
 from caliblab.cli import main as cli_main
 from caliblab.dataset_io import write_dataset
+from caliblab.principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
 
 
@@ -34,7 +35,7 @@ def run(camera: str, seed: int, noise: float, out_dir: Path) -> None:
 
     pps = []
     for setting in dataset.settings():
-        result = calibrate_views("geometric", dataset.cells[(PoseLabel.DOWN, setting)], 5.0)
+        result = calibrate_views("geometric", dataset.cells[(PoseLabel.DOWN, setting)], DEFAULT_OUTLIER_THRESHOLD_PX)
         pps.append(result.intrinsics.pp)
         print(
             f"  DOWN {setting.label_mm:5.1f} mm: pp = ({result.intrinsics.pp.u:9.2f}, "

@@ -2,6 +2,8 @@
 camera calibration, synthetic drift datasets, and trajectory plus
 cross-validation analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CrossValReport,
     GravityReport,
@@ -19,13 +21,9 @@ from .calibrate import (
     PoseRefits,
     calibrate_algebraic,
     calibrate_geometric,
-    extrinsics_from_homography,
     focal_from_homography,
-    project_points,
     refine,
-    refit_view_pose,
     refit_view_poses,
-    view_rmse,
     views_from_points,
 )
 from .geometry import (
@@ -33,15 +31,12 @@ from .geometry import (
     Line2,
     Point2,
     estimate_homographies,
-    estimate_homography,
-    symmetric_transfer_error,
 )
 from .principal_line import (
     PPEstimate,
     PrincipalLine,
     estimate_pp,
     flag_outlier_lines,
-    principal_line,
     principal_lines,
 )
 from .synth import (
@@ -53,8 +48,8 @@ from .synth import (
     SceneConfig,
     generate_cell,
     generate_dataset,
-    generate_view,
     true_pp,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules bind themselves as package attributes; they are not exports
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]

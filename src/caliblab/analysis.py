@@ -20,6 +20,7 @@ from .calibrate import (
 )
 from .errors import CaliblabError, MissingPose, TooFewPoints
 from .geometry import Point2
+from .principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from .synth import Dataset, FocalSetting, PoseLabel
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _crossval_setting(
 def cross_validate(
     dataset: Dataset,
     method: str = "geometric",
-    pl_outlier_px: float = 5.0,
+    pl_outlier_px: float = DEFAULT_OUTLIER_THRESHOLD_PX,
 ) -> CrossValReport:
     """Pose-transfer evaluation per focal setting.
 

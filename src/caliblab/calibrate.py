@@ -22,7 +22,6 @@ from .errors import (
     CaliblabError,
     DegenerateSystem,
     DegenerateView,
-    EmptyView,
     InsufficientViews,
     NoFocalEstimate,
 )
@@ -60,9 +59,6 @@ class Intrinsics:
     def __post_init__(self):
         if not (math.isfinite(self.f) and self.f > 0.0):
             raise ValueError(f"focal length must be positive, got {self.f}")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.f, 0.0, self.pp.u], [0.0, self.f, self.pp.v], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +98,6 @@ class CalibrationView:
     principal_line: PrincipalLine | None
     board_xy: np.ndarray
     image_uv: np.ndarray
-
-    @classmethod
-    def from_points(cls, view_id: str, board_xy, image_uv) -> "CalibrationView":
-        """`views_from_points` for one view; raises its error."""
-        views, errors = views_from_points([view_id], [board_xy], [image_uv])
-        if errors[0] is not None:
-            raise errors[0]
-        return views[0]
 
 
 def views_from_points(
@@ -192,23 +180,12 @@ def _project(f, u0, v0, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tupl
     return cam, f * cam[..., :2] / cam[..., 2:3] + np.array([u0, v0])
 
 
-def project_points(intr: Intrinsics, extr: Extrinsics, board_xy: np.ndarray) -> np.ndarray:
-    """Pinhole projection of board-plane points, returning (n, 2) pixels."""
-    return _project(intr.f, intr.pp.u, intr.pp.v, extr.rot, extr.t, _board_points(board_xy))[1]
-
-
-def view_rmse(intr: Intrinsics, extr: Extrinsics, view: CalibrationView) -> float:
-    if len(view.board_xy) == 0:
-        raise EmptyView(f"view {view.id} holds no corners")
-    d = project_points(intr, extr, view.board_xy) - view.image_uv
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
-
-
 def _views_rmse(intr: Intrinsics, extrs: Sequence[Extrinsics], views: Sequence[CalibrationView]) -> float:
     sq = 0.0
     n = 0
     for extr, view in zip(extrs, views):
-        d = project_points(intr, extr, view.board_xy) - view.image_uv
+        _, uv = _project(intr.f, intr.pp.u, intr.pp.v, extr.rot, extr.t, _board_points(view.board_xy))
+        d = uv - view.image_uv
         sq += float(np.sum(d * d))
         n += len(d)
     return math.sqrt(sq / n) if n else 0.0
@@ -246,10 +223,15 @@ def focal_from_homography(homography: Homography, pp: Point2) -> list[float]:
 
 
 def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked form of `extrinsics_from_homography` for homographies
-    (B, 3, 3) under one set of intrinsics: rotations (B, 3, 3),
-    translations (B, 3), and a (B,) mask of the views whose board plane
-    passes through the camera center, whose poses are not usable."""
+    """Decompose a stack of homographies H = K [r1 r2 t] (B, 3, 3) under
+    one set of intrinsics into rotations (B, 3, 3) and translations (B, 3).
+
+    The scale is fixed by the mean norm of the two rotation columns, the
+    overall sign by requiring t_z > 0, and [r1 r2 r1xr2] is projected onto
+    the nearest rotation. Also returns the (B,) mask of the views whose
+    board plane passes through the camera center, whose poses are not
+    usable.
+    """
     f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
     kinv = np.array([[1.0 / f, 0.0, -u0 / f], [0.0, 1.0 / f, -v0 / f], [0.0, 0.0, 1.0]])
     a = kinv @ hs
@@ -264,32 +246,31 @@ def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarra
     return rot, t, through_center
 
 
-def _through_center_error() -> BehindCamera:
-    return BehindCamera("board plane passes through the camera center (t_z ~ 0)")
-
-
-def extrinsics_from_homography(homography: Homography, intr: Intrinsics) -> Extrinsics:
-    """Decompose H = K [r1 r2 t] into a proper rotation and translation.
-
-    The scale is fixed by the mean norm of the two rotation columns, the
-    overall sign by requiring t_z > 0, and [r1 r2 r1xr2] is projected onto
-    the nearest rotation.
-    """
-    rot, t, through_center = _decompose_homographies(homography.h[None], intr)
-    if through_center[0]:
-        raise _through_center_error()
-    return Extrinsics(rot[0], t[0])
-
-
-def _decompose_views(views: Sequence[CalibrationView], intr: Intrinsics) -> list[Extrinsics | None]:
-    """Per-view `extrinsics_from_homography`, None where the board plane
-    passes through the camera center."""
+def _decompose_views(
+    views: Sequence[CalibrationView], intr: Intrinsics
+) -> tuple[list[CalibrationView], list[Extrinsics], list[str]]:
+    """Decompose every view's homography: the views with a usable pose,
+    their poses, and the ids of the views whose board plane passes
+    through the camera center. Raises InsufficientViews when fewer than
+    2 views keep a pose."""
     rots, ts, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
-    return [None if bad else Extrinsics(rot, t) for rot, t, bad in zip(rots, ts, through_center)]
+    kept, poses, flagged = [], [], []
+    for view, rot, t, bad in zip(views, rots, ts, through_center):
+        if bad:
+            flagged.append(view.id)
+        else:
+            kept.append(view)
+            poses.append(Extrinsics(rot, t))
+    if len(kept) < 2:
+        raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
+    return kept, poses, flagged
 
 
 def _median(values: Sequence[float]) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
+    # np.median would import numpy.ma, which nothing else here needs
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def calibrate_geometric(
@@ -329,23 +310,13 @@ def calibrate_geometric(
         )
 
     pp_est = estimate_pp(inliers)
-    samples: list[float] = []
-    for view in accepted:
-        samples.extend(focal_from_homography(view.homography, pp_est.pp))
+    samples = [f for view in accepted for f in focal_from_homography(view.homography, pp_est.pp)]
     if not samples:
         raise NoFocalEstimate("all per-view focal constraints were degenerate")
 
     intr = Intrinsics(_median(samples), pp_est.pp)
-    per_view = []
-    kept = []
-    for view, extr in zip(accepted, _decompose_views(accepted, intr)):
-        if extr is None:
-            flags.append(view.id)
-        else:
-            per_view.append(extr)
-            kept.append(view)
-    if len(kept) < 2:
-        raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
+    kept, per_view, flagged = _decompose_views(accepted, intr)
+    flags.extend(flagged)
 
     return CalibrationResult(
         method="geometric",
@@ -429,19 +400,8 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
         pp=Point2(u0 * spread + center[0], v0 * spread + center[1]),
     )
 
-    flags: list[str] = []
-    per_view = []
-    kept = []
-    samples: list[float] = []
-    for view, extr in zip(views, _decompose_views(views, intr)):
-        if extr is None:
-            flags.append(view.id)
-        else:
-            per_view.append(extr)
-            kept.append(view)
-            samples.extend(focal_from_homography(view.homography, intr.pp))
-    if len(kept) < 2:
-        raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
+    kept, per_view, flags = _decompose_views(views, intr)
+    samples = [f for view in kept for f in focal_from_homography(view.homography, intr.pp)]
 
     return CalibrationResult(
         method="algebraic",
@@ -526,14 +486,6 @@ def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     return jac[mask].reshape(-1, jac.shape[-1])
 
 
-def _residuals(params, views, fit_intrinsics, intr0) -> np.ndarray:
-    return _cell_residuals(params, _stack_views(views), fit_intrinsics, intr0)
-
-
-def _jacobian(params, views, fit_intrinsics, intr0) -> np.ndarray:
-    return _cell_jacobian(params, _stack_views(views), fit_intrinsics, intr0)
-
-
 def _pose_problem(intr: Intrinsics, pts: np.ndarray, image: np.ndarray):
     """Residual and Jacobian callbacks of independent pose-only refits:
     problem i is the view with board points pts[i] (n, 3) and image
@@ -575,7 +527,7 @@ def _damped_steps(hess, damping, lam, grad):
         return steps, solved
 
 
-def _levenberg_marquardt(params0, residuals, jacobian, max_iters=LM_MAX_ITERS):
+def _levenberg_marquardt(params0, residuals, jacobian):
     """Damped Gauss-Newton on a stack of independent least-squares problems.
 
     params0 is (B, P). residuals(params, rows) and jacobian(params, rows)
@@ -584,17 +536,16 @@ def _levenberg_marquardt(params0, residuals, jacobian, max_iters=LM_MAX_ITERS):
     multiplicative lambda schedule, as if it were solved alone: x10 on
     reject (a singular damped system is a reject), x0.1 on accept, give up
     once lambda exceeds 1e12, stop on relative cost change < 1e-12 or after
-    max_iters Jacobians. Returns params, cost, converged and iteration
+    LM_MAX_ITERS Jacobians. Returns params, cost, converged and iteration
     counts, each per problem.
     """
     params = np.array(params0, dtype=float)
-    every = np.arange(len(params))
-    res = residuals(params, every)
+    live = np.arange(len(params))
+    res = residuals(params, live)
     cost = _sum_squares(res)
     lam = np.full(len(params), LM_INITIAL_LAMBDA)
     converged = np.zeros(len(params), dtype=bool)
     iters = np.zeros(len(params), dtype=int)
-    live = every if max_iters > 0 else every[:0]
     while live.size:
         iters[live] += 1
         jac = jacobian(params[live], live)
@@ -624,7 +575,7 @@ def _levenberg_marquardt(params0, residuals, jacobian, max_iters=LM_MAX_ITERS):
         took = live[accepted]
         lam[took] = np.maximum(lam[took] * 0.1, 1e-12)
         converged[took] = rel[accepted] < LM_REL_TOL
-        live = live[accepted & ~converged[live] & (iters[live] < max_iters)]
+        live = live[accepted & ~converged[live] & (iters[live] < LM_MAX_ITERS)]
     return params, cost, converged, iters
 
 
@@ -636,7 +587,7 @@ def _usable_poses(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
     return finite & (t[:, 2] > 0.0) & (det > 0.0)
 
 
-def refine(result: CalibrationResult, views: Sequence[CalibrationView], max_iters: int = LM_MAX_ITERS) -> CalibrationResult:
+def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> CalibrationResult:
     """Levenberg-Marquardt refinement of (f, u0, v0) and all accepted
     per-view poses, minimizing the total squared reprojection error.
 
@@ -657,7 +608,6 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView], max_iter
         _pack(intr0.f, intr0.pp, result.per_view, fit_intrinsics=True)[None],
         lambda p, rows: _cell_residuals(p[0], stack, True, intr0)[None],
         lambda p, rows: _cell_jacobian(p[0], stack, True, intr0)[None],
-        max_iters=max_iters,
     )
     f, u0, v0, poses = _unpack(params[0], True, intr0)
     rots = rodrigues(poses[:, :3])
@@ -714,9 +664,9 @@ def refit_view_poses(intr: Intrinsics, views: Sequence[CalibrationView]) -> Pose
     if count == 0:
         return PoseRefits(rot, t, rmse, ())
     rot0, t0, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
-    corners = np.array([len(v.board_xy) for v in views])
-    for n in np.unique(corners[~through_center]):
-        rows = np.flatnonzero((corners == n) & ~through_center)
+    corners = [0 if bad else len(v.board_xy) for v, bad in zip(views, through_center)]
+    for n in sorted(set(corners) - {0}):
+        rows = [i for i, k in enumerate(corners) if k == n]
         pts = _board_points(np.array([views[i].board_xy for i in rows]))
         image = np.array([views[i].image_uv for i in rows])
         params0 = np.concatenate([rvec_from_rotation(rot0[rows]), t0[rows]], axis=1)
@@ -726,17 +676,9 @@ def refit_view_poses(intr: Intrinsics, views: Sequence[CalibrationView]) -> Pose
     errors: list[CaliblabError | None] = [None] * count
     for i in np.flatnonzero(~usable):
         if through_center[i]:
-            errors[i] = _through_center_error()
+            errors[i] = BehindCamera("board plane passes through the camera center (t_z ~ 0)")
         else:
             errors[i] = BehindCamera(f"view {views[i].id}: refit pose is not finite or lies behind the camera")
     rot[~usable], t[~usable], rmse[~usable] = np.nan, np.nan, np.nan
     return PoseRefits(rot, t, rmse, tuple(errors))
 
-
-def refit_view_pose(intr: Intrinsics, view: CalibrationView) -> tuple[Extrinsics, float]:
-    """Best pose of a single view under frozen intrinsics (see
-    `refit_view_poses`). Returns the pose and its reprojection RMSE."""
-    refits = refit_view_poses(intr, [view])
-    if refits.errors[0] is not None:
-        raise refits.errors[0]
-    return Extrinsics(refits.rot[0], refits.t[0]), float(refits.rmse[0])

@@ -12,12 +12,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, dataset_io, reports
 from .calibrate import CalibrationResult
 from .errors import BoardOutOfView, CaliblabError, ConfigError, DegenerateSystem, TooFewPoints
+from .principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from .synth import Dataset, PoseLabel, SceneConfig, generate_dataset, scene_config_from_dict
 
 EXIT_OK = 0
@@ -29,17 +30,6 @@ EXIT_MISSING = 5
 MISSING_TOLERANCE = 0.25
 
 METHODS = ("geometric", "algebraic", "algebraic-refined")
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    dataset_path: Path | None
-    out_dir: Path | None
-    out_path: Path | None
-    method: str
-    pl_outlier_px: float
-    max_views: int | None
-    no_refine: bool
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -62,18 +52,6 @@ def _load_scene(args) -> SceneConfig:
             raw[key] = value
     return scene_config_from_dict(raw)
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        dataset_path=Path(args.dataset) if getattr(args, "dataset", None) else None,
-        out_dir=Path(args.out_dir) if getattr(args, "out_dir", None) else None,
-        out_path=Path(args.out) if getattr(args, "out", None) else None,
-        method=getattr(args, "method", "geometric"),
-        pl_outlier_px=getattr(args, "pl_outlier_px", 5.0),
-        max_views=getattr(args, "max_views", None),
-        no_refine=bool(getattr(args, "no_refine", False)),
-    )
-
 def cmd_simulate(args) -> int:
     try:
         scene = _load_scene(args)
@@ -87,20 +65,16 @@ def cmd_simulate(args) -> int:
     print(f"wrote {dataset.n_views()} views to {args.out}")
     return EXIT_OK
 
-def _read_dataset(run: RunConfig) -> Dataset:
-    """Read the run's dataset, keeping the first --max-views views of each cell."""
+def _read_dataset(args) -> Dataset:
+    """Read --dataset, keeping the first --max-views views of each cell."""
+    path = Path(args.dataset)
     try:
-        dataset = dataset_io.read_dataset(run.dataset_path)
+        dataset = dataset_io.read_dataset(path)
     except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read dataset {run.dataset_path}: {err}") from None
-    if run.max_views is None:
+        raise ConfigError(f"cannot read dataset {path}: {err}") from None
+    if args.max_views is None:
         return dataset
-    return replace(dataset, cells={key: views[: run.max_views] for key, views in dataset.cells.items()})
-
-def _effective_method(run: RunConfig) -> str:
-    if run.no_refine and run.method == "algebraic-refined":
-        return "algebraic"
-    return run.method
+    return replace(dataset, cells={key: views[: args.max_views] for key, views in dataset.cells.items()})
 
 def _error_mark(err: CaliblabError) -> str:
     # InsufficientViews is a DegenerateSystem: below the minimum view
@@ -110,9 +84,9 @@ def _error_mark(err: CaliblabError) -> str:
     return type(err).__name__
 
 def _calibrate_cells(
-    dataset: Dataset, run: RunConfig
+    dataset: Dataset, args
 ) -> tuple[list[list], dict[tuple[PoseLabel, int], CalibrationResult], int]:
-    method = _effective_method(run)
+    method = args.method
     rows: list[list] = []
     results: dict[tuple[PoseLabel, int], CalibrationResult] = {}
     failures = 0
@@ -125,7 +99,7 @@ def _calibrate_cells(
             truth = (dataset.ground_truth or {}).get((pose, setting))
             gt_cols = [truth[0].pp.u, truth[0].pp.v, truth[0].f] if truth else [None, None, None]
             try:
-                result = analysis.calibrate_views(method, views, run.pl_outlier_px)
+                result = analysis.calibrate_views(method, views, args.pl_outlier_px)
             except CaliblabError as err:
                 failures += 1
                 rows.append(
@@ -161,18 +135,17 @@ def _scatter_payload(results: dict[tuple[PoseLabel, int], CalibrationResult]) ->
     return payload
 
 def cmd_calibrate(args) -> int:
-    run = _run_config(args)
     try:
-        dataset = _read_dataset(run)
+        dataset = _read_dataset(args)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
-    out_dir = run.out_dir or Path(".")
-    rows, results, failures = _calibrate_cells(dataset, run)
+    out_dir = Path(args.out_dir)
+    rows, results, failures = _calibrate_cells(dataset, args)
     reports.atomic_write(out_dir / "results.csv", reports.rows_to_csv(reports.CALIBRATION_CSV_HEADER, rows))
     reports.atomic_write(out_dir / "pp_scatter.svg", reports.render_pp_scatter_svg(_scatter_payload(results)))
     summary = {
         "command": "calibrate",
-        "method": _effective_method(run),
+        "method": args.method,
         "cells_total": len(rows),
         "cells_failed": failures,
         "cells": [
@@ -198,15 +171,14 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 def cmd_crossval(args) -> int:
-    run = _run_config(args)
     try:
-        dataset = _read_dataset(run)
+        dataset = _read_dataset(args)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
-    out_dir = run.out_dir or Path(".")
+    out_dir = Path(args.out_dir)
     if len(dataset.poses()) < 2:
         return _fail("cross-validation needs at least 2 camera poses in the dataset", EXIT_MISSING)
-    report = analysis.cross_validate(dataset, method=_effective_method(run), pl_outlier_px=run.pl_outlier_px)
+    report = analysis.cross_validate(dataset, method=args.method, pl_outlier_px=args.pl_outlier_px)
     rows = []
     for entry in report.settings:
         for a, pose_a in enumerate(entry.poses):
@@ -248,13 +220,12 @@ def cmd_crossval(args) -> int:
     return EXIT_OK
 
 def cmd_analyze(args) -> int:
-    run = _run_config(args)
     try:
-        dataset = _read_dataset(run)
+        dataset = _read_dataset(args)
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
-    out_dir = run.out_dir or Path(".")
-    rows, results, failures = _calibrate_cells(dataset, run)
+    out_dir = Path(args.out_dir)
+    rows, results, failures = _calibrate_cells(dataset, args)
     if rows and failures / len(rows) > MISSING_TOLERANCE:
         reports.atomic_write(
             out_dir / "results.csv", reports.rows_to_csv(reports.CALIBRATION_CSV_HEADER, rows)
@@ -265,7 +236,7 @@ def cmd_analyze(args) -> int:
         )
     settings = dataset.settings()
 
-    summary: dict = {"command": "analyze", "method": _effective_method(run), "notices": []}
+    summary: dict = {"command": "analyze", "method": args.method, "notices": []}
 
     trajectory_rows: list[list] = []
     trajectory = None
@@ -378,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", dest="out_dir", required=True, help="report output directory")
         cmd.add_argument("--method", choices=METHODS, default="geometric")
         cmd.add_argument("--max-views", dest="max_views", type=_positive_int, default=None)
-        cmd.add_argument("--pl-outlier-px", dest="pl_outlier_px", type=_positive_float, default=5.0)
-        cmd.add_argument("--no-refine", dest="no_refine", action="store_true")
+        cmd.add_argument(
+            "--pl-outlier-px", dest="pl_outlier_px", type=_positive_float, default=DEFAULT_OUTLIER_THRESHOLD_PX
+        )
         cmd.set_defaults(func=func)
 
     return parser

@@ -180,6 +180,8 @@ def loads_dataset(text: str) -> Dataset:
         raise ConfigError(f"dataset file is not valid JSON: {err}") from None
     if not isinstance(root, dict) or not isinstance(root.get("cells"), list):
         raise ConfigError("dataset file must be an object with a 'cells' array")
+    if not root["cells"]:
+        raise ConfigError("dataset has no cells")
     cells = {}
     truth = {}
     for index, node in enumerate(root["cells"]):

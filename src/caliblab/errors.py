@@ -10,10 +10,6 @@ class DegenerateConfiguration(CaliblabError):
     (too few, collinear, or duplicated board points)."""
 
 
-class PointAtInfinity(CaliblabError):
-    """Homography maps the point onto the line at infinity."""
-
-
 class DegenerateView(CaliblabError):
     """View carries no usable perspective: the board is parallel to the
     image plane, so no symmetry axis exists."""
@@ -53,20 +49,12 @@ class BehindCamera(CaliblabError):
     """Recovered board pose has no positive viewing distance."""
 
 
-class EmptyView(CaliblabError):
-    """View holds no corners."""
-
-
 class TooFewPoints(CaliblabError):
     """Not enough points for trajectory analysis."""
 
 
 class MissingPose(CaliblabError):
     """Reference pose absent for a focal setting under analysis."""
-
-
-class MissingCell(CaliblabError):
-    """Dataset cell absent for a (pose, focal setting) pair."""
 
 
 class BoardOutOfView(CaliblabError):

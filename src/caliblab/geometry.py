@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, PointAtInfinity
+from .errors import DegenerateConfiguration
 
 # The DLT solution is unique only while the second-smallest singular value
 # of the (normalized) design matrix stays well above roundoff.
 DLT_RANK_RTOL = 1e-10
-
-# |h7*x + h8*y + h9| at or below this counts as the line at infinity.
-W_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,6 @@ class Point2:
     def __post_init__(self):
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError(f"image point must be finite, got ({self.u}, {self.v})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
 
 
 @dataclass(frozen=True)
@@ -95,24 +89,6 @@ class Homography:
                 break
         m.setflags(write=False)
         object.__setattr__(self, "h", m)
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.h))
-
-
-def _map_points(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Map (n, 2) points through a 3x3 projective matrix. Raises
-    PointAtInfinity when a denominator h7*x + h8*y + h9 vanishes."""
-    w = pts @ matrix[2, :2] + matrix[2, 2]
-    at_infinity = np.flatnonzero(np.abs(w) <= W_EPS)
-    if at_infinity.size:
-        x, y = pts[at_infinity[0]]
-        raise PointAtInfinity(f"point ({x}, {y}) maps to infinity (w = {w[at_infinity[0]]:.3e})")
-    return (pts @ matrix[:2, :2].T + matrix[:2, 2]) / w[:, None]
 
 
 def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,26 +160,3 @@ def estimate_homographies(
             except (ValueError, DegenerateConfiguration) as err:
                 errors[i] = err
     return homographies, errors
-
-
-def estimate_homography(board_xy: np.ndarray, image_uv: np.ndarray) -> Homography:
-    """`estimate_homographies` for one view: matching (n, 2) arrays of
-    finite board and image points. Raises DegenerateConfiguration."""
-    homographies, errors = estimate_homographies(
-        np.asarray(board_xy, dtype=float)[None], np.asarray(image_uv, dtype=float)[None]
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return homographies[0]
-
-
-def symmetric_transfer_error(homography: Homography, board_xy: np.ndarray, image_uv: np.ndarray) -> float:
-    """Max residual of mapping board points forward (px) and image points
-    backward (board units) through the homography. Raises PointAtInfinity
-    when a point maps onto the line at infinity either way."""
-    board = np.asarray(board_xy, dtype=float)
-    image = np.asarray(image_uv, dtype=float)
-    forward = _map_points(homography.h, board) - image
-    backward = _map_points(np.linalg.inv(homography.h), image) - board
-    both = np.vstack([forward, backward])
-    return float(np.hypot(both[:, 0], both[:, 1]).max(initial=0.0))

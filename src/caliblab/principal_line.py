@@ -124,24 +124,15 @@ def principal_lines(
     return lines, errors
 
 
-def principal_line(homography: Homography, source_view: str | None = None) -> PrincipalLine:
-    """`principal_lines` for one view. Raises DegenerateView or
-    AmbiguousDirection."""
-    lines, errors = principal_lines([homography], [source_view])
-    if errors[0] is not None:
-        raise errors[0]
-    return lines[0]
-
-
-def _intersections(normals: np.ndarray, offsets: np.ndarray, condition_limit: float):
+def _intersections(normals: np.ndarray, offsets: np.ndarray):
     """Least-squares intersections of a stack of B bundles of m unit-normal
     lines, normals (B, m, 2) and offsets (B, m). Returns the (B, 2) points
     (NaN where the bundle is ill-conditioned), the (B,) condition numbers
-    of the 2x2 normal matrices and the (B,) mask of the bundles that are
-    well-conditioned."""
+    of the 2x2 normal matrices and the (B,) mask of the bundles whose
+    condition number is below DEFAULT_CONDITION_LIMIT."""
     nmat = np.swapaxes(normals, -1, -2) @ normals
     cond = np.linalg.cond(nmat)
-    solvable = np.isfinite(cond) & (cond < condition_limit)
+    solvable = np.isfinite(cond) & (cond < DEFAULT_CONDITION_LIMIT)
     sol = np.full(offsets.shape[:-1] + (2,), np.nan)
     if np.any(solvable):
         kept = normals[solvable]
@@ -152,10 +143,7 @@ def _intersections(normals: np.ndarray, offsets: np.ndarray, condition_limit: fl
     return sol, cond, solvable
 
 
-def estimate_pp(
-    lines: list[PrincipalLine],
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> PPEstimate:
+def estimate_pp(lines: list[PrincipalLine]) -> PPEstimate:
     """Point minimizing the sum of squared distances to the given lines.
 
     With unit-normal lines the per-line residuals are signed distances.
@@ -166,7 +154,7 @@ def estimate_pp(
         raise TooFewLines(f"need at least 2 principal lines, got {len(lines)}")
     normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
     offsets = np.array([pl.line.c for pl in lines])
-    sol, cond, solvable = _intersections(normals[None], offsets[None], condition_limit)
+    sol, cond, solvable = _intersections(normals[None], offsets[None])
     if not solvable[0]:
         raise ParallelLines(f"line bundle is near parallel (condition {float(cond[0]):.3e})")
     residuals = normals @ sol[0] + offsets
@@ -186,7 +174,7 @@ def _loo_distances(lines: list[PrincipalLine]) -> np.ndarray:
     normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
     offsets = np.array([pl.line.c for pl in lines])
     others = np.broadcast_to(np.arange(k), (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    sol, _, solvable = _intersections(normals[others], offsets[others], DEFAULT_CONDITION_LIMIT)
+    sol, _, solvable = _intersections(normals[others], offsets[others])
     distances = np.abs(normals[:, 0] * sol[:, 0] + normals[:, 1] * sol[:, 1] + offsets)
     return np.where(solvable, distances, -np.inf)
 

@@ -396,19 +396,6 @@ def generate_cell(
     return tuple(views), tuple(Extrinsics(rot, shift) for rot, shift in zip(rots, t))
 
 
-def generate_view(
-    config: SceneConfig,
-    pose: PoseLabel,
-    setting: FocalSetting,
-    roll_deg: float,
-    rng: np.random.Generator,
-) -> tuple[CalibrationView, Extrinsics]:
-    """One synthetic view plus its ground-truth pose: `generate_cell` for
-    a single roll."""
-    views, extrs = generate_cell(config, pose, setting, [roll_deg], [rng])
-    return views[0], extrs[0]
-
-
 def generate_dataset(config: SceneConfig) -> Dataset:
     """Full dataset over poses x settings x rolls, reproducible from the
     configured seed. Each cell carries its ground-truth intrinsics and

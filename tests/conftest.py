@@ -12,7 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from caliblab.calibrate import CalibrationView
+from caliblab.calibrate import views_from_points
+
+
+def only(stacked):
+    """The one result of a stacked call on a stack of one: the item of its
+    (results, errors) pair, or the item's error raised."""
+    (result,), (error,) = stacked
+    if error is not None:
+        raise error
+    return result
 
 
 def kmat(f: float, u0: float, v0: float) -> np.ndarray:
@@ -87,7 +96,7 @@ def tilted_scene_views(
         uv = pinhole_project(f, pp, rot, t, board)
         if sigma > 0.0:
             uv = uv + rng.normal(0.0, sigma, uv.shape)
-        views.append(CalibrationView.from_points(f"v{k}", board, uv))
+        views.append(only(views_from_points([f"v{k}"], [board], [uv])))
         truth.append((rot, t))
     return views, truth
 

@@ -12,17 +12,18 @@ import pytest
 
 from caliblab.analysis import analyze_gravity, analyze_trajectory, cross_validate
 from caliblab.calibrate import (
-    CalibrationView,
-    _jacobian,
+    _cell_jacobian,
+    _cell_residuals,
     _pack,
-    _residuals,
+    _stack_views,
     calibrate_algebraic,
     calibrate_geometric,
+    views_from_points,
 )
 from caliblab.cli import main
 from caliblab.errors import DegenerateView
 from caliblab.geometry import Homography, Point2
-from caliblab.principal_line import principal_line
+from caliblab.principal_line import principal_lines
 from caliblab.synth import (
     DriftModel,
     FocalSetting,
@@ -33,6 +34,7 @@ from caliblab.synth import (
 
 from conftest import (
     bias_half_board,
+    only,
     oracle_rot_x,
     oracle_rot_z,
     protocol_distance,
@@ -95,12 +97,12 @@ def test_principal_line_incidence():
         dist = rng.uniform(0.08, 0.35) * f
         rot = oracle_rot_z(roll) @ oracle_rot_x(tilt)
         h = Homography(scene_homography(f, pp, rot, [0.0, 0.0, dist]))
-        pl = principal_line(h)
+        pl = only(principal_lines([h], [None]))
         assert pl.line.distance(Point2(*pp)) < 1e-9 * f
     for roll in (0.0, 30.0, 200.0):
         h = Homography(scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_z(roll), [0.0, 0.0, 900.0]))
         with pytest.raises(DegenerateView):
-            principal_line(h)
+            only(principal_lines([h], [None]))
     report("principal-line incidence")
 
 
@@ -262,17 +264,17 @@ def test_numerical_hygiene(tmp_path):
         )
         result = calibrate_geometric(views)
         by_id = {v.id: v for v in views}
-        accepted = [by_id[i] for i in result.accepted_ids]
+        stack = _stack_views([by_id[i] for i in result.accepted_ids])
         params = _pack(result.intrinsics.f, result.intrinsics.pp, result.per_view, True)
-        jac = _jacobian(params, accepted, True, result.intrinsics)
+        jac = _cell_jacobian(params, stack, True, result.intrinsics)
         fd = np.empty_like(jac)
         for j in range(len(params)):
             h = 1e-6 * max(1.0, abs(params[j]))
             dp = np.zeros_like(params)
             dp[j] = h
             fd[:, j] = (
-                _residuals(params + dp, accepted, True, result.intrinsics)
-                - _residuals(params - dp, accepted, True, result.intrinsics)
+                _cell_residuals(params + dp, stack, True, result.intrinsics)
+                - _cell_residuals(params - dp, stack, True, result.intrinsics)
             ) / (2 * h)
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4
@@ -315,7 +317,7 @@ def _corrupted_views(rolls, sigma, rng, bad_index=0):
     views, _ = tilted_scene_views(distance=protocol_distance(3000.0), rolls=rolls, sigma=sigma, rng=rng)
     bad = views[bad_index]
     uv = bias_half_board(bad.board_xy, bad.image_uv, du=3.0, dv=0.0, split="y")
-    views[bad_index] = CalibrationView.from_points(bad.id, np.array(bad.board_xy), uv)
+    views[bad_index] = only(views_from_points([bad.id], [np.array(bad.board_xy)], [uv]))
     return views
 
 

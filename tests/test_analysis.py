@@ -21,7 +21,7 @@ from caliblab.analysis import (
     cross_validate,
     spearman,
 )
-from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, refit_view_pose, view_rmse
+from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, _views_rmse, refit_view_poses
 from caliblab.dataset_io import dumps_dataset, loads_dataset
 from caliblab.errors import CaliblabError, MissingPose, TooFewPoints
 from caliblab.geometry import Homography, Point2
@@ -44,8 +44,10 @@ class TestReprojectionRmse:
     def test_zero_for_generating_parameters(self):
         views, truth = tilted_scene_views()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        for view, (rot, t) in zip(views, truth):
-            assert view_rmse(intr, Extrinsics(rot, t), view) < 1e-9
+        poses = [Extrinsics(rot, t) for rot, t in truth]
+        for view, pose in zip(views, poses):
+            assert _views_rmse(intr, [pose], [view]) < 1e-9
+        assert _views_rmse(intr, poses, views) < 1e-9
 
     def test_noise_floor_matches_sigma(self):
         # with the true parameters each residual axis is N(0, sigma), so
@@ -57,7 +59,7 @@ class TestReprojectionRmse:
             rng = np.random.default_rng(seed)
             views, truth = tilted_scene_views(rolls=[30.0], sigma=sigma, rng=rng)
             rot, t = truth[0]
-            values.append(view_rmse(intr, Extrinsics(rot, t), views[0]))
+            values.append(_views_rmse(intr, [Extrinsics(rot, t)], views))
         mean = float(np.mean(values))
         assert 0.8 * sigma * math.sqrt(2.0) <= mean <= 1.2 * sigma * math.sqrt(2.0)
 
@@ -265,7 +267,7 @@ class TestCrossValidate:
 
 
 def per_view_crossval(dataset, method="geometric"):
-    """Unbatched reference for cross_validate: one refit_view_pose call per
+    """Unbatched reference for cross_validate: one refit_view_poses call per
     view, and the first view of a cell whose refit fails voids the entry."""
     poses = dataset.poses()
     matrices, notices = [], []
@@ -282,14 +284,14 @@ def per_view_crossval(dataset, method="geometric"):
                 views = dataset.cells.get((pose_b, setting))
                 if pose_a not in intrinsics or not views:
                     continue
-                try:
-                    rmses = [refit_view_pose(intrinsics[pose_a], view)[1] for view in views]
-                except CaliblabError as err:
+                refits = [refit_view_poses(intrinsics[pose_a], [view]) for view in views]
+                err = next((r.errors[0] for r in refits if r.errors[0] is not None), None)
+                if err is not None:
                     notices.append(
                         f"setting {setting.label_mm} mm: pose refit {pose_a.value}->{pose_b.value} failed: {err}"
                     )
                     continue
-                matrix[a, b] = sum(rmses) / len(rmses)
+                matrix[a, b] = sum(float(r.rmse[0]) for r in refits) / len(refits)
         matrices.append(matrix)
     return matrices, notices
 
@@ -323,6 +325,27 @@ class TestBatchedCrossval:
         assert counts == {18, 27, 54}
         report = self.assert_matches_reference(dataset)
         assert all(np.all(np.isfinite(entry.matrix)) for entry in report.settings)
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # grouping views by corner count and taking medians need no masked
+        # arrays; some numpy versions load numpy.ma with numpy itself
+        src = Path(caliblab.__file__).resolve().parents[1]
+        script = (
+            "import sys, caliblab; eager = 'numpy.ma' in sys.modules\n"
+            "from caliblab import analysis, synth\n"
+            "config = synth.SceneConfig(focal_settings=(synth.FocalSetting(12.0, 3000.0),), noise_sigma_px=0.3)\n"
+            "analysis.cross_validate(synth.generate_dataset(config))\n"
+            "print(eager or 'numpy.ma' not in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_permuted_views(self, rng):
         dataset = self.dataset()

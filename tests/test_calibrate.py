@@ -10,22 +10,21 @@ from caliblab import calibrate
 from caliblab.calibrate import (
     CalibrationResult,
     CalibrationView,
-    Extrinsics,
     Intrinsics,
     _board_points,
-    _jacobian,
+    _cell_jacobian,
+    _cell_residuals,
+    _decompose_homographies,
     _levenberg_marquardt,
     _pack,
     _pose_problem,
-    _residuals,
+    _stack_views,
+    _views_rmse,
     calibrate_algebraic,
     calibrate_geometric,
-    extrinsics_from_homography,
     focal_from_homography,
     refine,
-    refit_view_pose,
     refit_view_poses,
-    view_rmse,
     views_from_points,
 )
 from caliblab.dataset_io import dumps_dataset, dumps_json, loads_dataset
@@ -46,6 +45,7 @@ from caliblab.rotations import rvec_from_rotation
 from conftest import (
     bias_half_board,
     grid_board,
+    only,
     oracle_rot_x,
     oracle_rot_z,
     pinhole_project,
@@ -86,26 +86,25 @@ class TestExtrinsicsFromHomography:
         rot = oracle_rot_z(70.0) @ oracle_rot_x(40.0)
         t = np.array([30.0, -50.0, 1200.0])
         h = Homography(scene_homography(2500.0, (1000.0, 800.0), rot, t))
-        extr = extrinsics_from_homography(h, Intrinsics(2500.0, Point2(1000.0, 800.0)))
-        np.testing.assert_allclose(extr.rot, rot, atol=1e-8)
-        np.testing.assert_allclose(extr.t, t, rtol=1e-8)
+        rots, ts, _ = _decompose_homographies(h.h[None], Intrinsics(2500.0, Point2(1000.0, 800.0)))
+        np.testing.assert_allclose(rots[0], rot, atol=1e-8)
+        np.testing.assert_allclose(ts[0], t, rtol=1e-8)
 
     def test_sign_invariance(self):
         rot = oracle_rot_x(45.0)
         m = scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 0.0, 1000.0])
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
-        a = extrinsics_from_homography(Homography(m), intr)
-        b = extrinsics_from_homography(Homography(-m), intr)
-        np.testing.assert_array_equal(a.rot, b.rot)
-        np.testing.assert_array_equal(a.t, b.t)
+        rots, ts, _ = _decompose_homographies(np.array([Homography(m).h, Homography(-m).h]), intr)
+        np.testing.assert_array_equal(rots[0], rots[1])
+        np.testing.assert_array_equal(ts[0], ts[1])
 
     def test_noisy_views_still_give_exact_rotations(self, board, rng):
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         for _ in range(20):
             views, _ = tilted_scene_views(rolls=[float(rng.uniform(0, 360))], sigma=0.5, rng=rng)
-            extr = extrinsics_from_homography(views[0].homography, intr)
-            assert np.abs(extr.rot.T @ extr.rot - np.eye(3)).max() <= 1e-9
-            assert np.linalg.det(extr.rot) == pytest.approx(1.0, abs=1e-9)
+            (rot,), _, _ = _decompose_homographies(views[0].homography.h[None], intr)
+            assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCalibrateGeometric:
@@ -123,7 +122,7 @@ class TestCalibrateGeometric:
         views, _ = tilted_scene_views()
         bad = views[3]
         uv = bias_half_board(bad.board_xy, bad.image_uv)
-        views[3] = CalibrationView.from_points(bad.id, np.array(bad.board_xy), uv)
+        views[3] = only(views_from_points([bad.id], [np.array(bad.board_xy)], [uv]))
         result = calibrate_geometric(views)
         assert "v3" in result.flags
         assert math.hypot(result.intrinsics.pp.u - 3024.0, result.intrinsics.pp.v - 2012.0) < 0.1
@@ -172,7 +171,7 @@ class TestCalibrateAlgebraic:
         for k, shift in enumerate([(0.0, 0.0), (40.0, 10.0), (-30.0, 25.0)]):
             t = np.array([shift[0], shift[1], 800.0]) - rot @ np.array([center[0], center[1], 0.0])
             uv = pinhole_project(3000.0, (3024.0, 2012.0), rot, t, board)
-            views.append(CalibrationView.from_points(f"v{k}", board, uv))
+            views.append(only(views_from_points([f"v{k}"], [board], [uv])))
         with pytest.raises(DegenerateSystem):
             calibrate_algebraic(views)
 
@@ -200,10 +199,10 @@ class TestRefine:
             accepted_ids=result.accepted_ids,
             pp_estimate=result.pp_estimate,
             focal_samples=result.focal_samples,
-            rmse=view_rmse(
+            rmse=_views_rmse(
                 Intrinsics(result.intrinsics.f * 1.05, result.intrinsics.pp),
-                result.per_view[0],
-                views[0],
+                result.per_view[:1],
+                views[:1],
             ),
             flags=result.flags,
         )
@@ -242,17 +241,17 @@ class TestRefine:
             )
             result = calibrate_geometric(views) if len(views) >= 2 else None
             by_id = {v.id: v for v in views}
-            accepted = [by_id[i] for i in result.accepted_ids]
+            stack = _stack_views([by_id[i] for i in result.accepted_ids])
             params = _pack(result.intrinsics.f, result.intrinsics.pp, result.per_view, True)
-            jac = _jacobian(params, accepted, True, result.intrinsics)
+            jac = _cell_jacobian(params, stack, True, result.intrinsics)
             fd = np.empty_like(jac)
             for j in range(len(params)):
                 h = 1e-6 * max(1.0, abs(params[j]))
                 dp = np.zeros_like(params)
                 dp[j] = h
                 fd[:, j] = (
-                    _residuals(params + dp, accepted, True, result.intrinsics)
-                    - _residuals(params - dp, accepted, True, result.intrinsics)
+                    _cell_residuals(params + dp, stack, True, result.intrinsics)
+                    - _cell_residuals(params - dp, stack, True, result.intrinsics)
                 ) / (2 * h)
             col_scale = np.abs(fd).max(axis=0)
             rel = np.abs(jac - fd).max(axis=0) / col_scale
@@ -261,9 +260,9 @@ class TestRefine:
     def test_pose_only_refit(self):
         views, truth = tilted_scene_views()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        extr, rmse = refit_view_pose(intr, views[0])
-        np.testing.assert_allclose(extr.rot, truth[0][0], atol=1e-7)
-        assert rmse < 1e-7
+        refits = refit_view_poses(intr, views[:1])
+        np.testing.assert_allclose(refits.rot[0], truth[0][0], atol=1e-7)
+        assert refits.rmse[0] < 1e-7
 
 
 class TestBatchedPoseRefit:
@@ -314,16 +313,16 @@ class TestBatchedPoseRefit:
     def test_batch_equals_single_refits(self, rng):
         views, _ = tilted_scene_views(sigma=0.5, rng=rng)
         # a view with fewer corners is solved in a stack of its own
-        short = CalibrationView.from_points("short", views[3].board_xy[:27], views[3].image_uv[:27])
+        short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
         views = [views[5], short, *views[:3]]
         intr = Intrinsics(3010.0, Point2(3030.0, 2000.0))
         refits = refit_view_poses(intr, views)
         assert refits.errors == (None,) * len(views)
         for i, view in enumerate(views):
-            extr, rmse = refit_view_pose(intr, view)
-            np.testing.assert_allclose(refits.rot[i], extr.rot, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(refits.t[i], extr.t, rtol=0.0, atol=1e-9)
-            assert abs(refits.rmse[i] - rmse) <= 1e-12
+            alone = refit_view_poses(intr, [view])
+            np.testing.assert_allclose(refits.rot[i], alone.rot[0], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(refits.t[i], alone.t[0], rtol=0.0, atol=1e-9)
+            assert abs(refits.rmse[i] - alone.rmse[0]) <= 1e-12
 
     @staticmethod
     def break_kernel(monkeypatch, behind, non_finite):
@@ -354,8 +353,8 @@ class TestBatchedPoseRefit:
     def test_single_failed_refit_raises_behind_camera(self, monkeypatch):
         views, _ = tilted_scene_views(rolls=[45.0])
         self.break_kernel(monkeypatch, behind=[0], non_finite=[])
-        with pytest.raises(BehindCamera, match="^view v0: "):
-            refit_view_pose(Intrinsics(3000.0, Point2(3024.0, 2012.0)), views[0])
+        (error,) = refit_view_poses(Intrinsics(3000.0, Point2(3024.0, 2012.0)), views).errors
+        assert isinstance(error, BehindCamera) and str(error).startswith("view v0: ")
 
 
 class TestExtrinsicEdgeCases:
@@ -363,39 +362,18 @@ class TestExtrinsicEdgeCases:
         # board origin in the camera plane: recovered t_z collapses to 0
         rot = oracle_rot_x(45.0)
         h = Homography(scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 800.0, 1e-9]))
-        from caliblab.errors import BehindCamera
-
-        with pytest.raises(BehindCamera):
-            extrinsics_from_homography(h, Intrinsics(1000.0, Point2(500.0, 400.0)))
-
-    def test_empty_view_rejected_by_metric(self):
-        from caliblab.errors import EmptyView
-
-        hollow = CalibrationView(
-            id="empty",
-            homography=Homography(np.eye(3)),
-            principal_line=None,
-            board_xy=np.zeros((0, 2)),
-            image_uv=np.zeros((0, 2)),
-        )
-        intr = Intrinsics(1000.0, Point2(0.0, 0.0))
-        extr = Extrinsics(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(EmptyView):
-            view_rmse(intr, extr, hollow)
+        intr = Intrinsics(1000.0, Point2(500.0, 400.0))
+        _, _, through_center = _decompose_homographies(h.h[None], intr)
+        assert through_center[0]
+        view = CalibrationView("v", h, None, grid_board(), grid_board())
+        assert isinstance(refit_view_poses(intr, [view]).errors[0], BehindCamera)
 
 
 class TestViewRmse:
-    def test_zero_for_ground_truth(self):
-        views, truth = tilted_scene_views()
-        intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        for view, (rot, t) in zip(views, truth):
-            assert view_rmse(intr, Extrinsics(rot, t), view) < 1e-9
-
     def test_positive_after_pp_shift_with_frozen_refit(self):
         views, _ = tilted_scene_views()
         shifted = Intrinsics(3000.0, Point2(3024.0 + 50.0, 2012.0))
-        _, rmse = refit_view_pose(shifted, views[0])
-        assert rmse > 0.05
+        assert refit_view_poses(shifted, views[:1]).rmse[0] > 0.05
 
 
 def reference_homography(board, image):
@@ -507,7 +485,7 @@ class TestStackedViewBuild:
         assert errors == [None] * 5
         assert views[2].principal_line is None
         for view_id, view, b, i in zip(ids, views, boards, images):
-            single = CalibrationView.from_points(view_id, b, i)
+            single = only(views_from_points([view_id], [b], [i]))
             assert view.id == view_id
             assert view.homography.h.tobytes() == single.homography.h.tobytes()
             assert view.board_xy.tobytes() == single.board_xy.tobytes()
@@ -531,7 +509,7 @@ class TestStackedViewBuild:
         assert str(errors[3]) == "view nan: corner coordinates must be finite"
         assert str(errors[4]) == "all points coincide"
         assert "at least 4 corners" in str(errors[5])
-        alone = CalibrationView.from_points("g1", board, good[1].image_uv)
+        alone = only(views_from_points(["g1"], [board], [good[1].image_uv]))
         assert views[2].homography.h.tobytes() == alone.homography.h.tobytes()
 
     @pytest.mark.parametrize(

@@ -184,6 +184,10 @@ class TestCalibrate:
     def test_missing_dataset_exits_2(self, tmp_path):
         assert main(["calibrate", "--dataset", str(tmp_path / "no.json"), "--out-dir", str(tmp_path)]) == 2
 
+    def test_empty_dataset_path_exits_2(self, tmp_path, capsys):
+        assert main(["calibrate", "--dataset", "", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read dataset .: ")
+
     def test_deterministic_outputs(self, dataset_path, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -207,6 +211,7 @@ class TestRunOptions:
             ("--pl-outlier-px", "0", "argument --pl-outlier-px"),
             ("--pl-outlier-px", "-1", "argument --pl-outlier-px"),
             ("--seed", "0", "unrecognized arguments: --seed 0"),
+            ("--no-refine", "1", "unrecognized arguments: --no-refine 1"),
         ],
     )
     @pytest.mark.parametrize("command", ["calibrate", "crossval", "analyze"])
@@ -246,6 +251,13 @@ class TestRunOptions:
         assert detail in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["calibrate", "crossval", "analyze"])
+    def test_empty_dataset_exits_2(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"cells": []}))
+        assert main([command, "--dataset", str(empty), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: dataset has no cells\n"
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_view_id_exits_2(self, dataset_path, tmp_path, capsys):
         data = json.loads(dataset_path.read_text())

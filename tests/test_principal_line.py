@@ -1,10 +1,13 @@
 """Tests for the closed-form symmetry axis and principal-point estimation."""
 
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import caliblab
 from caliblab.errors import (
     AllFlagged,
     AmbiguousDirection,
@@ -19,11 +22,11 @@ from caliblab.principal_line import (
     _loo_distances,
     estimate_pp,
     flag_outlier_lines,
-    principal_line,
+    principal_lines,
 )
 from caliblab.synth import SceneConfig, generate_dataset
 
-from conftest import line_close, oracle_rot_x, oracle_rot_z, scene_homography
+from conftest import line_close, only, oracle_rot_x, oracle_rot_z, scene_homography
 
 
 def tilted_homography(f=1000.0, pp=(500.0, 400.0), tilt=45.0, roll=0.0, dist=1000.0):
@@ -47,20 +50,20 @@ def star_lines(center=(2000.0, 1500.0), n=8, offsets=None):
 
 class TestPrincipalLine:
     def test_pure_x_tilt_gives_vertical_line(self):
-        pl = principal_line(tilted_homography())
+        pl = only(principal_lines([tilted_homography()], [None]))
         assert line_close(pl.line, (1.0, 0.0, -500.0), tol=1e-9)
         assert abs(pl.direction[0]) < 1e-12  # vertical
         assert pl.anchor.u == pytest.approx(500.0, abs=1e-9)
         assert pl.anchor.v == pytest.approx(1400.0, abs=1e-9)
 
     def test_passes_through_pp(self):
-        pl = principal_line(tilted_homography())
+        pl = only(principal_lines([tilted_homography()], [None]))
         assert pl.line.distance(Point2(500.0, 400.0)) < 1e-9 * 1000.0
 
     def test_fronto_parallel_raises(self):
         h = Homography(scene_homography(1000.0, (500.0, 400.0), np.eye(3), [0.0, 0.0, 1000.0]))
         with pytest.raises(DegenerateView):
-            principal_line(h)
+            only(principal_lines([h], [None]))
 
     def test_roll_equivariance(self):
         pp = np.array([500.0, 400.0])
@@ -75,7 +78,7 @@ class TestPrincipalLine:
                 [0.0, 0.0, 1.0],
             ]
         )
-        rolled = principal_line(Homography(g @ base.h))
+        rolled = only(principal_lines([Homography(g @ base.h)], [None]))
         # the base line (1, 0, -500) rotated by 45 degrees about the pp
         expected = np.linalg.inv(g).T @ np.array([1.0, 0.0, -500.0])
         assert line_close(rolled.line, expected, tol=1e-9)
@@ -87,17 +90,17 @@ class TestPrincipalLine:
             pp = (rng.uniform(300.0, 4000.0), rng.uniform(300.0, 3000.0))
             tilt = rng.uniform(20.0, 70.0)
             roll = rng.uniform(0.0, 360.0)
-            pl = principal_line(tilted_homography(f, pp, tilt, roll))
+            pl = only(principal_lines([tilted_homography(f, pp, tilt, roll)], [None]))
             assert pl.line.distance(Point2(*pp)) < 1e-9 * f
 
     def test_direction_follows_board_normal(self, rng):
         # pure tilt about the image x axis keeps the axis vertical
         for tilt in rng.uniform(10.0, 80.0, size=20):
-            pl = principal_line(tilted_homography(tilt=float(tilt)))
+            pl = only(principal_lines([tilted_homography(tilt=float(tilt))], [None]))
             assert abs(pl.direction[0]) < 1e-9
 
     def test_anchor_on_line_invariant(self):
-        pl = principal_line(tilted_homography(roll=123.0))
+        pl = only(principal_lines([tilted_homography(roll=123.0)], [None]))
         assert pl.line.distance(pl.anchor) < 1e-9 * max(1.0, abs(pl.anchor.u), abs(pl.anchor.v))
 
     def test_from_line_helper(self):
@@ -256,4 +259,12 @@ class TestAmbiguousDirection:
             ]
         )
         with pytest.raises(AmbiguousDirection):
-            principal_line(Homography(m))
+            only(principal_lines([Homography(m)], [None]))
+
+
+def test_package_exports_do_not_shadow_submodules():
+    import caliblab.principal_line as module
+
+    assert inspect.ismodule(module)
+    submodules = {info.name for info in pkgutil.iter_modules(caliblab.__path__)}
+    assert not submodules & set(caliblab.__all__)

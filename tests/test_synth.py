@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, project_points
+from caliblab.calibrate import Extrinsics, Intrinsics, views_from_points
 from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
-from caliblab.principal_line import principal_line
+from caliblab.principal_line import principal_lines
 from caliblab.rotations import rot_x, rot_y, rot_z
 from caliblab.synth import (
     CAMERA_PRESETS,
@@ -22,12 +22,11 @@ from caliblab.synth import (
     SceneConfig,
     generate_cell,
     generate_dataset,
-    generate_view,
     mix_seed,
     true_pp,
 )
 
-from conftest import pinhole_project
+from conftest import only, pinhole_project
 
 
 def small_config(**overrides):
@@ -112,7 +111,7 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        view, extr = generate_view(config, PoseLabel.DOWN, setting, 45.0, rng)
+        (view,), (extr,) = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
         uv = pinhole_project(setting.f_px, (pp.u, pp.v), extr.rot, extr.t, view.board_xy)
         assert np.abs(uv - view.image_uv).max() < 1e-9
@@ -121,8 +120,7 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        _, e0 = generate_view(config, PoseLabel.DOWN, setting, 0.0, rng)
-        _, e90 = generate_view(config, PoseLabel.DOWN, setting, 90.0, rng)
+        _, (e0, e90) = generate_cell(config, PoseLabel.DOWN, setting, [0.0, 90.0], [rng, rng])
         rel = e90.rot @ e0.rot.T
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(rel, expected, atol=1e-12)
@@ -131,8 +129,8 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        view, _ = generate_view(config, PoseLabel.DOWN, setting, 45.0, rng)
-        pl = principal_line(view.homography)
+        (view,), _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
+        pl = only(principal_lines([view.homography], [None]))
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
         assert pl.line.distance(pp) < 1e-6
 
@@ -140,8 +138,8 @@ class TestGenerateView:
         config = small_config(noise_sigma_px=0.5)
         rng = np.random.default_rng(1)
         for setting in config.focal_settings:
-            for roll in config.rolls:
-                view, _ = generate_view(config, PoseLabel.DOWN, setting, roll, rng)
+            views, _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls, [rng] * len(config.rolls))
+            for view in views:
                 assert np.all(view.image_uv[:, 0] >= 0)
                 assert np.all(view.image_uv[:, 0] <= config.image_width)
                 assert np.all(view.image_uv[:, 1] >= 0)
@@ -153,7 +151,7 @@ class TestGenerateView:
         config = small_config(noise_sigma_px=400.0)
         rng = np.random.default_rng(0)
         with pytest.raises(BoardOutOfView):
-            generate_view(config, PoseLabel.DOWN, config.focal_settings[0], 0.0, rng)
+            generate_cell(config, PoseLabel.DOWN, config.focal_settings[0], [0.0], [rng])
 
 
 class TestGenerateDataset:
@@ -219,7 +217,6 @@ def reference_view(config, pose, setting, roll_deg, rng):
     Also returns how many times the distance was grown."""
     setting_index = config.focal_settings.index(setting)
     pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
-    intr = Intrinsics(setting.f_px, pp)
     board = config.board_grid()
     center = board.mean(axis=0)
     tilt = config.drift.pose_tilt_deg
@@ -246,7 +243,7 @@ def reference_view(config, pose, setting, roll_deg, rng):
     for retries in range(6):
         t = distance * aim - rot @ center3
         extr = Extrinsics(rot, t)
-        uv = project_points(intr, extr, board)
+        uv = pinhole_project(setting.f_px, (pp.u, pp.v), extr.rot, extr.t, board)
         if (
             np.all(uv[:, 0] >= margin)
             and np.all(uv[:, 0] <= config.image_width - margin)
@@ -260,7 +257,7 @@ def reference_view(config, pose, setting, roll_deg, rng):
     if config.noise_sigma_px > 0.0:
         uv = uv + rng.normal(0.0, config.noise_sigma_px, size=uv.shape)
     view_id = f"{pose.value}-s{setting_index}-r{roll_deg:g}"
-    return CalibrationView.from_points(view_id, board, uv), extr, retries
+    return only(views_from_points([view_id], [board], [uv])), extr, retries
 
 
 def reference_dataset(config):
@@ -327,7 +324,9 @@ class TestStackedSynthesis:
         # at f = 700 px the first placements put board corners behind the
         # camera; growing the distance brings the whole board in front
         config = small_config(focal_settings=(FocalSetting(1.0, 700.0),))
-        view, extr = generate_view(config, PoseLabel.DOWN, config.focal_settings[0], 30.0, np.random.default_rng(0))
+        (view,), (extr,) = generate_cell(
+            config, PoseLabel.DOWN, config.focal_settings[0], [30.0], [np.random.default_rng(0)]
+        )
         cam_z = (np.column_stack([view.board_xy, np.zeros(len(view.board_xy))]) @ extr.rot.T + extr.t)[:, 2]
         assert cam_z.min() > 0.0
         assert view.image_uv.min() >= 1.0
@@ -335,16 +334,6 @@ class TestStackedSynthesis:
         config = small_config(focal_settings=(FocalSetting(1.0, 10.0),))
         with pytest.raises(BoardOutOfView, match="roll 0.0"):
             generate_dataset(config)
-
-    def test_generate_view_is_a_cell_of_one_roll(self):
-        config = small_config(noise_sigma_px=0.5)
-        setting = config.focal_settings[1]
-        view, extr = generate_view(config, PoseLabel.DOWN, setting, 90.0, np.random.default_rng(3))
-        ref_view, ref_extr, _ = reference_view(config, PoseLabel.DOWN, setting, 90.0, np.random.default_rng(3))
-        assert view.id == ref_view.id
-        assert view.image_uv.tobytes() == ref_view.image_uv.tobytes()
-        assert extr.rot.tobytes() == ref_extr.rot.tobytes()
-        assert extr.t.tobytes() == ref_extr.t.tobytes()
 
 
 class TestConfig:
