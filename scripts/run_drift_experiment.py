@@ -5,7 +5,8 @@ Simulates a full dataset for one camera preset, calibrates every
 (pose, focal setting) cell, and prints the recovered principal-point
 trajectory against the injected one. Writes the full report bundles
 (CSV, SVG, JSON) for both calibration methods plus the trajectory and
-cross-validation analyses into the output directory.
+cross-validation analyses into the output directory. Exits with the
+first non-zero CLI exit code, or 0 when every command succeeds.
 
 Usage:
     python scripts/run_drift_experiment.py [--camera cam1] [--seed 0]
@@ -14,6 +15,7 @@ Usage:
 
 import argparse
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from caliblab.principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
 
 
-def run(camera: str, seed: int, noise: float, out_dir: Path) -> None:
+def run(camera: str, seed: int, noise: float, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = replace(SceneConfig.for_camera(camera), rng_seed=seed, noise_sigma_px=noise)
 
@@ -51,14 +53,18 @@ def run(camera: str, seed: int, noise: float, out_dir: Path) -> None:
         f"(injected {config.drift.drift_total:.0f})"
     )
 
+    codes = []
     for method in ("geometric", "algebraic"):
         code = cli_main(
             ["calibrate", "--dataset", str(dataset_path), "--out-dir", str(out_dir / method), "--method", method]
         )
         print(f"calibrate [{method}]: exit {code} -> {out_dir / method}")
+        codes.append(code)
     for command in ("analyze", "crossval"):
         code = cli_main([command, "--dataset", str(dataset_path), "--out-dir", str(out_dir / command)])
         print(f"{command}: exit {code} -> {out_dir / command}")
+        codes.append(code)
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":
@@ -68,4 +74,4 @@ if __name__ == "__main__":
     parser.add_argument("--noise", type=float, default=0.5)
     parser.add_argument("--out-dir", type=Path, default=Path("out/drift"))
     args = parser.parse_args()
-    run(args.camera, args.seed, args.noise, args.out_dir)
+    sys.exit(run(args.camera, args.seed, args.noise, args.out_dir))

@@ -16,7 +16,6 @@ from .analysis import (
 from .calibrate import (
     CalibrationResult,
     CalibrationView,
-    Extrinsics,
     Intrinsics,
     PoseRefits,
     calibrate_algebraic,

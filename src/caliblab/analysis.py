@@ -10,8 +10,6 @@ import numpy as np
 
 from .calibrate import (
     CalibrationResult,
-    CalibrationView,
-    Extrinsics,
     Intrinsics,
     calibrate_algebraic,
     calibrate_geometric,

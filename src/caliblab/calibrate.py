@@ -62,32 +62,6 @@ class Intrinsics:
 
 
 @dataclass(frozen=True, eq=False)
-class Extrinsics:
-    """Rigid pose of the board relative to the camera."""
-
-    rot: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.rot, dtype=float)
-        t = np.array(self.t, dtype=float)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError("extrinsics need a 3x3 rotation and a 3-vector translation")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("extrinsics must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
-            raise ValueError("rotation is not orthonormal to 1e-9")
-        if np.linalg.det(r) < 0.0:
-            raise ValueError("rotation must be proper (det = +1)")
-        if t[2] <= 0.0:
-            raise ValueError(f"board must lie in front of the camera, got t_z = {t[2]}")
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rot", r)
-        object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True, eq=False)
 class CalibrationView:
     """One board observation: matching (n, 2) board and image corner
     arrays, their homography, and (when the view has perspective) its
@@ -154,11 +128,15 @@ def views_from_points(
     return views, errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
+    """Intrinsics of a cell and the pose of each accepted view: row i of
+    rot (V, 3, 3) and t (V, 3) belongs to view accepted_ids[i]."""
+
     method: str
     intrinsics: Intrinsics
-    per_view: tuple[Extrinsics, ...]
+    rot: np.ndarray
+    t: np.ndarray
     accepted_ids: tuple[str, ...]
     pp_estimate: PPEstimate | None
     focal_samples: tuple[float, ...]
@@ -180,11 +158,11 @@ def _project(f, u0, v0, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tupl
     return cam, f * cam[..., :2] / cam[..., 2:3] + np.array([u0, v0])
 
 
-def _views_rmse(intr: Intrinsics, extrs: Sequence[Extrinsics], views: Sequence[CalibrationView]) -> float:
+def _views_rmse(intr: Intrinsics, rot: np.ndarray, t: np.ndarray, views: Sequence[CalibrationView]) -> float:
     sq = 0.0
     n = 0
-    for extr, view in zip(extrs, views):
-        _, uv = _project(intr.f, intr.pp.u, intr.pp.v, extr.rot, extr.t, _board_points(view.board_xy))
+    for view_rot, view_t, view in zip(rot, t, views):
+        _, uv = _project(intr.f, intr.pp.u, intr.pp.v, view_rot, view_t, _board_points(view.board_xy))
         d = uv - view.image_uv
         sq += float(np.sum(d * d))
         n += len(d)
@@ -248,22 +226,17 @@ def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarra
 
 def _decompose_views(
     views: Sequence[CalibrationView], intr: Intrinsics
-) -> tuple[list[CalibrationView], list[Extrinsics], list[str]]:
+) -> tuple[list[CalibrationView], np.ndarray, np.ndarray, list[str]]:
     """Decompose every view's homography: the views with a usable pose,
-    their poses, and the ids of the views whose board plane passes
-    through the camera center. Raises InsufficientViews when fewer than
-    2 views keep a pose."""
-    rots, ts, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
-    kept, poses, flagged = [], [], []
-    for view, rot, t, bad in zip(views, rots, ts, through_center):
-        if bad:
-            flagged.append(view.id)
-        else:
-            kept.append(view)
-            poses.append(Extrinsics(rot, t))
+    their rotations (V, 3, 3) and translations (V, 3), and the ids of the
+    views whose board plane passes through the camera center. Raises
+    InsufficientViews when fewer than 2 views keep a pose."""
+    rot, t, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
+    kept = [view for view, bad in zip(views, through_center) if not bad]
+    flagged = [view.id for view, bad in zip(views, through_center) if bad]
     if len(kept) < 2:
         raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
-    return kept, poses, flagged
+    return kept, rot[~through_center], t[~through_center], flagged
 
 
 def _median(values: Sequence[float]) -> float:
@@ -315,17 +288,18 @@ def calibrate_geometric(
         raise NoFocalEstimate("all per-view focal constraints were degenerate")
 
     intr = Intrinsics(_median(samples), pp_est.pp)
-    kept, per_view, flagged = _decompose_views(accepted, intr)
+    kept, rot, t, flagged = _decompose_views(accepted, intr)
     flags.extend(flagged)
 
     return CalibrationResult(
         method="geometric",
         intrinsics=intr,
-        per_view=tuple(per_view),
+        rot=rot,
+        t=t,
         accepted_ids=tuple(v.id for v in kept),
         pp_estimate=pp_est,
         focal_samples=tuple(samples),
-        rmse=_views_rmse(intr, per_view, kept),
+        rmse=_views_rmse(intr, rot, t, kept),
         flags=tuple(flags),
     )
 
@@ -400,25 +374,25 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
         pp=Point2(u0 * spread + center[0], v0 * spread + center[1]),
     )
 
-    kept, per_view, flags = _decompose_views(views, intr)
+    kept, rot, t, flags = _decompose_views(views, intr)
     samples = [f for view in kept for f in focal_from_homography(view.homography, intr.pp)]
 
     return CalibrationResult(
         method="algebraic",
         intrinsics=intr,
-        per_view=tuple(per_view),
+        rot=rot,
+        t=t,
         accepted_ids=tuple(v.id for v in kept),
         pp_estimate=None,
         focal_samples=tuple(samples),
-        rmse=_views_rmse(intr, per_view, kept),
+        rmse=_views_rmse(intr, rot, t, kept),
         flags=tuple(flags),
         diagnostics={"skew_px": gamma * spread, "aspect_ratio": beta / alpha},
     )
 
 
-def _pack(f: float, pp: Point2, poses: Sequence[Extrinsics], fit_intrinsics: bool) -> np.ndarray:
-    rvecs = rvec_from_rotation(np.array([extr.rot for extr in poses]))
-    body = np.concatenate([rvecs, np.array([extr.t for extr in poses])], axis=1).ravel()
+def _pack(f: float, pp: Point2, rot: np.ndarray, t: np.ndarray, fit_intrinsics: bool) -> np.ndarray:
+    body = np.concatenate([rvec_from_rotation(rot), t], axis=1).ravel()
     return np.concatenate([[f, pp.u, pp.v], body]) if fit_intrinsics else body
 
 
@@ -605,17 +579,15 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> Calib
     stack = _stack_views(accepted)
     intr0 = result.intrinsics
     params, cost, converged, iters = _levenberg_marquardt(
-        _pack(intr0.f, intr0.pp, result.per_view, fit_intrinsics=True)[None],
+        _pack(intr0.f, intr0.pp, result.rot, result.t, fit_intrinsics=True)[None],
         lambda p, rows: _cell_residuals(p[0], stack, True, intr0)[None],
         lambda p, rows: _cell_jacobian(p[0], stack, True, intr0)[None],
     )
     f, u0, v0, poses = _unpack(params[0], True, intr0)
-    rots = rodrigues(poses[:, :3])
-    for view, usable in zip(accepted, _usable_poses(rots, poses[:, 3:])):
+    rot, t = rodrigues(poses[:, :3]), poses[:, 3:]
+    for view, usable in zip(accepted, _usable_poses(rot, t)):
         if not usable:
             raise BehindCamera(f"view {view.id}: refined pose is not finite or lies behind the camera")
-    intr = Intrinsics(f, Point2(u0, v0))
-    per_view = tuple(Extrinsics(rot, t) for rot, t in zip(rots, poses[:, 3:]))
     n_res = sum(len(v.board_xy) for v in accepted)
     diagnostics = dict(result.diagnostics)
     diagnostics.update(
@@ -623,8 +595,9 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> Calib
     )
     return CalibrationResult(
         method="refined",
-        intrinsics=intr,
-        per_view=per_view,
+        intrinsics=Intrinsics(f, Point2(u0, v0)),
+        rot=rot,
+        t=t,
         accepted_ids=result.accepted_ids,
         pp_estimate=result.pp_estimate,
         focal_samples=result.focal_samples,

@@ -252,14 +252,9 @@ def cmd_analyze(args) -> int:
         except TooFewPoints:
             trajectory = None
     if trajectory is not None:
-        prev = None
-        for (index, res) in down_series:
+        for (index, res), (du, dv) in zip(down_series, [(None, None), *trajectory.per_step]):
             pp = res.intrinsics.pp
-            step = (pp.u - prev.u, pp.v - prev.v) if prev else (None, None)
-            trajectory_rows.append(
-                [index, settings[index].label_mm, pp.u, pp.v, step[0], step[1]]
-            )
-            prev = pp
+            trajectory_rows.append([index, settings[index].label_mm, pp.u, pp.v, du, dv])
         summary["trajectory"] = {
             "direction_deg": trajectory.direction_deg,
             "monotonicity": trajectory.monotonicity,

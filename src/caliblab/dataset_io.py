@@ -11,8 +11,9 @@ Layout:
 
 Floats are written as decimals with 9 significant digits, corners row
 major from the board origin, ground-truth rotations as axis-angle
-vectors (rebuilt into exact rotations on read). Writing is deterministic,
-so write -> read -> write round trips byte for byte.
+vectors. Ground truth is read back in that stored form (axis-angle
+vectors and translations) and writing is deterministic, so write -> read
+-> write round trips byte for byte.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Any
 
 import numpy as np
 
-from .calibrate import CalibrationView, Extrinsics, Intrinsics, views_from_points
+from .calibrate import CalibrationView, Intrinsics, views_from_points
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Point2
-from .rotations import rodrigues, rvec_from_rotation
 from .synth import Dataset, FocalSetting, PoseLabel
 
 _FALLBACK_PITCH_UM = 4.0
@@ -74,18 +74,6 @@ def dumps_json(node: Any) -> str:
     return "".join(out)
 
 
-def _rvecs_for_write(extrs) -> list:
-    """Axis-angle vectors to serialize for a cell's poses.
-
-    Poses loaded from a file keep their parsed axis-angle verbatim, so a
-    write -> read -> write cycle reproduces the file byte for byte; the
-    log map (one stacked call per cell) is used for freshly generated poses.
-    """
-    fresh = rvec_from_rotation(np.array([e.rot for e in extrs]).reshape(-1, 3, 3))
-    cached = [getattr(e, "_rvec_cache", None) for e in extrs]
-    return [rvec if c is None else c for rvec, c in zip(fresh, cached)]
-
-
 def _view_node(view: CalibrationView) -> dict:
     corners = [
         {"x_mm": x, "y_mm": y, "u_px": u, "v_px": v}
@@ -104,18 +92,12 @@ def dataset_to_node(dataset: Dataset) -> dict:
             "views": [_view_node(v) for v in views],
         }
         if dataset.ground_truth and (pose, setting) in dataset.ground_truth:
-            intr, extrs = dataset.ground_truth[(pose, setting)]
+            intr, rvec, t = dataset.ground_truth[(pose, setting)]
             node["ground_truth"] = {
                 "f_px": float(intr.f),
                 "pp_u_px": float(intr.pp.u),
                 "pp_v_px": float(intr.pp.v),
-                "views": [
-                    {
-                        "rvec": [float(x) for x in rvec],
-                        "t_mm": [float(x) for x in e.t],
-                    }
-                    for rvec, e in zip(_rvecs_for_write(extrs), extrs)
-                ],
+                "views": [{"rvec": r, "t_mm": shift} for r, shift in zip(rvec.tolist(), t.tolist())],
             }
         cells.append(node)
     return {"camera_id": dataset.camera_id, "cells": cells}
@@ -155,17 +137,21 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
         if "ground_truth" in node:
             g = node["ground_truth"]
             intr = Intrinsics(float(g["f_px"]), Point2(float(g["pp_u_px"]), float(g["pp_v_px"])))
-            rvecs = [tuple(float(x) for x in e["rvec"]) for e in g["views"]]
-            if any(len(rvec) != 3 for rvec in rvecs):
+            rvec = [np.array(e["rvec"], dtype=float) for e in g["views"]]
+            t = [np.array(e["t_mm"], dtype=float) for e in g["views"]]
+            if any(r.shape != (3,) for r in rvec):
                 raise ValueError("a ground-truth rvec needs 3 components")
-            extrs = []
-            for e, rvec, rot in zip(g["views"], rvecs, rodrigues(np.array(rvecs).reshape(-1, 3))):
-                extr = Extrinsics(rot, np.array(e["t_mm"], dtype=float))
-                object.__setattr__(extr, "_rvec_cache", rvec)
-                extrs.append(extr)
-            if len(extrs) != len(views):
+            if any(shift.shape != (3,) for shift in t):
+                raise ValueError("a ground-truth t_mm must be a 3-vector translation")
+            rvec, t = np.array(rvec).reshape(-1, 3), np.array(t).reshape(-1, 3)
+            if not (np.all(np.isfinite(rvec)) and np.all(np.isfinite(t))):
+                raise ValueError("ground-truth poses must be finite")
+            behind = np.flatnonzero(t[:, 2] <= 0.0)
+            if behind.size:
+                raise ValueError(f"board must lie in front of the camera, got t_z = {t[behind[0], 2]}")
+            if len(t) != len(views):
                 raise ValueError("ground truth view count does not match the cell's views")
-            truth = (intr, tuple(extrs))
+            truth = (intr, rvec, t)
     except KeyError as err:
         raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
     except (TypeError, ValueError, DegenerateConfiguration) as err:

@@ -10,6 +10,7 @@ import json
 import os
 from pathlib import Path
 
+from .errors import ConfigError
 from .synth import PoseLabel
 
 CALIBRATION_CSV_HEADER = [
@@ -59,12 +60,19 @@ _POSE_COLOR = {"DOWN": "#808080", "N": "#d62728", "W": "#1f77b4", "E": "#2ca02c"
 
 
 def atomic_write(path, text: str) -> None:
+    """Write through a temp file and a rename. A path that cannot be
+    written raises ConfigError and leaves no temp file behind."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = path.parent / (path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as err:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def fmt(x) -> str:

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationView, Extrinsics, Intrinsics, _board_points, _project, views_from_points
+from .calibrate import CalibrationView, Intrinsics, _board_points, _project, views_from_points
 from .errors import BoardOutOfView, ConfigError
 from .geometry import Point2
-from .rotations import rot_x, rot_y, rot_z
+from .rotations import rot_x, rot_y, rot_z, rvec_from_rotation
 
 _MASK64 = (1 << 64) - 1
 
@@ -267,14 +267,16 @@ class SceneConfig:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Views and (for synthetic data) ground truth, one cell per
-    (pose, focal setting)."""
+    (pose, focal setting). A cell's ground truth is its intrinsics and
+    the board poses of its views in the form the dataset file stores:
+    axis-angle rvec (V, 3) and translation t (V, 3), row i for view i."""
 
     camera_id: str
     cells: dict[tuple[PoseLabel, FocalSetting], tuple[CalibrationView, ...]]
-    ground_truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, tuple[Extrinsics, ...]]] | None
+    ground_truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] | None
 
     def poses(self) -> list[PoseLabel]:
         seen = []
@@ -313,9 +315,10 @@ def generate_cell(
     setting: FocalSetting,
     rolls: Sequence[float],
     rngs: Sequence[np.random.Generator],
-) -> tuple[tuple[CalibrationView, ...], tuple[Extrinsics, ...]]:
+) -> tuple[tuple[CalibrationView, ...], np.ndarray, np.ndarray]:
     """Synthetic views of one (pose, setting) cell, one per roll, plus
-    their ground-truth poses; rngs[i] draws the noise of roll i.
+    their ground-truth rotations (V, 3, 3) and translations (V, 3);
+    rngs[i] draws the noise of roll i.
 
     The board is tilted by the dihedral angle, rolled about the optical
     axis, and placed so its center projects to the image center at a
@@ -393,15 +396,15 @@ def generate_cell(
     for err in errors:
         if err is not None:
             raise err
-    return tuple(views), tuple(Extrinsics(rot, shift) for rot, shift in zip(rots, t))
+    return tuple(views), rots, t
 
 
 def generate_dataset(config: SceneConfig) -> Dataset:
     """Full dataset over poses x settings x rolls, reproducible from the
     configured seed. Each cell carries its ground-truth intrinsics and
-    per-view extrinsics."""
+    per-view axis-angle rvec and translation t."""
     cells: dict[tuple[PoseLabel, FocalSetting], tuple[CalibrationView, ...]] = {}
-    truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, tuple[Extrinsics, ...]]] = {}
+    truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] = {}
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
             rngs = [
@@ -409,7 +412,7 @@ def generate_dataset(config: SceneConfig) -> Dataset:
                 for roll_index in range(len(config.rolls))
             ]
             try:
-                views, extrs = generate_cell(config, pose, setting, config.rolls, rngs)
+                views, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
             except BoardOutOfView as err:
                 raise BoardOutOfView(
                     f"cell (pose {pose.value}, setting {setting.label_mm} mm): {err}"
@@ -419,7 +422,7 @@ def generate_dataset(config: SceneConfig) -> Dataset:
                 true_pp(config.drift, setting_index, len(config.focal_settings), pose),
             )
             cells[(pose, setting)] = views
-            truth[(pose, setting)] = (intr, extrs)
+            truth[(pose, setting)] = (intr, rvec_from_rotation(rot), t)
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth)
 
 

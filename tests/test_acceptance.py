@@ -69,7 +69,7 @@ def test_exact_recovery_oracle():
     dataset = generate_dataset(config)
     assert dataset.n_views() == 224
     for (pose, setting), views in dataset.cells.items():
-        intr_gt, _ = dataset.ground_truth[(pose, setting)]
+        intr_gt, _, _ = dataset.ground_truth[(pose, setting)]
         geo = calibrate_geometric(views)
         assert math.hypot(geo.intrinsics.pp.u - intr_gt.pp.u, geo.intrinsics.pp.v - intr_gt.pp.v) < 0.01
         assert abs(geo.intrinsics.f - intr_gt.f) / intr_gt.f < 1e-4
@@ -265,7 +265,7 @@ def test_numerical_hygiene(tmp_path):
         result = calibrate_geometric(views)
         by_id = {v.id: v for v in views}
         stack = _stack_views([by_id[i] for i in result.accepted_ids])
-        params = _pack(result.intrinsics.f, result.intrinsics.pp, result.per_view, True)
+        params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t, True)
         jac = _cell_jacobian(params, stack, True, result.intrinsics)
         fd = np.empty_like(jac)
         for j in range(len(params)):
@@ -278,9 +278,9 @@ def test_numerical_hygiene(tmp_path):
             ) / (2 * h)
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4
-        for extr in result.per_view:
-            assert np.abs(extr.rot.T @ extr.rot - np.eye(3)).max() <= 1e-9
-            assert abs(np.linalg.det(extr.rot) - 1.0) < 1e-9
+        for rot in result.rot:
+            assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
+            assert abs(np.linalg.det(rot) - 1.0) < 1e-9
 
     scene = {
         "camera": "cam1",

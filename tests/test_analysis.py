@@ -21,7 +21,7 @@ from caliblab.analysis import (
     cross_validate,
     spearman,
 )
-from caliblab.calibrate import CalibrationView, Extrinsics, Intrinsics, _views_rmse, refit_view_poses
+from caliblab.calibrate import CalibrationView, Intrinsics, _views_rmse, refit_view_poses
 from caliblab.dataset_io import dumps_dataset, loads_dataset
 from caliblab.errors import CaliblabError, MissingPose, TooFewPoints
 from caliblab.geometry import Homography, Point2
@@ -44,10 +44,11 @@ class TestReprojectionRmse:
     def test_zero_for_generating_parameters(self):
         views, truth = tilted_scene_views()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        poses = [Extrinsics(rot, t) for rot, t in truth]
-        for view, pose in zip(views, poses):
-            assert _views_rmse(intr, [pose], [view]) < 1e-9
-        assert _views_rmse(intr, poses, views) < 1e-9
+        rot = np.array([r for r, _ in truth])
+        t = np.array([shift for _, shift in truth])
+        for i, view in enumerate(views):
+            assert _views_rmse(intr, rot[i : i + 1], t[i : i + 1], [view]) < 1e-9
+        assert _views_rmse(intr, rot, t, views) < 1e-9
 
     def test_noise_floor_matches_sigma(self):
         # with the true parameters each residual axis is N(0, sigma), so
@@ -59,7 +60,7 @@ class TestReprojectionRmse:
             rng = np.random.default_rng(seed)
             views, truth = tilted_scene_views(rolls=[30.0], sigma=sigma, rng=rng)
             rot, t = truth[0]
-            values.append(_views_rmse(intr, [Extrinsics(rot, t)], views))
+            values.append(_views_rmse(intr, rot[None], t[None], views))
         mean = float(np.mean(values))
         assert 0.8 * sigma * math.sqrt(2.0) <= mean <= 1.2 * sigma * math.sqrt(2.0)
 

@@ -141,8 +141,8 @@ class TestCalibrateGeometric:
     def test_rotations_stay_orthonormal_under_noise(self, rng):
         views, _ = tilted_scene_views(sigma=1.0, rng=rng)
         result = calibrate_geometric(views)
-        for extr in result.per_view:
-            assert np.abs(extr.rot.T @ extr.rot - np.eye(3)).max() <= 1e-9
+        for rot in result.rot:
+            assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
 
     def test_median_aggregation_robust(self):
         views, _ = tilted_scene_views()
@@ -152,6 +152,45 @@ class TestCalibrateGeometric:
         samples = [f for fs in per_view for f in fs]
         corrupted = [f * 2.0 for f in per_view[0]] + [f for fs in per_view[1:] for f in fs]
         assert abs(np.median(corrupted) - np.median(samples)) / np.median(samples) < 0.01
+
+
+class TestGeometricEquivariance:
+    """Camera-model properties of the geometric route on noisy cam1 cells.
+    The algebraic conic system is only scale invariant to about 1e-3 px,
+    so it is not covered."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        return list(generate_dataset(SceneConfig.for_camera("cam1", rng_seed=256, noise_sigma_px=0.5)).cells.values())
+
+    @staticmethod
+    def assert_same_intrinsics(a, b):
+        assert math.hypot(a.intrinsics.pp.u - b.intrinsics.pp.u, a.intrinsics.pp.v - b.intrinsics.pp.v) < 1e-8
+        assert abs(a.intrinsics.f - b.intrinsics.f) <= 1e-12 * b.intrinsics.f
+
+    def test_board_units_scale_translations_only(self, cells):
+        for views in cells:
+            base = calibrate_geometric(views)
+            rebuilt, errors = views_from_points(
+                [v.id for v in views], [2.5 * v.board_xy for v in views], [v.image_uv for v in views]
+            )
+            assert errors == [None] * len(views)
+            scaled = calibrate_geometric(rebuilt)
+            self.assert_same_intrinsics(scaled, base)
+            assert scaled.accepted_ids == base.accepted_ids
+            np.testing.assert_allclose(scaled.rot, base.rot, rtol=0.0, atol=1e-12)
+            assert np.abs(scaled.t - 2.5 * base.t).max() <= 1e-12 * np.abs(2.5 * base.t).max()
+
+    def test_view_order_only_reorders_poses(self, cells):
+        rng = np.random.default_rng(0)
+        for views in cells:
+            base = calibrate_geometric(views)
+            permuted = calibrate_geometric([views[i] for i in rng.permutation(len(views))])
+            self.assert_same_intrinsics(permuted, base)
+            assert sorted(permuted.accepted_ids) == sorted(base.accepted_ids)
+            rows = [base.accepted_ids.index(view_id) for view_id in permuted.accepted_ids]
+            np.testing.assert_allclose(permuted.rot, base.rot[rows], rtol=0.0, atol=1e-12)
+            assert np.abs(permuted.t - base.t[rows]).max() <= 1e-12 * np.abs(base.t).max()
 
 
 class TestCalibrateAlgebraic:
@@ -195,13 +234,15 @@ class TestRefine:
         start = CalibrationResult(
             method=result.method,
             intrinsics=Intrinsics(result.intrinsics.f * 1.05, result.intrinsics.pp),
-            per_view=result.per_view,
+            rot=result.rot,
+            t=result.t,
             accepted_ids=result.accepted_ids,
             pp_estimate=result.pp_estimate,
             focal_samples=result.focal_samples,
             rmse=_views_rmse(
                 Intrinsics(result.intrinsics.f * 1.05, result.intrinsics.pp),
-                result.per_view[:1],
+                result.rot[:1],
+                result.t[:1],
                 views[:1],
             ),
             flags=result.flags,
@@ -242,7 +283,7 @@ class TestRefine:
             result = calibrate_geometric(views) if len(views) >= 2 else None
             by_id = {v.id: v for v in views}
             stack = _stack_views([by_id[i] for i in result.accepted_ids])
-            params = _pack(result.intrinsics.f, result.intrinsics.pp, result.per_view, True)
+            params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t, True)
             jac = _cell_jacobian(params, stack, True, result.intrinsics)
             fd = np.empty_like(jac)
             for j in range(len(params)):

@@ -232,8 +232,27 @@ class TestRunOptions:
             (lambda cell: cell["views"][1]["corners"][5].update(v_px=float("nan")), True, "must be finite"),
             (lambda cell: [c.update(y_mm=0.0) for c in cell["views"][1]["corners"]], True, "rank deficient"),
             (lambda cell: cell["ground_truth"]["views"][1].update(rvec=[0.1, 0.2]), "truth", "3 components"),
+            (lambda cell: cell["ground_truth"]["views"][1]["rvec"].__setitem__(0, float("nan")), "truth", "finite"),
+            (lambda cell: cell["ground_truth"]["views"][1]["t_mm"].__setitem__(0, float("inf")), "truth", "finite"),
+            (lambda cell: cell["ground_truth"]["views"][1].update(t_mm=[0.0, 800.0]), "truth", "3-vector"),
+            (lambda cell: cell["ground_truth"]["views"][1].update(t_mm=None), "truth", "3-vector"),
+            (lambda cell: cell["ground_truth"]["views"][1]["t_mm"].__setitem__(2, -5.0), "truth", "t_z = -5.0"),
+            (lambda cell: cell["ground_truth"]["views"][1]["t_mm"].__setitem__(2, 0.0), "truth", "t_z = 0.0"),
         ],
-        ids=["missing-u", "null-focal-label", "three-corners", "nan-corner", "collinear-board", "short-rvec"],
+        ids=[
+            "missing-u",
+            "null-focal-label",
+            "three-corners",
+            "nan-corner",
+            "collinear-board",
+            "short-rvec",
+            "nan-rvec",
+            "inf-t",
+            "short-t",
+            "null-t",
+            "t-z-negative",
+            "t-z-zero",
+        ],
     )
     def test_malformed_dataset_exits_2(self, dataset_path, tmp_path, capsys, mutate, in_view, detail):
         data = json.loads(dataset_path.read_text())
@@ -258,6 +277,28 @@ class TestRunOptions:
         assert main([command, "--dataset", str(empty), "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: dataset has no cells\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda ds: ["simulate", "--out", "a-dir"],
+            lambda ds: ["simulate", "--out", "a-file/x.json"],
+            lambda ds: ["simulate", "--out", "."],
+            lambda ds: ["calibrate", "--dataset", str(ds), "--out-dir", "a-file"],
+            lambda ds: ["crossval", "--dataset", str(ds), "--out-dir", "a-file"],
+            lambda ds: ["analyze", "--dataset", str(ds), "--out-dir", "a-file"],
+        ],
+        ids=["simulate-dir", "simulate-under-file", "simulate-dot", "calibrate-file", "crossval-file", "analyze-file"],
+    )
+    def test_unwritable_output_exits_2(self, dataset_path, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv(dataset_path)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: cannot write ")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_duplicate_view_id_exits_2(self, dataset_path, tmp_path, capsys):
         data = json.loads(dataset_path.read_text())

@@ -54,13 +54,11 @@ class TestDatasetRoundTrip:
             for va, vb in zip(dataset.cells[key], loaded.cells[key]):
                 assert va.id == vb.id
                 np.testing.assert_allclose(vb.image_uv, va.image_uv, rtol=1e-8)
-            intr_a, extrs_a = dataset.ground_truth[key]
-            intr_b, extrs_b = loaded.ground_truth[key]
+            intr_a, rvec_a, t_a = dataset.ground_truth[key]
+            intr_b, rvec_b, t_b = loaded.ground_truth[key]
             assert intr_b.f == pytest.approx(intr_a.f, rel=1e-8)
-            for ea, eb in zip(extrs_a, extrs_b):
-                np.testing.assert_allclose(eb.rot, ea.rot, atol=1e-8)
-                # reloaded rotations are exact rotations again
-                np.testing.assert_allclose(eb.rot.T @ eb.rot, np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(rvec_b, rvec_a, atol=1e-8)
+            np.testing.assert_allclose(t_b, t_a, rtol=1e-8)
 
     def test_corner_order_row_major(self, dataset):
         key = next(iter(dataset.cells))

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caliblab.calibrate import Extrinsics, Intrinsics, views_from_points
+from caliblab.calibrate import Intrinsics, views_from_points
 from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
 from caliblab.principal_line import principal_lines
-from caliblab.rotations import rot_x, rot_y, rot_z
+from caliblab.rotations import rodrigues, rot_x, rot_y, rot_z, rvec_from_rotation
 from caliblab.synth import (
     CAMERA_PRESETS,
     Dataset,
@@ -111,17 +111,17 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        (view,), (extr,) = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
+        (view,), (rot,), (t,) = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
-        uv = pinhole_project(setting.f_px, (pp.u, pp.v), extr.rot, extr.t, view.board_xy)
+        uv = pinhole_project(setting.f_px, (pp.u, pp.v), rot, t, view.board_xy)
         assert np.abs(uv - view.image_uv).max() < 1e-9
 
     def test_rolls_differ_by_optical_axis_rotation(self):
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        _, (e0, e90) = generate_cell(config, PoseLabel.DOWN, setting, [0.0, 90.0], [rng, rng])
-        rel = e90.rot @ e0.rot.T
+        _, (r0, r90), _ = generate_cell(config, PoseLabel.DOWN, setting, [0.0, 90.0], [rng, rng])
+        rel = r90 @ r0.T
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(rel, expected, atol=1e-12)
 
@@ -129,7 +129,7 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        (view,), _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
+        (view,), _, _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pl = only(principal_lines([view.homography], [None]))
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
         assert pl.line.distance(pp) < 1e-6
@@ -138,7 +138,7 @@ class TestGenerateView:
         config = small_config(noise_sigma_px=0.5)
         rng = np.random.default_rng(1)
         for setting in config.focal_settings:
-            views, _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls, [rng] * len(config.rolls))
+            views, _, _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls, [rng] * len(config.rolls))
             for view in views:
                 assert np.all(view.image_uv[:, 0] >= 0)
                 assert np.all(view.image_uv[:, 0] <= config.image_width)
@@ -176,9 +176,9 @@ class TestGenerateDataset:
         )
         dataset = generate_dataset(config)
         assert dataset.n_views() == 2
-        (intr, extrs), = [dataset.ground_truth[k] for k in dataset.ground_truth]
+        (intr, rvec, t), = [dataset.ground_truth[k] for k in dataset.ground_truth]
         assert intr.f == 3000.0
-        assert len(extrs) == 2
+        assert rvec.shape == t.shape == (2, 3)
 
     def test_noise_statistics(self):
         config = small_config(
@@ -202,11 +202,11 @@ class TestGenerateDataset:
         config = small_config(poses=(PoseLabel.DOWN, PoseLabel.N))
         dataset = generate_dataset(config)
         setting = config.focal_settings[0]
-        intr_down, extr_down = dataset.ground_truth[(PoseLabel.DOWN, setting)]
-        intr_n, extr_n = dataset.ground_truth[(PoseLabel.N, setting)]
+        intr_down, rvec_down, _ = dataset.ground_truth[(PoseLabel.DOWN, setting)]
+        intr_n, rvec_n, _ = dataset.ground_truth[(PoseLabel.N, setting)]
         # true pp moves by the gravity offset and the camera physically tips
         assert math.hypot(intr_n.pp.u - intr_down.pp.u, intr_n.pp.v - intr_down.pp.v) == pytest.approx(15.0)
-        rel = extr_n[0].rot @ extr_down[0].rot.T
+        rel = rodrigues(rvec_n[0]) @ rodrigues(rvec_down[0]).T
         angle = math.degrees(math.acos(np.clip((np.trace(rel) - 1) / 2, -1, 1)))
         assert angle == pytest.approx(10.0, abs=1e-9)
 
@@ -242,8 +242,7 @@ def reference_view(config, pose, setting, roll_deg, rng):
     center3 = np.array([center[0], center[1], 0.0])
     for retries in range(6):
         t = distance * aim - rot @ center3
-        extr = Extrinsics(rot, t)
-        uv = pinhole_project(setting.f_px, (pp.u, pp.v), extr.rot, extr.t, board)
+        uv = pinhole_project(setting.f_px, (pp.u, pp.v), rot, t, board)
         if (
             np.all(uv[:, 0] >= margin)
             and np.all(uv[:, 0] <= config.image_width - margin)
@@ -257,7 +256,7 @@ def reference_view(config, pose, setting, roll_deg, rng):
     if config.noise_sigma_px > 0.0:
         uv = uv + rng.normal(0.0, config.noise_sigma_px, size=uv.shape)
     view_id = f"{pose.value}-s{setting_index}-r{roll_deg:g}"
-    return only(views_from_points([view_id], [board], [uv])), extr, retries
+    return only(views_from_points([view_id], [board], [uv])), rot, t, retries
 
 
 def reference_dataset(config):
@@ -266,16 +265,17 @@ def reference_dataset(config):
     cells, truth, retries = {}, {}, []
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
-            views, extrs = [], []
+            views, rots, ts = [], [], []
             for roll_index, roll in enumerate(config.rolls):
                 rng = np.random.default_rng(mix_seed(config.rng_seed, pose_index, setting_index, roll_index))
-                view, extr, grown = reference_view(config, pose, setting, roll, rng)
+                view, rot, t, grown = reference_view(config, pose, setting, roll, rng)
                 views.append(view)
-                extrs.append(extr)
+                rots.append(rot)
+                ts.append(t)
                 retries.append(grown)
             pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
             cells[(pose, setting)] = tuple(views)
-            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp), tuple(extrs))
+            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp), rvec_from_rotation(np.array(rots)), np.array(ts))
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth), retries
 
 
@@ -324,10 +324,10 @@ class TestStackedSynthesis:
         # at f = 700 px the first placements put board corners behind the
         # camera; growing the distance brings the whole board in front
         config = small_config(focal_settings=(FocalSetting(1.0, 700.0),))
-        (view,), (extr,) = generate_cell(
+        (view,), (rot,), (t,) = generate_cell(
             config, PoseLabel.DOWN, config.focal_settings[0], [30.0], [np.random.default_rng(0)]
         )
-        cam_z = (np.column_stack([view.board_xy, np.zeros(len(view.board_xy))]) @ extr.rot.T + extr.t)[:, 2]
+        cam_z = (np.column_stack([view.board_xy, np.zeros(len(view.board_xy))]) @ rot.T + t)[:, 2]
         assert cam_z.min() > 0.0
         assert view.image_uv.min() >= 1.0
         # at f = 10 px five retries do not suffice
