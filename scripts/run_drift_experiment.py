@@ -6,7 +6,10 @@ Simulates a full dataset for one camera preset, calibrates every
 trajectory against the injected one. Writes the full report bundles
 (CSV, SVG, JSON) for both calibration methods plus the trajectory and
 cross-validation analyses into the output directory. Exits with the
-first non-zero CLI exit code, or 0 when every command succeeds.
+first non-zero CLI exit code, or 0 when every command succeeds. Errors
+before the CLI commands run exit as the CLI does, with one `error:` line:
+2 for an invalid configuration or an unwritable output directory, 3 when
+the dataset cannot be generated, 4 when a DOWN cell cannot be calibrated.
 
 Usage:
     python scripts/run_drift_experiment.py [--camera cam1] [--seed 0]
@@ -20,31 +23,48 @@ from dataclasses import replace
 from pathlib import Path
 
 from caliblab.analysis import analyze_trajectory, calibrate_views
+from caliblab.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_GENERATION, _fail
 from caliblab.cli import main as cli_main
 from caliblab.dataset_io import write_dataset
+from caliblab.errors import BoardOutOfView, CaliblabError, ConfigError
 from caliblab.principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
 
 
 def run(camera: str, seed: int, noise: float, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = replace(SceneConfig.for_camera(camera), rng_seed=seed, noise_sigma_px=noise)
+    try:
+        config = replace(SceneConfig.for_camera(camera), rng_seed=seed, noise_sigma_px=noise)
+    except ConfigError as err:
+        return _fail(str(err), EXIT_CONFIG)
+    try:
+        dataset = generate_dataset(config)
+    except BoardOutOfView as err:
+        return _fail(str(err), EXIT_GENERATION)
 
     dataset_path = out_dir / "dataset.json"
-    dataset = generate_dataset(config)
-    write_dataset(dataset_path, dataset)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_dataset(dataset_path, dataset)
+    except OSError as err:
+        return _fail(f"cannot write {dataset_path}: {err}", EXIT_CONFIG)
+    except ConfigError as err:
+        return _fail(str(err), EXIT_CONFIG)
     print(f"dataset: {dataset.n_views()} views -> {dataset_path}")
 
     pps = []
-    for setting in dataset.settings():
-        result = calibrate_views("geometric", dataset.cells[(PoseLabel.DOWN, setting)], DEFAULT_OUTLIER_THRESHOLD_PX)
-        pps.append(result.intrinsics.pp)
-        print(
-            f"  DOWN {setting.label_mm:5.1f} mm: pp = ({result.intrinsics.pp.u:9.2f}, "
-            f"{result.intrinsics.pp.v:9.2f})  f = {result.intrinsics.f:9.1f} px  "
-            f"rmse = {result.rmse:.3f} px"
-        )
-    trajectory = analyze_trajectory(pps)
+    try:
+        for setting in dataset.settings():
+            views = dataset.cells[(PoseLabel.DOWN, setting)]
+            result = calibrate_views("geometric", views, DEFAULT_OUTLIER_THRESHOLD_PX)
+            pps.append(result.intrinsics.pp)
+            print(
+                f"  DOWN {setting.label_mm:5.1f} mm: pp = ({result.intrinsics.pp.u:9.2f}, "
+                f"{result.intrinsics.pp.v:9.2f})  f = {result.intrinsics.f:9.1f} px  "
+                f"rmse = {result.rmse:.3f} px"
+            )
+        trajectory = analyze_trajectory(pps)
+    except CaliblabError as err:
+        return _fail(str(err), EXIT_CALIBRATION)
     injected = math.degrees(math.atan2(config.drift.drift_dir[1], config.drift.drift_dir[0])) % 180.0
     print(
         f"trajectory: direction {trajectory.direction_deg:.1f} deg "

@@ -114,13 +114,16 @@ def _crossval_setting(
 
     cells = [(b, pose_b, dataset.cells.get((pose_b, setting))) for b, pose_b in enumerate(poses)]
     cells = [(b, pose_b, views) for b, pose_b, views in cells if views]
-    for a, pose_a in enumerate(poses):
-        intr = intrinsics.get(pose_a)
-        if intr is None:
-            continue
-        # every view of the setting is refit under pose a's intrinsics at once
-        refits = refit_view_poses(intr, [view for _, _, views in cells for view in views])
-        start = 0
+    setting_views = [view for _, _, views in cells for view in views]
+    calibrated = [(a, pose_a) for a, pose_a in enumerate(poses) if pose_a in intrinsics]
+    # every view of the setting is refit under each calibrated pose's
+    # intrinsics, all in one stack
+    refits = refit_view_poses(
+        [intrinsics[pose_a] for _, pose_a in calibrated for _ in setting_views],
+        setting_views * len(calibrated),
+    )
+    start = 0
+    for a, pose_a in calibrated:
         for b, pose_b, views in cells:
             cell = slice(start, start + len(views))
             start += len(views)

@@ -150,19 +150,20 @@ def _board_points(board_xy: np.ndarray) -> np.ndarray:
     return np.concatenate([board_xy, np.zeros(board_xy.shape[:-1] + (1,))], axis=-1)
 
 
-def _project(f, u0, v0, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _project(f, pp, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection of board points (..., n, 3) through poses
-    rot (..., 3, 3), t (..., 3): camera-frame points (..., n, 3) and pixels
-    (..., n, 2)."""
+    rot (..., 3, 3), t (..., 3) with focal lengths f (...) and principal
+    points pp (..., 2), one per pose or one for all: camera-frame points
+    (..., n, 3) and pixels (..., n, 2)."""
     cam = pts @ np.swapaxes(rot, -1, -2) + t[..., None, :]
-    return cam, f * cam[..., :2] / cam[..., 2:3] + np.array([u0, v0])
+    return cam, np.asarray(f)[..., None, None] * cam[..., :2] / cam[..., 2:3] + np.asarray(pp)[..., None, :]
 
 
 def _views_rmse(intr: Intrinsics, rot: np.ndarray, t: np.ndarray, views: Sequence[CalibrationView]) -> float:
     sq = 0.0
     n = 0
     for view_rot, view_t, view in zip(rot, t, views):
-        _, uv = _project(intr.f, intr.pp.u, intr.pp.v, view_rot, view_t, _board_points(view.board_xy))
+        _, uv = _project(intr.f, (intr.pp.u, intr.pp.v), view_rot, view_t, _board_points(view.board_xy))
         d = uv - view.image_uv
         sq += float(np.sum(d * d))
         n += len(d)
@@ -200,9 +201,17 @@ def focal_from_homography(homography: Homography, pp: Point2) -> list[float]:
     return estimates
 
 
-def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose a stack of homographies H = K [r1 r2 t] (B, 3, 3) under
-    one set of intrinsics into rotations (B, 3, 3) and translations (B, 3).
+def _intrinsic_arrays(intrinsics: Sequence[Intrinsics]) -> tuple[np.ndarray, np.ndarray]:
+    """Focal lengths (B,) and principal points (B, 2) of a sequence of intrinsics."""
+    return np.array([i.f for i in intrinsics]), np.array([(i.pp.u, i.pp.v) for i in intrinsics])
+
+
+def _decompose_homographies(
+    hs: np.ndarray, f: np.ndarray, pp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decompose a stack of homographies H = K [r1 r2 t] (B, 3, 3), item i
+    under focal length f[i] and principal point pp[i], into rotations
+    (B, 3, 3) and translations (B, 3).
 
     The scale is fixed by the mean norm of the two rotation columns, the
     overall sign by requiring t_z > 0, and [r1 r2 r1xr2] is projected onto
@@ -210,8 +219,10 @@ def _decompose_homographies(hs: np.ndarray, intr: Intrinsics) -> tuple[np.ndarra
     board plane passes through the camera center, whose poses are not
     usable.
     """
-    f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
-    kinv = np.array([[1.0 / f, 0.0, -u0 / f], [0.0, 1.0 / f, -v0 / f], [0.0, 0.0, 1.0]])
+    kinv = np.zeros(hs.shape)
+    kinv[:, 0, 0] = kinv[:, 1, 1] = 1.0 / f
+    kinv[:, :2, 2] = -pp / f[:, None]
+    kinv[:, 2, 2] = 1.0
     a = kinv @ hs
     scale = 2.0 / (vector_norm(a[..., 0]) + vector_norm(a[..., 1]))
     t = scale[:, None] * a[..., 2]
@@ -231,7 +242,8 @@ def _decompose_views(
     their rotations (V, 3, 3) and translations (V, 3), and the ids of the
     views whose board plane passes through the camera center. Raises
     InsufficientViews when fewer than 2 views keep a pose."""
-    rot, t, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
+    hs = np.array([v.homography.h for v in views])
+    rot, t, through_center = _decompose_homographies(hs, *_intrinsic_arrays([intr] * len(views)))
     kept = [view for view, bad in zip(views, through_center) if not bad]
     flagged = [view.id for view, bad in zip(views, through_center) if bad]
     if len(kept) < 2:
@@ -405,16 +417,24 @@ def _unpack(params: np.ndarray, fit_intrinsics: bool, intr0: Intrinsics):
 
 def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray) -> np.ndarray:
     """d(u, v)/d(rvec, t) of every projected corner, shape (..., n, 2, 6),
-    for poses rvec (..., 3), board points pts (..., n, 3) and their
-    camera-frame positions cam (..., n, 3)."""
+    for poses rvec (..., 3), board points pts (..., n, 3), their
+    camera-frame positions cam (..., n, 3) and focal lengths f that
+    broadcast against (..., n)."""
     x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
-    duv_dq = np.zeros(cam.shape[:-1] + (2, 3))  # d(u, v)/d(cam point)
-    duv_dq[..., 0, 0] = f / z
-    duv_dq[..., 0, 2] = -f * x / (z * z)
-    duv_dq[..., 1, 1] = f / z
-    duv_dq[..., 1, 2] = -f * y / (z * z)
-    block = np.einsum("...ij,...jk->...ik", duv_dq, rotate_point_jacobian(rvec, pts))
-    return np.concatenate([block, duv_dq], axis=-1)
+    # d(u, v)/d(cam point) is [[a00, 0, a02], [0, a11, a12]]: it fills the
+    # t columns, and the rvec columns are its rows times d(cam)/d(rvec),
+    # summed in place so that one (..., n, 3) temporary is alive at a time
+    rot_jac = rotate_point_jacobian(rvec, pts)
+    jac = np.zeros(cam.shape[:-1] + (2, 6))
+    jac[..., 0, 3] = a00 = f / z
+    jac[..., 0, 5] = a02 = -f * x / (z * z)
+    jac[..., 1, 4] = a11 = a00
+    jac[..., 1, 5] = a12 = -f * y / (z * z)
+    jac[..., 0, :3] = a00[..., None] * rot_jac[..., 0, :]
+    jac[..., 0, :3] += a02[..., None] * rot_jac[..., 2, :]
+    jac[..., 1, :3] = a11[..., None] * rot_jac[..., 1, :]
+    jac[..., 1, :3] += a12[..., None] * rot_jac[..., 2, :]
+    return jac
 
 
 def _stack_views(views: Sequence[CalibrationView]):
@@ -433,7 +453,7 @@ def _stack_views(views: Sequence[CalibrationView]):
 def _cell_residuals(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
     pts, image, mask = stack
-    _, uv = _project(f, u0, v0, rodrigues(poses[:, :3]), poses[:, 3:], pts)
+    _, uv = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
     return (uv - image)[mask].ravel()
 
 
@@ -446,7 +466,7 @@ def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
     pts, _, mask = stack
     n_views = len(poses)
-    cam, _ = _project(f, u0, v0, rodrigues(poses[:, :3]), poses[:, 3:], pts)
+    cam, _ = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
     jac = np.zeros(mask.shape + (2, n_views, 6))
     diag = np.arange(n_views)
     jac[diag, :, :, diag] = _pose_jacobian(f, poses[:, :3], pts, cam)
@@ -460,19 +480,20 @@ def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     return jac[mask].reshape(-1, jac.shape[-1])
 
 
-def _pose_problem(intr: Intrinsics, pts: np.ndarray, image: np.ndarray):
+def _pose_problem(f: np.ndarray, pp: np.ndarray, pts: np.ndarray, image: np.ndarray):
     """Residual and Jacobian callbacks of independent pose-only refits:
     problem i is the view with board points pts[i] (n, 3) and image
-    corners image[i] (n, 2), its parameters (rvec, t)."""
-    f, u0, v0 = intr.f, intr.pp.u, intr.pp.v
+    corners image[i] (n, 2) under focal length f[i] and principal point
+    pp[i], its parameters (rvec, t)."""
 
     def residuals(params, rows):
-        _, uv = _project(f, u0, v0, rodrigues(params[:, :3]), params[:, 3:], pts[rows])
+        _, uv = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])
         return (uv - image[rows]).reshape(len(rows), -1)
 
     def jacobian(params, rows):
-        cam, _ = _project(f, u0, v0, rodrigues(params[:, :3]), params[:, 3:], pts[rows])
-        return _pose_jacobian(f, params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
+        # keep only cam: the pixels would stay alive while the Jacobian is built
+        cam = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])[0]
+        return _pose_jacobian(f[rows, None], params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
 
     return residuals, jacobian
 
@@ -609,7 +630,7 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> Calib
 
 @dataclass(frozen=True, eq=False)
 class PoseRefits:
-    """Pose-only refits of a sequence of views under one set of frozen
+    """Pose-only refits of a sequence of views, each under its own frozen
     intrinsics. Entry i belongs to view i: rotation rot[i] (3, 3),
     translation t[i] (3,) and reprojection RMSE rmse[i]. Where errors[i]
     is set, the refit failed and the entry's pose and RMSE are NaN."""
@@ -620,30 +641,37 @@ class PoseRefits:
     errors: tuple[CaliblabError | None, ...]
 
 
-def refit_view_poses(intr: Intrinsics, views: Sequence[CalibrationView]) -> PoseRefits:
+def refit_view_poses(intrinsics: Sequence[Intrinsics], views: Sequence[CalibrationView]) -> PoseRefits:
     """Best pose of each view under frozen intrinsics: closed-form
-    decomposition followed by pose-only refinement.
+    decomposition followed by pose-only refinement. intrinsics[i] is the
+    frozen camera of views[i]; a caller with one camera passes
+    [intr] * len(views).
 
-    Views with the same corner count are solved as one stacked LM, each
-    with its own damping and stopping, so every entry is what refitting
-    its view alone gives. A view fails with BehindCamera when its board
-    plane passes through the camera center, or (naming the view) when its
-    refit pose is not finite or puts the board behind the camera.
+    Views with the same corner count are solved as one stacked LM, whatever
+    their intrinsics, each with its own damping and stopping, so every
+    entry is what refitting its view alone gives. A view fails with
+    BehindCamera when its board plane passes through the camera center, or
+    (naming the view) when its refit pose is not finite or puts the board
+    behind the camera. Raises ValueError unless there is one set of
+    intrinsics per view.
     """
     count = len(views)
+    if len(intrinsics) != count:
+        raise ValueError(f"got {len(intrinsics)} intrinsics for {count} views")
     rot = np.full((count, 3, 3), np.nan)
     t = np.full((count, 3), np.nan)
     rmse = np.full(count, np.nan)
     if count == 0:
         return PoseRefits(rot, t, rmse, ())
-    rot0, t0, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), intr)
+    f, pp = _intrinsic_arrays(intrinsics)
+    rot0, t0, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), f, pp)
     corners = [0 if bad else len(v.board_xy) for v, bad in zip(views, through_center)]
     for n in sorted(set(corners) - {0}):
         rows = [i for i, k in enumerate(corners) if k == n]
         pts = _board_points(np.array([views[i].board_xy for i in rows]))
         image = np.array([views[i].image_uv for i in rows])
         params0 = np.concatenate([rvec_from_rotation(rot0[rows]), t0[rows]], axis=1)
-        params, cost, _, _ = _levenberg_marquardt(params0, *_pose_problem(intr, pts, image))
+        params, cost, _, _ = _levenberg_marquardt(params0, *_pose_problem(f[rows], pp[rows], pts, image))
         rot[rows], t[rows], rmse[rows] = rodrigues(params[:, :3]), params[:, 3:], np.sqrt(cost / n)
     usable = _usable_poses(rot, t) & np.isfinite(rmse)
     errors: list[CaliblabError | None] = [None] * count

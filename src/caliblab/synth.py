@@ -367,7 +367,7 @@ def generate_cell(
         trial_t = distances[pending, None] * aim - rots[pending] @ center3
         # a corner on or behind the camera plane does not fit either
         with np.errstate(divide="ignore", invalid="ignore"):
-            cam, trial_uv = _project(setting.f_px, pp.u, pp.v, rots[pending], trial_t, pts)
+            cam, trial_uv = _project(setting.f_px, (pp.u, pp.v), rots[pending], trial_t, pts)
         u, v = trial_uv[..., 0], trial_uv[..., 1]
         fits = np.all(
             (cam[..., 2] > 0.0)

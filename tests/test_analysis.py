@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,7 +286,7 @@ def per_view_crossval(dataset, method="geometric"):
                 views = dataset.cells.get((pose_b, setting))
                 if pose_a not in intrinsics or not views:
                     continue
-                refits = [refit_view_poses(intrinsics[pose_a], [view]) for view in views]
+                refits = [refit_view_poses([intrinsics[pose_a]], [view]) for view in views]
                 err = next((r.errors[0] for r in refits if r.errors[0] is not None), None)
                 if err is not None:
                     notices.append(
@@ -382,11 +383,13 @@ class TestBatchedCrossval:
         # a plain ValueError; now it is a BehindCamera notice naming the view
         dataset = self.dataset()
         kernel = calibrate._levenberg_marquardt
+        # the setting's views are stacked once per pose's intrinsics
+        n_views = sum(len(views) for views in dataset.cells.values())
 
         def broken(params0, *callbacks, **kwargs):
             params, *rest = kernel(params0, *callbacks, **kwargs)
             params = params.copy()
-            params[1, 3:] *= -1.0  # the second view of the first pose's cell
+            params[1::n_views, 3:] *= -1.0  # the second view of the first pose's cell
             return (params, *rest)
 
         monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
@@ -398,3 +401,41 @@ class TestBatchedCrossval:
         refit_notices = [n for n in report.notices if "pose refit" in n]
         assert len(refit_notices) == 4
         assert all(f"failed: view {view_id}: " in n for n in refit_notices)
+
+
+@pytest.fixture(scope="module")
+def cam1_dataset():
+    """The default cam1 dataset: 7 focal settings, 4 poses, 8 views each."""
+    return generate_dataset(replace(SceneConfig.for_camera("cam1"), noise_sigma_px=0.5, rng_seed=256))
+
+
+class TestCrossvalStacks:
+    """cross_validate refits each setting's views under every calibrated
+    pose's intrinsics as one stack: one LM call per setting, with a live
+    memory peak small next to the process's."""
+
+    def test_one_lm_call_per_setting(self, cam1_dataset, monkeypatch):
+        kernel = calibrate._levenberg_marquardt
+        stacks = []
+
+        def counting(params0, *callbacks, **kwargs):
+            stacks.append(len(params0))
+            return kernel(params0, *callbacks, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_levenberg_marquardt", counting)
+        report = cross_validate(cam1_dataset, "geometric")
+        assert np.isfinite([entry.matrix for entry in report.settings]).all()
+        # 4 poses' intrinsics x 32 views of the setting, 54 corners each
+        assert stacks == [4 * 32] * 7
+
+    def test_memory_peak(self, cam1_dataset):
+        cross_validate(cam1_dataset, "geometric")
+        tracemalloc.start()
+        try:
+            cross_validate(cam1_dataset, "geometric")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one setting's stack peaks near 3 MB; stacking two settings, or the
+        # whole dataset, would not fit
+        assert peak < 4e6

@@ -14,7 +14,9 @@ from caliblab.calibrate import (
     _board_points,
     _cell_jacobian,
     _cell_residuals,
+    _damped_steps,
     _decompose_homographies,
+    _intrinsic_arrays,
     _levenberg_marquardt,
     _pack,
     _pose_problem,
@@ -86,7 +88,8 @@ class TestExtrinsicsFromHomography:
         rot = oracle_rot_z(70.0) @ oracle_rot_x(40.0)
         t = np.array([30.0, -50.0, 1200.0])
         h = Homography(scene_homography(2500.0, (1000.0, 800.0), rot, t))
-        rots, ts, _ = _decompose_homographies(h.h[None], Intrinsics(2500.0, Point2(1000.0, 800.0)))
+        intr = Intrinsics(2500.0, Point2(1000.0, 800.0))
+        rots, ts, _ = _decompose_homographies(h.h[None], *_intrinsic_arrays([intr]))
         np.testing.assert_allclose(rots[0], rot, atol=1e-8)
         np.testing.assert_allclose(ts[0], t, rtol=1e-8)
 
@@ -94,7 +97,8 @@ class TestExtrinsicsFromHomography:
         rot = oracle_rot_x(45.0)
         m = scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 0.0, 1000.0])
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
-        rots, ts, _ = _decompose_homographies(np.array([Homography(m).h, Homography(-m).h]), intr)
+        hs = np.array([Homography(m).h, Homography(-m).h])
+        rots, ts, _ = _decompose_homographies(hs, *_intrinsic_arrays([intr] * 2))
         np.testing.assert_array_equal(rots[0], rots[1])
         np.testing.assert_array_equal(ts[0], ts[1])
 
@@ -102,7 +106,7 @@ class TestExtrinsicsFromHomography:
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         for _ in range(20):
             views, _ = tilted_scene_views(rolls=[float(rng.uniform(0, 360))], sigma=0.5, rng=rng)
-            (rot,), _, _ = _decompose_homographies(views[0].homography.h[None], intr)
+            (rot,), _, _ = _decompose_homographies(views[0].homography.h[None], *_intrinsic_arrays([intr]))
             assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
@@ -301,7 +305,7 @@ class TestRefine:
     def test_pose_only_refit(self):
         views, truth = tilted_scene_views()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        refits = refit_view_poses(intr, views[:1])
+        refits = refit_view_poses([intr], views[:1])
         np.testing.assert_allclose(refits.rot[0], truth[0][0], atol=1e-7)
         assert refits.rmse[0] < 1e-7
 
@@ -316,7 +320,7 @@ class TestBatchedPoseRefit:
         image = np.array([v.image_uv for v in views])
         params = np.array([np.concatenate([rng.normal(0.0, 0.5, 3), t]) for _, t in truth])
         params[0, :3] = 0.0
-        residuals, jacobian = _pose_problem(intr, pts, image)
+        residuals, jacobian = _pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image)
         rows = np.arange(len(views))
         jac = jacobian(params, rows)
         fd = np.empty_like(jac)
@@ -339,13 +343,13 @@ class TestBatchedPoseRefit:
         image = np.array([v.image_uv for v in views])
         params0 = np.array([np.concatenate([rvec_from_rotation(rot), t]) for rot, t in truth])
         params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(views))[:, None]
-        residuals, jacobian = _pose_problem(intr, pts, image)
+        residuals, jacobian = _pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image)
         stacked = _levenberg_marquardt(params0, residuals, jacobian)
         assert len(set(stacked[3].tolist())) > 1
         for i in range(len(views)):
             alone = _levenberg_marquardt(
                 params0[i : i + 1],
-                *_pose_problem(intr, pts[i : i + 1], image[i : i + 1]),
+                *_pose_problem(*_intrinsic_arrays([intr]), pts[i : i + 1], image[i : i + 1]),
             )
             np.testing.assert_allclose(stacked[0][i], alone[0][0], rtol=1e-12, atol=0.0)
             assert abs(stacked[1][i] - alone[1][0]) <= 1e-12 * alone[1][0]
@@ -357,13 +361,60 @@ class TestBatchedPoseRefit:
         short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
         views = [views[5], short, *views[:3]]
         intr = Intrinsics(3010.0, Point2(3030.0, 2000.0))
-        refits = refit_view_poses(intr, views)
+        refits = refit_view_poses([intr] * len(views), views)
         assert refits.errors == (None,) * len(views)
         for i, view in enumerate(views):
-            alone = refit_view_poses(intr, [view])
+            alone = refit_view_poses([intr], [view])
             np.testing.assert_allclose(refits.rot[i], alone.rot[0], rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(refits.t[i], alone.t[0], rtol=0.0, atol=1e-9)
             assert abs(refits.rmse[i] - alone.rmse[0]) <= 1e-12
+
+    def test_mixed_intrinsics_equal_one_call_per_intrinsics(self, rng):
+        # three cameras interleaved in one stack, with a short view solved in
+        # a stack of its own and a view whose board plane passes through the
+        # camera center under any intrinsics
+        views, _ = tilted_scene_views(sigma=0.5, rng=rng)
+        short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
+        h = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
+        through = CalibrationView("through-center", Homography(h), None, views[2].board_xy, views[2].image_uv)
+        cameras = [
+            Intrinsics(3000.0, Point2(3024.0, 2012.0)),
+            Intrinsics(3100.0, Point2(3000.0, 2050.0)),
+            Intrinsics(2950.0, Point2(3060.0, 1990.0)),
+        ]
+        mixed = [views[0], short, views[1], through, views[2], views[5], short, views[0], views[4]]
+        owner = [i % len(cameras) for i in range(len(mixed))]
+        refits = refit_view_poses([cameras[k] for k in owner], mixed)
+        assert [type(e) for e in refits.errors] == [BehindCamera if v is through else type(None) for v in mixed]
+        for k, camera in enumerate(cameras):
+            rows = [i for i, o in enumerate(owner) if o == k]
+            alone = refit_view_poses([camera] * len(rows), [mixed[i] for i in rows])
+            np.testing.assert_array_equal(refits.rot[rows], alone.rot)
+            np.testing.assert_array_equal(refits.t[rows], alone.t)
+            np.testing.assert_array_equal(refits.rmse[rows], alone.rmse)
+            assert [str(refits.errors[i]) for i in rows] == [str(e) for e in alone.errors]
+
+    def test_intrinsics_must_match_views(self):
+        views, _ = tilted_scene_views(rolls=[0.0, 45.0])
+        with pytest.raises(ValueError, match="1 intrinsics for 2 views"):
+            refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], views)
+
+    def test_singular_system_falls_back_per_problem(self, rng):
+        # a zero row and column with zero damping make problem 2 exactly
+        # singular, so the stacked solve raises and each problem is solved alone
+        m = rng.normal(size=(4, 6, 6))
+        hess = m @ np.swapaxes(m, -1, -2)
+        hess[2, 5, :] = hess[2, :, 5] = 0.0
+        damping = np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
+        damping[2] = 0.0
+        lam = np.array([1e-3, 1e-2, 1e-3, 1e4])
+        grad = rng.normal(size=(4, 6))
+        steps, solved = _damped_steps(hess, damping, lam, grad)
+        assert solved.tolist() == [True, True, False, True]
+        for i in (0, 1, 3):
+            alone, (ok,) = _damped_steps(hess[i : i + 1], damping[i : i + 1], lam[i : i + 1], grad[i : i + 1])
+            assert ok
+            np.testing.assert_array_equal(steps[i], alone[0])
 
     @staticmethod
     def break_kernel(monkeypatch, behind, non_finite):
@@ -384,7 +435,7 @@ class TestBatchedPoseRefit:
         views, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0])
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         self.break_kernel(monkeypatch, behind=[1], non_finite=[2])
-        refits = refit_view_poses(intr, views)
+        refits = refit_view_poses([intr] * len(views), views)
         assert refits.errors[0] is None and np.isfinite(refits.rmse[0])
         for i in (1, 2):
             assert isinstance(refits.errors[i], BehindCamera)
@@ -394,7 +445,7 @@ class TestBatchedPoseRefit:
     def test_single_failed_refit_raises_behind_camera(self, monkeypatch):
         views, _ = tilted_scene_views(rolls=[45.0])
         self.break_kernel(monkeypatch, behind=[0], non_finite=[])
-        (error,) = refit_view_poses(Intrinsics(3000.0, Point2(3024.0, 2012.0)), views).errors
+        (error,) = refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], views).errors
         assert isinstance(error, BehindCamera) and str(error).startswith("view v0: ")
 
 
@@ -404,17 +455,17 @@ class TestExtrinsicEdgeCases:
         rot = oracle_rot_x(45.0)
         h = Homography(scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 800.0, 1e-9]))
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
-        _, _, through_center = _decompose_homographies(h.h[None], intr)
+        _, _, through_center = _decompose_homographies(h.h[None], *_intrinsic_arrays([intr]))
         assert through_center[0]
         view = CalibrationView("v", h, None, grid_board(), grid_board())
-        assert isinstance(refit_view_poses(intr, [view]).errors[0], BehindCamera)
+        assert isinstance(refit_view_poses([intr], [view]).errors[0], BehindCamera)
 
 
 class TestViewRmse:
     def test_positive_after_pp_shift_with_frozen_refit(self):
         views, _ = tilted_scene_views()
         shifted = Intrinsics(3000.0, Point2(3024.0 + 50.0, 2012.0))
-        assert refit_view_poses(shifted, views[:1]).rmse[0] > 0.05
+        assert refit_view_poses([shifted], views[:1]).rmse[0] > 0.05
 
 
 def reference_homography(board, image):

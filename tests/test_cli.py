@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import caliblab
 from caliblab.cli import main
+from caliblab.errors import NoFocalEstimate
+
+DRIFT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_drift_experiment.py"
 
 
 def write_config(tmp_path, **overrides):
@@ -420,3 +427,41 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_drift_script_generation_failure_exits_3(self, tmp_path):
+        # a board that cannot fit the image is the CLI's exit 3, not a traceback
+        proc = subprocess.run(
+            [sys.executable, str(DRIFT_SCRIPT), "--noise", "400", "--out-dir", str(tmp_path / "drift")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(caliblab.__file__).resolve().parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "board does not fit" in line
+
+    @staticmethod
+    def drift_script():
+        spec = importlib.util.spec_from_file_location("run_drift_experiment", DRIFT_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script
+
+    def test_drift_script_calibration_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        script = self.drift_script()
+
+        def failing(*args):
+            raise NoFocalEstimate("all per-view focal constraints were degenerate")
+
+        monkeypatch.setattr(script, "calibrate_views", failing)
+        assert script.run("cam1", 0, 0.5, tmp_path / "drift") == 4
+        err = capsys.readouterr().err
+        assert err == "error: all per-view focal constraints were degenerate\n"
+
+    def test_drift_script_unwritable_output_exits_2(self, tmp_path, capsys):
+        (tmp_path / "a-file").write_text("")
+        assert self.drift_script().run("cam1", 0, 0.5, tmp_path / "a-file") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write ")
