@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Digests of the CLI fixture set, for checking that outputs stay byte-identical.
+
+Runs the `caliblab` CLI on the cam1 preset at seed 7, at noise sigma 0 and
+0.5 px: `simulate`, then `calibrate` and `crossval` with every method,
+`calibrate --max-views 3`, and `analyze` with the geometric and
+algebraic-refined methods. That is 20 commands writing 58 files. Prints
+the exit code of each command, then one `sha256  path` line per file
+written, with paths relative to the output directory.
+
+The commands run as `python -m caliblab` children inside the output
+directory. They inherit the environment, with PYTHONPATH made absolute,
+so the package on PYTHONPATH is the one measured: two trees compare by
+running this once with each tree's `src` and diffing the outputs.
+
+Usage:
+    PYTHONPATH=src python scripts/fixture_digests.py --out-dir out/fixtures
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+METHODS = ("geometric", "algebraic", "algebraic-refined")
+
+
+def commands(sigma_dir: str, sigma: str):
+    """(name, argv) of each command for one noise level, in run order."""
+    dataset = f"{sigma_dir}/dataset.json"
+    yield "simulate", ["simulate", "--camera", "cam1", "--seed", "7", "--noise-sigma", sigma, "--out", dataset]
+    for method in METHODS:
+        yield f"calibrate-{method}", ["calibrate", "--dataset", dataset, "--method", method]
+        yield f"crossval-{method}", ["crossval", "--dataset", dataset, "--method", method]
+    yield "calibrate-max-views-3", ["calibrate", "--dataset", dataset, "--max-views", "3"]
+    for method in ("geometric", "algebraic-refined"):
+        yield f"analyze-{method}", ["analyze", "--dataset", dataset, "--method", method]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", required=True, help="new or empty directory for the fixture files")
+    args = parser.parse_args(argv)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(out_dir.iterdir()):
+        parser.error(f"--out-dir {out_dir} is not empty")
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
+
+    for sigma_dir, sigma in (("sigma0", "0"), ("sigma0.5", "0.5")):
+        (out_dir / sigma_dir).mkdir(exist_ok=True)
+        for name, argv in commands(sigma_dir, sigma):
+            if argv[0] != "simulate":
+                argv = argv + ["--out-dir", f"{sigma_dir}/{name}"]
+            code = subprocess.run(
+                [sys.executable, "-m", "caliblab", *argv], cwd=out_dir, env=env, capture_output=True
+            ).returncode
+            print(f"exit {code}  {sigma_dir}/{name}")
+
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

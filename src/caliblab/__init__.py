@@ -26,14 +26,11 @@ from .calibrate import (
     views_from_points,
 )
 from .geometry import (
-    Homography,
-    Line2,
     Point2,
     estimate_homographies,
 )
 from .principal_line import (
     PPEstimate,
-    PrincipalLine,
     estimate_pp,
     flag_outlier_lines,
     principal_lines,

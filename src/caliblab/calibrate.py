@@ -25,11 +25,10 @@ from .errors import (
     InsufficientViews,
     NoFocalEstimate,
 )
-from .geometry import Homography, Point2, estimate_homographies
+from .geometry import Point2, estimate_homographies
 from .principal_line import (
     DEFAULT_OUTLIER_THRESHOLD_PX,
     PPEstimate,
-    PrincipalLine,
     estimate_pp,
     flag_outlier_lines,
     principal_lines,
@@ -64,12 +63,12 @@ class Intrinsics:
 @dataclass(frozen=True, eq=False)
 class CalibrationView:
     """One board observation: matching (n, 2) board and image corner
-    arrays, their homography, and (when the view has perspective) its
-    principal line."""
+    arrays, their homography h (3, 3), and (when the view has perspective)
+    its principal line (a, b, c), else None."""
 
     id: str
-    homography: Homography
-    principal_line: PrincipalLine | None
+    h: np.ndarray
+    line: np.ndarray | None
     board_xy: np.ndarray
     image_uv: np.ndarray
 
@@ -104,27 +103,26 @@ def views_from_points(
         image_uv.setflags(write=False)
         arrays.append((board_xy, image_uv))
 
-    homographies: dict[int, Homography] = {}
+    hs = np.full((count, 3, 3), np.nan)
     corners = [len(board) if err is None else 0 for (board, _), err in zip(arrays, errors)]
     for n in sorted(set(corners) - {0}):
         rows = [i for i, k in enumerate(corners) if k == n]
-        built, failed = estimate_homographies(
+        hs[rows], failed = estimate_homographies(
             np.array([arrays[i][0] for i in rows]), np.array([arrays[i][1] for i in rows])
         )
-        for i, homography, err in zip(rows, built, failed):
-            if err is None:
-                homographies[i] = homography
-            else:
-                errors[i] = err
+        for i, err in zip(rows, failed):
+            errors[i] = err
 
-    rows = sorted(homographies)
-    lines, failed = principal_lines([homographies[i] for i in rows], [view_ids[i] for i in rows])
+    rows = [i for i, err in enumerate(errors) if err is None]
+    lines, failed = principal_lines(hs[rows])
+    hs.setflags(write=False)
+    lines.setflags(write=False)
     for i, line, err in zip(rows, lines, failed):
         if err is not None and not isinstance(err, (DegenerateView, AmbiguousDirection)):
             errors[i] = err
             continue
         board_xy, image_uv = arrays[i]
-        views[i] = CalibrationView(view_ids[i], homographies[i], line, board_xy, image_uv)
+        views[i] = CalibrationView(view_ids[i], hs[i], None if err else line, board_xy, image_uv)
     return views, errors
 
 
@@ -170,15 +168,15 @@ def _views_rmse(intr: Intrinsics, rot: np.ndarray, t: np.ndarray, views: Sequenc
     return math.sqrt(sq / n) if n else 0.0
 
 
-def focal_from_homography(homography: Homography, pp: Point2) -> list[float]:
-    """Closed-form focal estimates given a known principal point.
+def focal_from_homography(h: np.ndarray, pp: Point2) -> list[float]:
+    """Closed-form focal estimates of a homography h (3, 3) given a known
+    principal point.
 
     With A = K^-1 H, the first two columns of A are scaled rotation
     columns, so r1 . r2 = 0 and |r1| = |r2| each yield one equation in
     f^2. Constraints whose denominators vanish are skipped; an empty list
     is a valid return (fronto-parallel view).
     """
-    h = homography.h
     u0, v0 = pp.u, pp.v
     a1 = h[0, 0] - u0 * h[2, 0]
     a2 = h[0, 1] - u0 * h[2, 1]
@@ -242,7 +240,7 @@ def _decompose_views(
     their rotations (V, 3, 3) and translations (V, 3), and the ids of the
     views whose board plane passes through the camera center. Raises
     InsufficientViews when fewer than 2 views keep a pose."""
-    hs = np.array([v.homography.h for v in views])
+    hs = np.array([v.h for v in views])
     rot, t, through_center = _decompose_homographies(hs, *_intrinsic_arrays([intr] * len(views)))
     kept = [view for view, bad in zip(views, through_center) if not bad]
     flagged = [view.id for view, bad in zip(views, through_center) if bad]
@@ -271,31 +269,22 @@ def calibrate_geometric(
     Screened-out or degenerate views are reported in flags and excluded
     from every later stage.
     """
-    flags: list[str] = []
-    lined_views = []
-    for view in views:
-        if view.principal_line is None:
-            flags.append(view.id)
-        else:
-            lined_views.append(view)
-
-    lines = [v.principal_line for v in lined_views]
-    if len(lines) >= 4:
+    flags = [view.id for view in views if view.line is None]
+    accepted = [view for view in views if view.line is not None]
+    lines = np.array([view.line for view in accepted]).reshape(-1, 3)
+    if len(accepted) >= 4:
         inliers, outliers = flag_outlier_lines(lines, threshold_px=pl_outlier_px)
-        flags.extend(pl.source_view for pl in outliers)
-        inlier_ids = {pl.source_view for pl in inliers}
-        accepted = [v for v in lined_views if v.id in inlier_ids]
-    else:
-        inliers = lines
-        accepted = lined_views
+        flags.extend(accepted[i].id for i in outliers)
+        accepted = [accepted[i] for i in inliers]
+        lines = lines[inliers]
 
     if len(accepted) < 2:
         raise InsufficientViews(
             f"geometric calibration needs at least 2 views with valid principal lines, got {len(accepted)}"
         )
 
-    pp_est = estimate_pp(inliers)
-    samples = [f for view in accepted for f in focal_from_homography(view.homography, pp_est.pp)]
+    pp_est = estimate_pp(lines)
+    samples = [f for view in accepted for f in focal_from_homography(view.h, pp_est.pp)]
     if not samples:
         raise NoFocalEstimate("all per-view focal constraints were degenerate")
 
@@ -356,7 +345,7 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
 
     vmat = np.empty((2 * len(views), 6))
     for i, view in enumerate(views):
-        h = tmat @ view.homography.h
+        h = tmat @ view.h
         vmat[2 * i] = _conic_row(h[:, 0], h[:, 1])
         vmat[2 * i + 1] = _conic_row(h[:, 0], h[:, 0]) - _conic_row(h[:, 1], h[:, 1])
 
@@ -387,7 +376,7 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
     )
 
     kept, rot, t, flags = _decompose_views(views, intr)
-    samples = [f for view in kept for f in focal_from_homography(view.homography, intr.pp)]
+    samples = [f for view in kept for f in focal_from_homography(view.h, intr.pp)]
 
     return CalibrationResult(
         method="algebraic",
@@ -664,7 +653,7 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], views: Sequence[Calibrati
     if count == 0:
         return PoseRefits(rot, t, rmse, ())
     f, pp = _intrinsic_arrays(intrinsics)
-    rot0, t0, through_center = _decompose_homographies(np.array([v.homography.h for v in views]), f, pp)
+    rot0, t0, through_center = _decompose_homographies(np.array([v.h for v in views]), f, pp)
     corners = [0 if bad else len(v.board_xy) for v, bad in zip(views, through_center)]
     for n in sorted(set(corners) - {0}):
         rows = [i for i, k in enumerate(corners) if k == n]

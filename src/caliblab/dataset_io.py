@@ -154,7 +154,7 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
             truth = (intr, rvec, t)
     except KeyError as err:
         raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
-    except (TypeError, ValueError, DegenerateConfiguration) as err:
+    except (TypeError, ValueError, ConfigError, DegenerateConfiguration) as err:
         raise ConfigError(f"malformed dataset at {where}: {err}") from None
     return pose, setting, tuple(views), truth
 

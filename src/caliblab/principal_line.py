@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllFlagged, AmbiguousDirection, DegenerateView, ParallelLines, TooFewLines
-from .geometry import Homography, Line2, Point2
+from .geometry import Point2
 
 # Guard against the fronto-parallel case, where h7 = h8 = 0 up to DLT
 # roundoff. With Frobenius-normalized storage, genuine perspective keeps
@@ -34,31 +34,8 @@ DIRECTION_EPS = 1e-20
 DEFAULT_CONDITION_LIMIT = 1e8
 DEFAULT_OUTLIER_THRESHOLD_PX = 5.0
 
-
-@dataclass(frozen=True)
-class PrincipalLine:
-    """Symmetry axis of one view: the line, a computable on-line anchor
-    (the steepest-ascent vanishing point), and the unit direction."""
-
-    line: Line2
-    source_view: str | None
-    anchor: Point2
-    direction: tuple[float, float]
-
-    def __post_init__(self):
-        scale = max(1.0, abs(self.anchor.u), abs(self.anchor.v))
-        if self.line.distance(self.anchor) > 1e-9 * scale:
-            raise ValueError("anchor does not satisfy the line equation")
-        dot = self.line.a * self.direction[0] + self.line.b * self.direction[1]
-        if abs(dot) > 1e-12:
-            raise ValueError("direction is not perpendicular to the line normal")
-
-    @classmethod
-    def from_line(cls, line: Line2, source_view: str | None = None) -> "PrincipalLine":
-        """Wrap a bare line, anchored at the foot of the perpendicular from
-        the origin, directed along (-b, a)."""
-        anchor = Point2(-line.c * line.a, -line.c * line.b)
-        return cls(line, source_view, anchor, (-line.b, line.a))
+# libm's hypot, elementwise: np.hypot rounds some pairs differently
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -71,20 +48,19 @@ class PPEstimate:
     condition: float
 
 
-def principal_lines(
-    homographies: list[Homography], source_views: list[str | None]
-) -> tuple[list[PrincipalLine | None], list[Exception | None]]:
-    """Closed-form symmetry axes of a stack of views, one per homography.
+def principal_lines(hs: np.ndarray) -> tuple[np.ndarray, list[Exception | None]]:
+    """Closed-form symmetry axes of a stack of homographies (V, 3, 3).
 
-    The perspective and direction tests, the vanishing points and the line
-    coefficients are computed on the whole stack; each line is then built
-    on its own. Returns the lines and, aligned with them, the error of each
-    view that has none: DegenerateView for a fronto-parallel board
-    (h7 = h8 = 0, no perspective) and AmbiguousDirection when the in-image
-    component of the board normal vanishes.
+    Returns the (V, 3) lines, row i the coefficients (a, b, c) of
+    a*u + b*v + c = 0 with unit normal (a, b) and canonical sign (a > 0,
+    or a == 0 and b > 0), and, aligned with them, the error of each view
+    that has none (its row is NaN): DegenerateView for a fronto-parallel
+    board (h7 = h8 = 0, no perspective), AmbiguousDirection when the
+    in-image component of the board normal vanishes, and ValueError when
+    the coefficients are not finite or (a, b) is zero.
     """
-    count = len(homographies)
-    hs = np.array([hom.h for hom in homographies]).reshape(count, 3, 3)
+    hs = np.asarray(hs, dtype=float)
+    count = len(hs)
     h7, h8 = hs[:, 2, 0], hs[:, 2, 1]
     persp = h7 * h7 + h8 * h8
     norm2 = (hs * hs).reshape(count, 9).sum(axis=-1)
@@ -103,24 +79,24 @@ def principal_lines(
     # Line through vd along (w1, w2), assembled homogeneously to avoid the
     # cancellation of a far-away anchor.
     coeffs = np.cross(vd, np.stack([w[:, 0], w[:, 1], np.zeros(count)], axis=-1))
+    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    with np.errstate(invalid="ignore"):  # a non-finite row fails below
+        norm = np.asarray(_hypot(a, b), dtype=float)
+    bad = ~(np.isfinite(norm) & np.isfinite(c)) | (norm == 0.0)
+    lines = coeffs / np.where(bad, 1.0, norm)[:, None]
+    flip = (lines[:, 0] < 0.0) | ((lines[:, 0] == 0.0) & (lines[:, 1] < 0.0))
+    lines = np.where(flip[:, None], -lines, lines)
 
-    lines: list[PrincipalLine | None] = [None] * count
     errors: list[Exception | None] = [None] * count
-    for i, source_view in enumerate(source_views):
+    for i in range(count):
         if flat[i]:
             errors[i] = DegenerateView("board is parallel to the image plane (h7 = h8 = 0)")
         elif ambiguous[i]:
             errors[i] = AmbiguousDirection("in-image component of the board normal vanishes")
-        else:
-            try:
-                a, b, c = coeffs[i].tolist()
-                u, v, z = vd[i].tolist()
-                w1, w2 = w[i, 0].item(), w[i, 1].item()
-                dnorm = math.hypot(w1, w2)
-                anchor = Point2(u / z, v / z)
-                lines[i] = PrincipalLine(Line2(a, b, c), source_view, anchor, (w1 / dnorm, w2 / dnorm))
-            except ValueError as err:
-                errors[i] = err
+        elif bad[i]:
+            errors[i] = ValueError("line coefficients must be finite with (a, b) != 0")
+        if errors[i] is not None:
+            lines[i] = np.nan
     return lines, errors
 
 
@@ -143,8 +119,9 @@ def _intersections(normals: np.ndarray, offsets: np.ndarray):
     return sol, cond, solvable
 
 
-def estimate_pp(lines: list[PrincipalLine]) -> PPEstimate:
-    """Point minimizing the sum of squared distances to the given lines.
+def estimate_pp(lines: np.ndarray) -> PPEstimate:
+    """Point minimizing the sum of squared distances to the given (k, 3)
+    unit-normal lines (a, b, c).
 
     With unit-normal lines the per-line residuals are signed distances.
     Raises TooFewLines for fewer than two lines and ParallelLines when the
@@ -152,8 +129,8 @@ def estimate_pp(lines: list[PrincipalLine]) -> PPEstimate:
     """
     if len(lines) < 2:
         raise TooFewLines(f"need at least 2 principal lines, got {len(lines)}")
-    normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
-    offsets = np.array([pl.line.c for pl in lines])
+    # a strided view of the normals would take another BLAS path and round differently
+    normals, offsets = np.ascontiguousarray(lines[:, :2]), lines[:, 2]
     sol, cond, solvable = _intersections(normals[None], offsets[None])
     if not solvable[0]:
         raise ParallelLines(f"line bundle is near parallel (condition {float(cond[0]):.3e})")
@@ -166,13 +143,12 @@ def estimate_pp(lines: list[PrincipalLine]) -> PPEstimate:
     )
 
 
-def _loo_distances(lines: list[PrincipalLine]) -> np.ndarray:
-    """Distance of each line to the intersection of all the others, -inf
-    where those others are near parallel (the line cannot be judged). The
-    k leave-one-out bundles are solved as one stack."""
+def _loo_distances(lines: np.ndarray) -> np.ndarray:
+    """Distance of each of the (k, 3) lines to the intersection of all the
+    others, -inf where those others are near parallel (the line cannot be
+    judged). The k leave-one-out bundles are solved as one stack."""
     k = len(lines)
-    normals = np.array([[pl.line.a, pl.line.b] for pl in lines])
-    offsets = np.array([pl.line.c for pl in lines])
+    normals, offsets = lines[:, :2], lines[:, 2]
     others = np.broadcast_to(np.arange(k), (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     sol, _, solvable = _intersections(normals[others], offsets[others])
     distances = np.abs(normals[:, 0] * sol[:, 0] + normals[:, 1] * sol[:, 1] + offsets)
@@ -180,10 +156,10 @@ def _loo_distances(lines: list[PrincipalLine]) -> np.ndarray:
 
 
 def flag_outlier_lines(
-    lines: list[PrincipalLine],
+    lines: np.ndarray,
     threshold_px: float = DEFAULT_OUTLIER_THRESHOLD_PX,
-) -> tuple[list[PrincipalLine], list[PrincipalLine]]:
-    """Leave-one-out screening of a principal-line bundle.
+) -> tuple[list[int], list[int]]:
+    """Leave-one-out screening of a bundle of (k, 3) principal lines.
 
     Repeatedly estimates the intersection without each line in turn and
     removes the single worst line whose distance to its leave-one-out
@@ -192,22 +168,23 @@ def flag_outlier_lines(
     consensus and implicating clean lines. Each round solves its k
     leave-one-out bundles as one stack.
 
-    Returns (inliers, outliers). Raises TooFewLines for fewer than four
-    lines and AllFlagged if screening would leave fewer than three
-    mutually consistent lines.
+    Returns (inliers, outliers) as row indices into lines, the inliers in
+    row order and the outliers in removal order. Raises TooFewLines for
+    fewer than four lines and AllFlagged if screening would leave fewer
+    than three mutually consistent lines.
     """
     if len(lines) < 4:
         raise TooFewLines(f"leave-one-out screening needs at least 4 lines, got {len(lines)}")
-    inliers = list(lines)
-    outliers: list[PrincipalLine] = []
+    inliers = list(range(len(lines)))
+    outliers: list[int] = []
     while len(inliers) >= 4:
-        distances = _loo_distances(inliers)
+        distances = _loo_distances(lines[inliers])
         worst = int(np.argmax(distances))
         if distances[worst] <= threshold_px:
             break
         outliers.append(inliers.pop(worst))
     if len(inliers) == 3:
-        est = estimate_pp(inliers)
+        est = estimate_pp(lines[inliers])
         if max(abs(r) for r in est.per_line_residual) > threshold_px:
             raise AllFlagged(
                 "screening would flag more than n - 3 lines; remaining bundle is inconsistent"

@@ -49,11 +49,11 @@ def mix_seed(seed: int, pose_index: int, setting_index: int, roll_index: int) ->
 
 def _require_finite(what: str, **values) -> None:
     """ConfigError naming the first field whose value, or any of whose
-    values for a sequence, is not a finite number."""
+    values for a sequence, is not a finite number (a bool is not one)."""
     for name, value in values.items():
         for x in value if isinstance(value, (tuple, list)) else (value,):
             try:
-                finite = math.isfinite(x)
+                finite = not isinstance(x, bool) and math.isfinite(x)
             except TypeError:
                 finite = False
             if not finite:
@@ -116,6 +116,8 @@ class DriftModel:
             raise ConfigError(f"unknown drift profile {self.drift_profile!r}")
         if self.drift_total < 0.0 or self.gravity_px < 0.0:
             raise ConfigError("drift_total and gravity_px must be nonnegative")
+        if not isinstance(self.flip_gravity, bool):
+            raise ConfigError(f"flip_gravity must be true or false, got {self.flip_gravity!r}")
 
 
 def true_pp(drift: DriftModel, setting_index: int, n_settings: int, pose: PoseLabel) -> Point2:
@@ -209,8 +211,16 @@ class SceneConfig:
             fill_fraction=self.fill_fraction,
             rolls=self.rolls,
         )
-        if not isinstance(self.rng_seed, int):
-            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        integers = {
+            "board_cols": self.board_cols,
+            "board_rows": self.board_rows,
+            "image_width": self.image_width,
+            "image_height": self.image_height,
+            "rng_seed": self.rng_seed,
+        }
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.board_cols < 2 or self.board_rows < 2:
             raise ConfigError("board needs at least 2x2 inner corners")
         if self.square_mm <= 0.0:
@@ -245,7 +255,7 @@ class SceneConfig:
     def for_camera(cls, camera_id: str, **overrides) -> "SceneConfig":
         try:
             preset = CAMERA_PRESETS[camera_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ConfigError(
                 f"unknown camera preset {camera_id!r}; available: {sorted(CAMERA_PRESETS)}"
             ) from None
@@ -426,8 +436,26 @@ def generate_dataset(config: SceneConfig) -> Dataset:
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth)
 
 
+def _json_list(name: str, raw) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"scene {name} must be a list, got {raw!r}")
+    return raw
+
+
+def _focal_setting(node) -> FocalSetting:
+    if not isinstance(node, dict):
+        raise ConfigError(f"a focal setting must be an object with label_mm and f_px, got {node!r}")
+    try:
+        return FocalSetting(float(node["label_mm"]), float(node["f_px"]))
+    except KeyError as err:
+        raise ConfigError(f"focal setting is missing {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid focal setting: {err}") from None
+
+
 def scene_config_from_dict(raw: dict) -> SceneConfig:
-    """Build a SceneConfig from parsed JSON, rejecting unknown keys."""
+    """Build a SceneConfig from parsed JSON, rejecting unknown keys and
+    fields of the wrong JSON type."""
     if not isinstance(raw, dict):
         raise ConfigError("scene configuration must be a JSON object")
     data = dict(raw)
@@ -459,17 +487,20 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
         base = SceneConfig()
     kwargs = dict(data)
     if rolls_raw is not None:
-        kwargs["rolls"] = tuple(float(r) for r in rolls_raw)
+        try:
+            kwargs["rolls"] = tuple(float(r) for r in _json_list("rolls", rolls_raw))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"invalid scene rolls: {err}") from None
     if poses_raw is not None:
         try:
-            kwargs["poses"] = tuple(PoseLabel(p) for p in poses_raw)
-        except ValueError as err:
+            kwargs["poses"] = tuple(PoseLabel(p) for p in _json_list("poses", poses_raw))
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"unknown pose label: {err}") from None
     if settings_raw is not None:
-        kwargs["focal_settings"] = tuple(
-            FocalSetting(float(s["label_mm"]), float(s["f_px"])) for s in settings_raw
-        )
+        kwargs["focal_settings"] = tuple(_focal_setting(s) for s in _json_list("focal_settings", settings_raw))
     if drift_raw is not None:
+        if not isinstance(drift_raw, dict):
+            raise ConfigError(f"invalid drift model: must be an object, got {drift_raw!r}")
         drift_kwargs = dict(drift_raw)
         if "pp0" in drift_kwargs:
             try:
@@ -480,7 +511,11 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
         else:
             drift_kwargs["pp0"] = base.drift.pp0
         if "drift_dir" in drift_kwargs:
-            drift_kwargs["drift_dir"] = tuple(float(x) for x in drift_kwargs["drift_dir"])
+            try:
+                u, v = drift_kwargs["drift_dir"]
+                drift_kwargs["drift_dir"] = (float(u), float(v))
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"invalid drift model: drift_dir: {err}") from None
         try:
             kwargs["drift"] = DriftModel(**drift_kwargs)
         except TypeError as err:

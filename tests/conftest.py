@@ -56,6 +56,15 @@ def scene_homography(f, pp, rot, t) -> np.ndarray:
     return kmat(f, pp[0], pp[1]) @ np.column_stack([rot[:, 0], rot[:, 1], np.asarray(t)])
 
 
+def canonical_homography(m) -> np.ndarray:
+    """m scaled to Frobenius norm 1 and signed so that the first nonzero of
+    h9, h7, h8 is positive: the form the package stores homographies in."""
+    m = np.asarray(m, dtype=float)
+    m = m / np.linalg.norm(m)
+    pivot = next((p for p in (m[2, 2], m[2, 0], m[2, 1]) if p != 0.0), 0.0)
+    return -m if pivot < 0.0 else m
+
+
 def grid_board(cols: int = 9, rows: int = 6, square: float = 25.0) -> np.ndarray:
     xs = np.arange(cols) * square
     ys = np.arange(rows) * square
@@ -63,9 +72,15 @@ def grid_board(cols: int = 9, rows: int = 6, square: float = 25.0) -> np.ndarray
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def line_distance(line, point) -> float:
+    """Distance of an image point (u, v) from a unit-normal line (a, b, c)."""
+    a, b, c = line
+    return abs(a * point[0] + b * point[1] + c)
+
+
 def line_close(line, expected, tol: float = 1e-9) -> bool:
     """Compare homogeneous line coefficients up to overall sign."""
-    got = np.array([line.a, line.b, line.c], dtype=float)
+    got = np.array(line, dtype=float)
     exp = np.array(expected, dtype=float)
     exp = exp / math.hypot(exp[0], exp[1])
     return min(np.abs(got - exp).max(), np.abs(got + exp).max()) <= tol

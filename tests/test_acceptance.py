@@ -22,7 +22,6 @@ from caliblab.calibrate import (
 )
 from caliblab.cli import main
 from caliblab.errors import DegenerateView
-from caliblab.geometry import Homography, Point2
 from caliblab.principal_line import principal_lines
 from caliblab.synth import (
     DriftModel,
@@ -34,6 +33,8 @@ from caliblab.synth import (
 
 from conftest import (
     bias_half_board,
+    canonical_homography,
+    line_distance,
     only,
     oracle_rot_x,
     oracle_rot_z,
@@ -96,13 +97,13 @@ def test_principal_line_incidence():
         roll = rng.uniform(0.0, 360.0)
         dist = rng.uniform(0.08, 0.35) * f
         rot = oracle_rot_z(roll) @ oracle_rot_x(tilt)
-        h = Homography(scene_homography(f, pp, rot, [0.0, 0.0, dist]))
-        pl = only(principal_lines([h], [None]))
-        assert pl.line.distance(Point2(*pp)) < 1e-9 * f
+        h = canonical_homography(scene_homography(f, pp, rot, [0.0, 0.0, dist]))
+        line = only(principal_lines(h[None]))
+        assert line_distance(line, pp) < 1e-9 * f
     for roll in (0.0, 30.0, 200.0):
-        h = Homography(scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_z(roll), [0.0, 0.0, 900.0]))
+        h = canonical_homography(scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_z(roll), [0.0, 0.0, 900.0]))
         with pytest.raises(DegenerateView):
-            only(principal_lines([h], [None]))
+            only(principal_lines(h[None]))
     report("principal-line incidence")
 
 

@@ -25,10 +25,10 @@ from caliblab.analysis import (
 from caliblab.calibrate import CalibrationView, Intrinsics, _views_rmse, refit_view_poses
 from caliblab.dataset_io import dumps_dataset, loads_dataset
 from caliblab.errors import CaliblabError, MissingPose, TooFewPoints
-from caliblab.geometry import Homography, Point2
+from caliblab.geometry import Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
 
-from conftest import oracle_rot_x, scene_homography, tilted_scene_views
+from conftest import canonical_homography, oracle_rot_x, scene_homography, tilted_scene_views
 
 
 def crossval_config(gravity_px, sigma, seed, n_settings=1):
@@ -365,8 +365,8 @@ class TestBatchedCrossval:
             2,
             CalibrationView(
                 id="through-center",
-                homography=Homography(through_center),
-                principal_line=None,
+                h=canonical_homography(through_center),
+                line=None,
                 board_xy=views[2].board_xy,
                 image_uv=views[2].image_uv,
             ),

@@ -39,13 +39,14 @@ from caliblab.errors import (
     DegenerateView,
     InsufficientViews,
 )
-from caliblab.geometry import DLT_RANK_RTOL, Homography, Point2
+from caliblab.geometry import DLT_RANK_RTOL, Point2
 from caliblab.principal_line import DIRECTION_EPS, PERSPECTIVE_EPS
 from caliblab.synth import SceneConfig, generate_dataset
 from caliblab.rotations import rvec_from_rotation
 
 from conftest import (
     bias_half_board,
+    canonical_homography,
     grid_board,
     only,
     oracle_rot_x,
@@ -57,7 +58,7 @@ from conftest import (
 
 
 def tilt45_homography(f=1000.0, pp=(500.0, 400.0)):
-    return Homography(scene_homography(f, pp, oracle_rot_x(45.0), [0.0, 0.0, 1000.0]))
+    return canonical_homography(scene_homography(f, pp, oracle_rot_x(45.0), [0.0, 0.0, 1000.0]))
 
 
 class TestFocalFromHomography:
@@ -69,14 +70,14 @@ class TestFocalFromHomography:
         assert estimates[0] == pytest.approx(1000.0, rel=1e-9)
 
     def test_fronto_parallel_empty(self):
-        h = Homography(scene_homography(1000.0, (500.0, 400.0), np.eye(3), [0.0, 0.0, 1000.0]))
+        h = canonical_homography(scene_homography(1000.0, (500.0, 400.0), np.eye(3), [0.0, 0.0, 1000.0]))
         assert focal_from_homography(h, Point2(500.0, 400.0)) == []
 
     def test_general_pose_both_constraints(self):
         # in-plane pattern rotation after the tilt makes both rotation
         # columns dip out of the image plane, so both closed forms apply
         rot = oracle_rot_x(45.0) @ oracle_rot_z(30.0)
-        h = Homography(scene_homography(3000.0, (2000.0, 1500.0), rot, [0.0, 0.0, 900.0]))
+        h = canonical_homography(scene_homography(3000.0, (2000.0, 1500.0), rot, [0.0, 0.0, 900.0]))
         estimates = focal_from_homography(h, Point2(2000.0, 1500.0))
         assert len(estimates) == 2
         for f in estimates:
@@ -87,9 +88,9 @@ class TestExtrinsicsFromHomography:
     def test_recovers_exact_pose(self):
         rot = oracle_rot_z(70.0) @ oracle_rot_x(40.0)
         t = np.array([30.0, -50.0, 1200.0])
-        h = Homography(scene_homography(2500.0, (1000.0, 800.0), rot, t))
+        h = canonical_homography(scene_homography(2500.0, (1000.0, 800.0), rot, t))
         intr = Intrinsics(2500.0, Point2(1000.0, 800.0))
-        rots, ts, _ = _decompose_homographies(h.h[None], *_intrinsic_arrays([intr]))
+        rots, ts, _ = _decompose_homographies(h[None], *_intrinsic_arrays([intr]))
         np.testing.assert_allclose(rots[0], rot, atol=1e-8)
         np.testing.assert_allclose(ts[0], t, rtol=1e-8)
 
@@ -97,7 +98,7 @@ class TestExtrinsicsFromHomography:
         rot = oracle_rot_x(45.0)
         m = scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 0.0, 1000.0])
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
-        hs = np.array([Homography(m).h, Homography(-m).h])
+        hs = np.array([canonical_homography(m), canonical_homography(-m)])
         rots, ts, _ = _decompose_homographies(hs, *_intrinsic_arrays([intr] * 2))
         np.testing.assert_array_equal(rots[0], rots[1])
         np.testing.assert_array_equal(ts[0], ts[1])
@@ -106,7 +107,7 @@ class TestExtrinsicsFromHomography:
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         for _ in range(20):
             views, _ = tilted_scene_views(rolls=[float(rng.uniform(0, 360))], sigma=0.5, rng=rng)
-            (rot,), _, _ = _decompose_homographies(views[0].homography.h[None], *_intrinsic_arrays([intr]))
+            (rot,), _, _ = _decompose_homographies(views[0].h[None], *_intrinsic_arrays([intr]))
             assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
@@ -152,7 +153,7 @@ class TestCalibrateGeometric:
         views, _ = tilted_scene_views()
         result = calibrate_geometric(views)
         pp = result.pp_estimate.pp
-        per_view = [focal_from_homography(v.homography, pp) for v in views]
+        per_view = [focal_from_homography(v.h, pp) for v in views]
         samples = [f for fs in per_view for f in fs]
         corrupted = [f * 2.0 for f in per_view[0]] + [f for fs in per_view[1:] for f in fs]
         assert abs(np.median(corrupted) - np.median(samples)) / np.median(samples) < 0.01
@@ -376,7 +377,7 @@ class TestBatchedPoseRefit:
         views, _ = tilted_scene_views(sigma=0.5, rng=rng)
         short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
         h = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
-        through = CalibrationView("through-center", Homography(h), None, views[2].board_xy, views[2].image_uv)
+        through = CalibrationView("through-center", canonical_homography(h), None, views[2].board_xy, views[2].image_uv)
         cameras = [
             Intrinsics(3000.0, Point2(3024.0, 2012.0)),
             Intrinsics(3100.0, Point2(3000.0, 2050.0)),
@@ -453,9 +454,9 @@ class TestExtrinsicEdgeCases:
     def test_behind_camera(self):
         # board origin in the camera plane: recovered t_z collapses to 0
         rot = oracle_rot_x(45.0)
-        h = Homography(scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 800.0, 1e-9]))
+        h = canonical_homography(scene_homography(1000.0, (500.0, 400.0), rot, [0.0, 800.0, 1e-9]))
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
-        _, _, through_center = _decompose_homographies(h.h[None], *_intrinsic_arrays([intr]))
+        _, _, through_center = _decompose_homographies(h[None], *_intrinsic_arrays([intr]))
         assert through_center[0]
         view = CalibrationView("v", h, None, grid_board(), grid_board())
         assert isinstance(refit_view_poses([intr], [view]).errors[0], BehindCamera)
@@ -470,7 +471,7 @@ class TestViewRmse:
 
 def reference_homography(board, image):
     """One view's normalized DLT, as a loop over views computes it: the
-    raw matrix handed to Homography, or the error."""
+    raw matrix before scaling and sign, or the error."""
 
     def normalize(pts):
         centroid = pts.mean(axis=0)
@@ -496,10 +497,9 @@ def reference_homography(board, image):
     return np.linalg.inv(tq) @ vt[-1].reshape(3, 3) @ tb
 
 
-def reference_line(homography):
-    """One view's principal line as (a, b, c, anchor u, anchor v, direction
-    u, direction v), or the error, as a loop over views computes it."""
-    h = homography.h
+def reference_line(h):
+    """One view's principal line (a, b, c), or the error, as a loop over
+    views computes it."""
     h7, h8 = h[2, 0], h[2, 1]
     if h7 * h7 + h8 * h8 <= PERSPECTIVE_EPS * float(np.sum(h * h)):
         raise DegenerateView("board is parallel to the image plane (h7 = h8 = 0)")
@@ -512,22 +512,18 @@ def reference_line(homography):
     a, b, c = coeffs[0] / norm, coeffs[1] / norm, coeffs[2] / norm
     if a < 0.0 or (a == 0.0 and b < 0.0):
         a, b, c = -a, -b, -c
-    dnorm = math.hypot(w[0], w[1])
-    return (a, b, c, vd[0] / vd[2], vd[1] / vd[2], w[0] / dnorm, w[1] / dnorm)
+    return (a, b, c)
 
 
 def assert_matches_reference(view):
-    expected = Homography(reference_homography(view.board_xy, view.image_uv))
-    assert view.homography.h.tobytes() == expected.h.tobytes()
+    expected = canonical_homography(reference_homography(view.board_xy, view.image_uv))
+    assert view.h.tobytes() == expected.tobytes()
     try:
         line = reference_line(expected)
     except (DegenerateView, AmbiguousDirection):
-        assert view.principal_line is None
+        assert view.line is None
         return
-    pl = view.principal_line
-    got = (pl.line.a, pl.line.b, pl.line.c, pl.anchor.u, pl.anchor.v, *pl.direction)
-    assert np.array(got).tobytes() == np.array(line).tobytes()
-    assert pl.source_view == view.id
+    assert view.line.tobytes() == np.array(line).tobytes()
 
 
 def fronto_parallel_uv(board):
@@ -554,7 +550,7 @@ class TestStackedViewBuild:
             if pose.value == cell["pose"] and setting.label_mm == cell["focal_label_mm"]
         ]
         assert [len(v.board_xy) for v in built] == [54, 4, 27, 20, 54, 4, 54, 54]
-        assert built[4].principal_line is None
+        assert built[4].line is None
         for view in built:
             assert_matches_reference(view)
         for views in loaded.cells.values():
@@ -575,13 +571,15 @@ class TestStackedViewBuild:
         ]
         views, errors = views_from_points(ids, boards, images)
         assert errors == [None] * 5
-        assert views[2].principal_line is None
+        assert views[2].line is None
         for view_id, view, b, i in zip(ids, views, boards, images):
             single = only(views_from_points([view_id], [b], [i]))
             assert view.id == view_id
-            assert view.homography.h.tobytes() == single.homography.h.tobytes()
+            assert view.h.tobytes() == single.h.tobytes()
             assert view.board_xy.tobytes() == single.board_xy.tobytes()
             assert not view.board_xy.flags.writeable and not view.image_uv.flags.writeable
+            assert not view.h.flags.writeable
+            assert view.line is None or not view.line.flags.writeable
             assert_matches_reference(view)
 
     def test_bad_views_fail_alone(self):
@@ -602,7 +600,7 @@ class TestStackedViewBuild:
         assert str(errors[4]) == "all points coincide"
         assert "at least 4 corners" in str(errors[5])
         alone = only(views_from_points(["g1"], [board], [good[1].image_uv]))
-        assert views[2].homography.h.tobytes() == alone.homography.h.tobytes()
+        assert views[2].h.tobytes() == alone.h.tobytes()
 
     @pytest.mark.parametrize(
         "corrupt, detail",

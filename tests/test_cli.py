@@ -101,8 +101,37 @@ class TestSimulate:
                 "focal setting label_mm must be a finite number",
             ),
             ({"rolls": [45, 45.0000001, 90]}, "distinct view labels"),
+            ({"rolls": 5}, "scene rolls must be a list, got 5"),
+            ({"rolls": ["x"]}, "invalid scene rolls: could not convert string to float: 'x'"),
+            ({"poses": 3}, "scene poses must be a list, got 3"),
+            ({"drift": 7}, "invalid drift model: must be an object, got 7"),
+            ({"drift": {"drift_dir": 1}}, "invalid drift model: drift_dir"),
+            ({"focal_settings": [5]}, "a focal setting must be an object with label_mm and f_px, got 5"),
+            ({"focal_settings": [{"label_mm": 12.0}]}, "focal setting is missing 'f_px'"),
+            ({"board_cols": 2.5}, "board_cols must be an integer, got 2.5"),
+            ({"image_width": 6048.5}, "image_width must be an integer, got 6048.5"),
+            ({"noise_sigma_px": True}, "scene noise_sigma_px must be a finite number, got True"),
+            ({"drift": {"flip_gravity": "no"}}, "flip_gravity must be true or false, got 'no'"),
         ],
-        ids=["square", "roll", "pose-tilt", "pp0", "focal-label", "colliding-rolls"],
+        ids=[
+            "square",
+            "roll",
+            "pose-tilt",
+            "pp0",
+            "focal-label",
+            "colliding-rolls",
+            "rolls-number",
+            "rolls-text",
+            "poses-number",
+            "drift-number",
+            "drift-dir-number",
+            "focal-setting-number",
+            "focal-setting-no-f",
+            "fractional-board",
+            "fractional-image",
+            "boolean-noise",
+            "text-flip-gravity",
+        ],
     )
     def test_bad_scene_number_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_config(tmp_path, **overrides)
@@ -245,6 +274,9 @@ class TestRunOptions:
             (lambda cell: cell["ground_truth"]["views"][1].update(t_mm=None), "truth", "3-vector"),
             (lambda cell: cell["ground_truth"]["views"][1]["t_mm"].__setitem__(2, -5.0), "truth", "t_z = -5.0"),
             (lambda cell: cell["ground_truth"]["views"][1]["t_mm"].__setitem__(2, 0.0), "truth", "t_z = 0.0"),
+            (lambda cell: cell["views"][1]["corners"][0].update(u_px=1e200), True, "spread too far to normalize"),
+            (lambda cell: cell.update(focal_px=float("nan")), False, "f_px > 0, got nan"),
+            (lambda cell: cell.update(focal_px=0.0), False, "f_px > 0, got 0.0"),
         ],
         ids=[
             "missing-u",
@@ -259,6 +291,9 @@ class TestRunOptions:
             "null-t",
             "t-z-negative",
             "t-z-zero",
+            "overflowing-corner",
+            "nan-focal",
+            "zero-focal",
         ],
     )
     def test_malformed_dataset_exits_2(self, dataset_path, tmp_path, capsys, mutate, in_view, detail):

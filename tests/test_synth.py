@@ -11,7 +11,6 @@ from caliblab.calibrate import Intrinsics, views_from_points
 from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
-from caliblab.principal_line import principal_lines
 from caliblab.rotations import rodrigues, rot_x, rot_y, rot_z, rvec_from_rotation
 from caliblab.synth import (
     CAMERA_PRESETS,
@@ -26,7 +25,7 @@ from caliblab.synth import (
     true_pp,
 )
 
-from conftest import only, pinhole_project
+from conftest import line_distance, only, pinhole_project
 
 
 def small_config(**overrides):
@@ -130,9 +129,8 @@ class TestGenerateView:
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
         (view,), _, _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
-        pl = only(principal_lines([view.homography], [None]))
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
-        assert pl.line.distance(pp) < 1e-6
+        assert line_distance(view.line, (pp.u, pp.v)) < 1e-6
 
     def test_corners_in_bounds(self):
         config = small_config(noise_sigma_px=0.5)
@@ -305,8 +303,8 @@ class TestStackedSynthesis:
         assert dumps_dataset(dataset) == dumps_dataset(reference)
         for key, views in dataset.cells.items():
             for view, ref in zip(views, reference.cells[key]):
-                assert view.homography.h.tobytes() == ref.homography.h.tobytes()
-                assert (view.principal_line is None) == (ref.principal_line is None)
+                assert view.h.tobytes() == ref.h.tobytes()
+                assert (view.line is None) == (ref.line is None)
 
     def test_first_failing_roll_is_reported(self):
         # at 400 px of noise no roll fits; the error names the first one
