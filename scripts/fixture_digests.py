@@ -4,7 +4,12 @@
 Runs the `caliblab` CLI on the cam1 preset at seed 7, at noise sigma 0 and
 0.5 px: `simulate`, then `calibrate` and `crossval` with every method,
 `calibrate --max-views 3`, and `analyze` with the geometric and
-algebraic-refined methods. That is 20 commands writing 58 files. Prints
+algebraic-refined methods. Four more commands run the failure and notice
+paths: `calibrate --pl-outlier-px 0.05` (failed cells),
+`crossval --pl-outlier-px 0.5` and `analyze --pl-outlier-px 0.5` (notices
+of failed calibrations and skipped analyses), and
+`analyze --method algebraic --max-views 2` (exit 5). That is 28 commands
+writing 80 files, 108 output lines. Prints
 the exit code of each command, then one `sha256  path` line per file
 written, with paths relative to the output directory.
 
@@ -37,6 +42,13 @@ def commands(sigma_dir: str, sigma: str):
     yield "calibrate-max-views-3", ["calibrate", "--dataset", dataset, "--max-views", "3"]
     for method in ("geometric", "algebraic-refined"):
         yield f"analyze-{method}", ["analyze", "--dataset", dataset, "--method", method]
+    # failure and notice paths: failed cells, skipped analyses, exit 5
+    yield "calibrate-pl-outlier-0.05", ["calibrate", "--dataset", dataset, "--pl-outlier-px", "0.05"]
+    yield "crossval-pl-outlier-0.5", ["crossval", "--dataset", dataset, "--pl-outlier-px", "0.5"]
+    yield "analyze-pl-outlier-0.5", ["analyze", "--dataset", dataset, "--pl-outlier-px", "0.5"]
+    yield "analyze-algebraic-max-views-2", [
+        "analyze", "--dataset", dataset, "--method", "algebraic", "--max-views", "2"
+    ]
 
 
 def main(argv=None) -> int:

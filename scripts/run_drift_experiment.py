@@ -3,13 +3,15 @@
 
 Simulates a full dataset for one camera preset, calibrates every
 (pose, focal setting) cell, and prints the recovered principal-point
-trajectory against the injected one. Writes the full report bundles
-(CSV, SVG, JSON) for both calibration methods plus the trajectory and
-cross-validation analyses into the output directory. Exits with the
-first non-zero CLI exit code, or 0 when every command succeeds. Errors
-before the CLI commands run exit as the CLI does, with one `error:` line:
-2 for an invalid configuration or an unwritable output directory, 3 when
-the dataset cannot be generated, 4 when a DOWN cell cannot be calibrated.
+trajectory and gravity offsets against the injected ones. Writes the
+full report bundles (CSV, SVG, JSON) for both calibration methods plus
+the trajectory and cross-validation analyses into the output directory.
+Exits with the first non-zero CLI exit code, or 0 when every command
+succeeds. Errors before the CLI commands run exit as the CLI does, with
+one `error:` line: 2 for an invalid configuration or an unwritable output
+directory, 3 when the dataset cannot be generated, 4 when a DOWN cell
+cannot be calibrated or there are fewer than 3 DOWN settings for a
+trajectory.
 
 Usage:
     python scripts/run_drift_experiment.py [--camera cam1] [--seed 0]
@@ -22,7 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from caliblab.analysis import analyze_trajectory, calibrate_views
+from caliblab.analysis import analyze_drift, calibrate_cells
 from caliblab.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_GENERATION, _fail
 from caliblab.cli import main as cli_main
 from caliblab.dataset_io import write_dataset
@@ -51,20 +53,24 @@ def run(camera: str, seed: int, noise: float, out_dir: Path) -> int:
         return _fail(str(err), EXIT_CONFIG)
     print(f"dataset: {dataset.n_views()} views -> {dataset_path}")
 
-    pps = []
-    try:
-        for setting in dataset.settings():
-            views = dataset.cells[(PoseLabel.DOWN, setting)]
-            result = calibrate_views("geometric", views, DEFAULT_OUTLIER_THRESHOLD_PX)
-            pps.append(result.intrinsics.pp)
-            print(
-                f"  DOWN {setting.label_mm:5.1f} mm: pp = ({result.intrinsics.pp.u:9.2f}, "
-                f"{result.intrinsics.pp.v:9.2f})  f = {result.intrinsics.f:9.1f} px  "
-                f"rmse = {result.rmse:.3f} px"
-            )
-        trajectory = analyze_trajectory(pps)
-    except CaliblabError as err:
-        return _fail(str(err), EXIT_CALIBRATION)
+    cells = calibrate_cells(dataset, "geometric", DEFAULT_OUTLIER_THRESHOLD_PX)
+    down = {index: result for (pose, index), result in cells.items() if pose is PoseLabel.DOWN}
+    failed = next((err for err in down.values() if isinstance(err, CaliblabError)), None)
+    if failed is not None:
+        return _fail(str(failed), EXIT_CALIBRATION)
+    pps = {key: result.intrinsics.pp for key, result in cells.items() if not isinstance(result, CaliblabError)}
+    drift = analyze_drift(pps, len(dataset.poses()))
+    if drift.trajectory is None:
+        return _fail(drift.notices[0], EXIT_CALIBRATION)
+    settings = dataset.settings()
+    for index in drift.down_indices:
+        result = down[index]
+        print(
+            f"  DOWN {settings[index].label_mm:5.1f} mm: pp = ({result.intrinsics.pp.u:9.2f}, "
+            f"{result.intrinsics.pp.v:9.2f})  f = {result.intrinsics.f:9.1f} px  "
+            f"rmse = {result.rmse:.3f} px"
+        )
+    trajectory = drift.trajectory
     injected = math.degrees(math.atan2(config.drift.drift_dir[1], config.drift.drift_dir[0])) % 180.0
     print(
         f"trajectory: direction {trajectory.direction_deg:.1f} deg "
@@ -72,6 +78,11 @@ def run(camera: str, seed: int, noise: float, out_dir: Path) -> int:
         f"total shift {trajectory.total_shift_px:.1f} px "
         f"(injected {config.drift.drift_total:.0f})"
     )
+    if drift.gravity is not None:
+        offsets = ", ".join(f"{pose.value} {mag:.1f}" for pose, mag in drift.gravity.mean_offset_px.items())
+        print(f"gravity: mean offsets {offsets} px (injected {config.drift.gravity_px:.0f})")
+    for notice in drift.notices:
+        print(f"notice: {notice}")
 
     codes = []
     for method in ("geometric", "algebraic"):

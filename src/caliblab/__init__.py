@@ -6,10 +6,13 @@ from types import ModuleType as _ModuleType
 
 from .analysis import (
     CrossValReport,
+    DriftReport,
     GravityReport,
     TrajectoryReport,
+    analyze_drift,
     analyze_gravity,
     analyze_trajectory,
+    calibrate_cells,
     calibrate_views,
     cross_validate,
 )

@@ -1,5 +1,5 @@
-"""Reprojection metrics, pose-transfer cross-validation, and
-principal-point trajectory analysis."""
+"""Per-cell calibration of a dataset, pose-transfer cross-validation, and
+the principal-point trajectory and gravity analyses."""
 
 from __future__ import annotations
 
@@ -50,6 +50,18 @@ class GravityReport:
 
 
 @dataclass(frozen=True)
+class DriftReport:
+    """The trajectory of the DOWN principal points over the focal settings
+    and the gravity offsets of the tipped poses, with a notice for each
+    analysis that was skipped."""
+
+    down_indices: tuple[int, ...]  # setting indices of the DOWN series, ascending
+    trajectory: TrajectoryReport | None
+    gravity: GravityReport | None
+    notices: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class CrossValSetting:
     setting_index: int
     focal_label_mm: float
@@ -83,13 +95,35 @@ def calibrate_views(method: str, views, pl_outlier_px: float) -> CalibrationResu
     raise ValueError(f"unknown calibration method {method!r}")
 
 
+def calibrate_cells(
+    dataset: Dataset, method: str, pl_outlier_px: float
+) -> dict[tuple[PoseLabel, int], CalibrationResult | CaliblabError]:
+    """Calibrate every cell of the dataset, keyed (pose, setting index).
+
+    Poses come in dataset.poses() order and, within a pose, settings by
+    focal label. A cell whose calibration fails, an empty one included,
+    holds its error in place of a result.
+    """
+    cells: dict[tuple[PoseLabel, int], CalibrationResult | CaliblabError] = {}
+    settings = dataset.settings()
+    for pose in dataset.poses():
+        for index, setting in enumerate(settings):
+            views = dataset.cells.get((pose, setting))
+            if views is None:
+                continue
+            try:
+                cells[(pose, index)] = calibrate_views(method, views, pl_outlier_px)
+            except CaliblabError as err:
+                cells[(pose, index)] = err
+    return cells
+
+
 def _crossval_setting(
     dataset: Dataset,
     setting_index: int,
     setting: FocalSetting,
     poses: list[PoseLabel],
-    method: str,
-    pl_outlier_px: float,
+    results: dict[tuple[PoseLabel, int], CalibrationResult | CaliblabError],
 ) -> tuple[CrossValSetting, list[str]]:
     notices: list[str] = []
     n = len(poses)
@@ -98,16 +132,12 @@ def _crossval_setting(
 
     intrinsics: dict[PoseLabel, Intrinsics] = {}
     for pose in poses:
-        views = dataset.cells.get((pose, setting))
-        if not views:
+        if not dataset.cells.get((pose, setting)):
             notices.append(f"setting {setting.label_mm} mm: cell for pose {pose.value} is absent")
             continue
-        try:
-            result = calibrate_views(method, views, pl_outlier_px)
-        except CaliblabError as err:
-            notices.append(
-                f"setting {setting.label_mm} mm: calibration failed for pose {pose.value}: {err}"
-            )
+        result = results[(pose, setting_index)]
+        if isinstance(result, CaliblabError):
+            notices.append(f"setting {setting.label_mm} mm: calibration failed for pose {pose.value}: {result}")
             continue
         intrinsics[pose] = result.intrinsics
         self_rmse[pose] = result.rmse
@@ -135,16 +165,7 @@ def _crossval_setting(
                 continue
             matrix[a, b] = sum(refits.rmse[cell].tolist()) / len(views)
 
-    return (
-        CrossValSetting(
-            setting_index=setting_index,
-            focal_label_mm=setting.label_mm,
-            poses=tuple(poses),
-            matrix=matrix,
-            self_rmse=self_rmse,
-        ),
-        notices,
-    )
+    return CrossValSetting(setting_index, setting.label_mm, tuple(poses), matrix, self_rmse), notices
 
 
 def cross_validate(
@@ -161,10 +182,11 @@ def cross_validate(
     is fair. Missing or failing cells leave NaN entries and a notice.
     """
     poses = dataset.poses()
+    results = calibrate_cells(dataset, method, pl_outlier_px)
     per_setting = []
     notices: list[str] = []
     for index, setting in enumerate(dataset.settings()):
-        entry, batch = _crossval_setting(dataset, index, setting, poses, method, pl_outlier_px)
+        entry, batch = _crossval_setting(dataset, index, setting, poses, results)
         per_setting.append(entry)
         notices.extend(batch)
     return CrossValReport(method=method, settings=tuple(per_setting), notices=tuple(notices))
@@ -278,3 +300,30 @@ def analyze_gravity(
         mean_offset_px={pose: float(np.mean(vals)) for pose, vals in magnitudes.items()},
         sideway_ratio=ratio,
     )
+
+
+def analyze_drift(pps: dict[tuple[PoseLabel, int], Point2], n_poses: int) -> DriftReport:
+    """Trajectory and gravity analyses of calibrated principal points
+    keyed (pose, setting index), for a dataset of n_poses poses.
+
+    The trajectory runs over the DOWN series when it has 3 or more
+    settings. The gravity offsets follow when the trajectory has a drift
+    axis (it is not degenerate) and the dataset has 2 or more poses.
+    Each analysis that does not run leaves a notice saying why.
+    """
+    down_indices = tuple(sorted(index for pose, index in pps if pose is PoseLabel.DOWN))
+    trajectory = gravity = None
+    notices = []
+    if len(down_indices) >= 3:
+        trajectory = analyze_trajectory([pps[(PoseLabel.DOWN, index)] for index in down_indices])
+    else:
+        notices.append("trajectory analysis skipped: needs 3 or more DOWN settings")
+    if trajectory is not None and not trajectory.degenerate and n_poses >= 2:
+        angle = math.radians(trajectory.direction_deg)
+        try:
+            gravity = analyze_gravity(pps, (math.cos(angle), math.sin(angle)))
+        except CaliblabError as err:
+            notices.append(f"gravity analysis skipped: {err}")
+    else:
+        notices.append("gravity analysis skipped: needs 2 or more poses and a drift axis")
+    return DriftReport(down_indices, trajectory, gravity, tuple(notices))

@@ -392,16 +392,14 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
     )
 
 
-def _pack(f: float, pp: Point2, rot: np.ndarray, t: np.ndarray, fit_intrinsics: bool) -> np.ndarray:
+def _pack(f: float, pp: Point2, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
     body = np.concatenate([rvec_from_rotation(rot), t], axis=1).ravel()
-    return np.concatenate([[f, pp.u, pp.v], body]) if fit_intrinsics else body
+    return np.concatenate([[f, pp.u, pp.v], body])
 
 
-def _unpack(params: np.ndarray, fit_intrinsics: bool, intr0: Intrinsics):
+def _unpack(params: np.ndarray):
     """(f, u0, v0, poses) with poses a (n_views, 6) array of (rvec, t) rows."""
-    if fit_intrinsics:
-        return params[0], params[1], params[2], params[3:].reshape(-1, 6)
-    return intr0.f, intr0.pp.u, intr0.pp.v, params.reshape(-1, 6)
+    return params[0], params[1], params[2], params[3:].reshape(-1, 6)
 
 
 def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray) -> np.ndarray:
@@ -439,20 +437,20 @@ def _stack_views(views: Sequence[CalibrationView]):
     return _board_points(board), image, mask
 
 
-def _cell_residuals(params, stack, fit_intrinsics, intr0) -> np.ndarray:
-    f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
+def _cell_residuals(params, stack) -> np.ndarray:
+    f, u0, v0, poses = _unpack(params)
     pts, image, mask = stack
     _, uv = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
     return (uv - image)[mask].ravel()
 
 
-def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
+def _cell_jacobian(params, stack) -> np.ndarray:
     """Analytic Jacobian of the reprojection residuals.
 
-    Rows alternate (u, v) per corner per view; columns are the optional
-    (f, u0, v0) head followed by (rvec, t) per view.
+    Rows alternate (u, v) per corner per view; columns are the (f, u0, v0)
+    head followed by (rvec, t) per view.
     """
-    f, u0, v0, poses = _unpack(params, fit_intrinsics, intr0)
+    f, u0, v0, poses = _unpack(params)
     pts, _, mask = stack
     n_views = len(poses)
     cam, _ = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
@@ -460,12 +458,11 @@ def _cell_jacobian(params, stack, fit_intrinsics, intr0) -> np.ndarray:
     diag = np.arange(n_views)
     jac[diag, :, :, diag] = _pose_jacobian(f, poses[:, :3], pts, cam)
     jac = jac.reshape(mask.shape + (2, 6 * n_views))
-    if fit_intrinsics:
-        head = np.zeros(mask.shape + (2, 3))
-        head[..., 0] = cam[..., :2] / cam[..., 2:3]
-        head[..., 0, 1] = 1.0
-        head[..., 1, 2] = 1.0
-        jac = np.concatenate([head, jac], axis=-1)
+    head = np.zeros(mask.shape + (2, 3))
+    head[..., 0] = cam[..., :2] / cam[..., 2:3]
+    head[..., 0, 1] = 1.0
+    head[..., 1, 2] = 1.0
+    jac = np.concatenate([head, jac], axis=-1)
     return jac[mask].reshape(-1, jac.shape[-1])
 
 
@@ -589,11 +586,11 @@ def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> Calib
     stack = _stack_views(accepted)
     intr0 = result.intrinsics
     params, cost, converged, iters = _levenberg_marquardt(
-        _pack(intr0.f, intr0.pp, result.rot, result.t, fit_intrinsics=True)[None],
-        lambda p, rows: _cell_residuals(p[0], stack, True, intr0)[None],
-        lambda p, rows: _cell_jacobian(p[0], stack, True, intr0)[None],
+        _pack(intr0.f, intr0.pp, result.rot, result.t)[None],
+        lambda p, rows: _cell_residuals(p[0], stack)[None],
+        lambda p, rows: _cell_jacobian(p[0], stack)[None],
     )
-    f, u0, v0, poses = _unpack(params[0], True, intr0)
+    f, u0, v0, poses = _unpack(params[0])
     rot, t = rodrigues(poses[:, :3]), poses[:, 3:]
     for view, usable in zip(accepted, _usable_poses(rot, t)):
         if not usable:

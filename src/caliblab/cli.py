@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import analysis, dataset_io, reports
 from .calibrate import CalibrationResult
-from .errors import BoardOutOfView, CaliblabError, ConfigError, DegenerateSystem, TooFewPoints
+from .errors import BoardOutOfView, CaliblabError, ConfigError, DegenerateSystem
+from .geometry import Point2
 from .principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from .synth import Dataset, PoseLabel, SceneConfig, generate_dataset, scene_config_from_dict
 
@@ -83,56 +84,27 @@ def _error_mark(err: CaliblabError) -> str:
         return "DegenerateSystem"
     return type(err).__name__
 
-def _calibrate_cells(
-    dataset: Dataset, args
-) -> tuple[list[list], dict[tuple[PoseLabel, int], CalibrationResult], int]:
-    method = args.method
-    rows: list[list] = []
-    results: dict[tuple[PoseLabel, int], CalibrationResult] = {}
-    failures = 0
+def _calibrate_cells(dataset: Dataset, args) -> tuple[list[list], dict[tuple[PoseLabel, int], CalibrationResult]]:
+    """The results.csv row of every cell, in calibration order, and the
+    results of the cells that calibrated."""
+    cells = analysis.calibrate_cells(dataset, args.method, args.pl_outlier_px)
     settings = dataset.settings()
-    for pose in dataset.poses():
-        for index, setting in enumerate(settings):
-            views = dataset.cells.get((pose, setting))
-            if views is None:
-                continue
-            truth = (dataset.ground_truth or {}).get((pose, setting))
-            gt_cols = [truth[0].pp.u, truth[0].pp.v, truth[0].f] if truth else [None, None, None]
-            try:
-                result = analysis.calibrate_views(method, views, args.pl_outlier_px)
-            except CaliblabError as err:
-                failures += 1
-                rows.append(
-                    [pose.value, setting.label_mm, method, _error_mark(err), len(views)]
-                    + [None, None, None, None, ""]
-                    + gt_cols
-                )
-                continue
-            results[(pose, index)] = result
-            rows.append(
-                [
-                    pose.value,
-                    setting.label_mm,
-                    method,
-                    "ok",
-                    len(result.accepted_ids),
-                    result.intrinsics.pp.u,
-                    result.intrinsics.pp.v,
-                    result.intrinsics.f,
-                    result.rmse,
-                    ";".join(result.flags),
-                ]
-                + gt_cols
-            )
-    return rows, results, failures
+    rows: list[list] = []
+    for (pose, index), result in cells.items():
+        setting = settings[index]
+        truth = (dataset.ground_truth or {}).get((pose, setting))
+        gt_cols = [truth[0].pp.u, truth[0].pp.v, truth[0].f] if truth else [None, None, None]
+        if isinstance(result, CaliblabError):
+            fit = [_error_mark(result), len(dataset.cells[(pose, setting)]), None, None, None, None, ""]
+        else:
+            intr = result.intrinsics
+            fit = ["ok", len(result.accepted_ids), intr.pp.u, intr.pp.v, intr.f, result.rmse, ";".join(result.flags)]
+        rows.append([pose.value, setting.label_mm, args.method, *fit, *gt_cols])
+    return rows, {key: result for key, result in cells.items() if isinstance(result, CalibrationResult)}
 
-def _scatter_payload(results: dict[tuple[PoseLabel, int], CalibrationResult]) -> dict:
-    payload: dict[str, list[tuple[int, float, float]]] = {}
-    for (pose, index), result in sorted(results.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-        payload.setdefault(pose.value, []).append(
-            (index, result.intrinsics.pp.u, result.intrinsics.pp.v)
-        )
-    return payload
+def _write_results(out_dir: Path, rows: list[list], pps: dict[tuple[PoseLabel, int], Point2]) -> None:
+    reports.write_csv(out_dir / "results.csv", reports.CALIBRATION_CSV_HEADER, rows)
+    reports.atomic_write(out_dir / "pp_scatter.svg", reports.render_pp_scatter_svg(pps))
 
 def cmd_calibrate(args) -> int:
     try:
@@ -140,9 +112,9 @@ def cmd_calibrate(args) -> int:
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
     out_dir = Path(args.out_dir)
-    rows, results, failures = _calibrate_cells(dataset, args)
-    reports.atomic_write(out_dir / "results.csv", reports.rows_to_csv(reports.CALIBRATION_CSV_HEADER, rows))
-    reports.atomic_write(out_dir / "pp_scatter.svg", reports.render_pp_scatter_svg(_scatter_payload(results)))
+    rows, results = _calibrate_cells(dataset, args)
+    failures = len(rows) - len(results)
+    _write_results(out_dir, rows, {key: result.intrinsics.pp for key, result in results.items()})
     summary = {
         "command": "calibrate",
         "method": args.method,
@@ -158,9 +130,7 @@ def cmd_calibrate(args) -> int:
                 "rmse_px": res.rmse,
                 "flags": list(res.flags),
             }
-            for (pose, index), res in sorted(
-                results.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-            )
+            for (pose, index), res in sorted(results.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
         ],
     }
     reports.write_json_summary(out_dir / "summary.json", summary)
@@ -183,17 +153,10 @@ def cmd_crossval(args) -> int:
     for entry in report.settings:
         for a, pose_a in enumerate(entry.poses):
             for b, pose_b in enumerate(entry.poses):
-                value = entry.matrix[a, b]
-                rows.append(
-                    [
-                        entry.setting_index,
-                        entry.focal_label_mm,
-                        pose_a.value,
-                        pose_b.value,
-                        float(value) if math.isfinite(value) else None,
-                    ]
-                )
-    reports.atomic_write(out_dir / "crossval.csv", reports.rows_to_csv(reports.CROSSVAL_CSV_HEADER, rows))
+                value = float(entry.matrix[a, b])
+                rmse = value if math.isfinite(value) else None
+                rows.append([entry.setting_index, entry.focal_label_mm, pose_a.value, pose_b.value, rmse])
+    reports.write_csv(out_dir / "crossval.csv", reports.CROSSVAL_CSV_HEADER, rows)
     summary = {
         "command": "crossval",
         "method": report.method,
@@ -225,81 +188,42 @@ def cmd_analyze(args) -> int:
     except ConfigError as err:
         return _fail(str(err), EXIT_CONFIG)
     out_dir = Path(args.out_dir)
-    rows, results, failures = _calibrate_cells(dataset, args)
+    rows, results = _calibrate_cells(dataset, args)
+    failures = len(rows) - len(results)
     if rows and failures / len(rows) > MISSING_TOLERANCE:
-        reports.atomic_write(
-            out_dir / "results.csv", reports.rows_to_csv(reports.CALIBRATION_CSV_HEADER, rows)
-        )
+        reports.write_csv(out_dir / "results.csv", reports.CALIBRATION_CSV_HEADER, rows)
         return _fail(
             f"{failures} of {len(rows)} cells failed to calibrate (tolerance {MISSING_TOLERANCE:.0%})",
             EXIT_MISSING,
         )
     settings = dataset.settings()
-
-    summary: dict = {"command": "analyze", "method": args.method, "notices": []}
+    pps = {key: result.intrinsics.pp for key, result in results.items()}
+    drift = analysis.analyze_drift(pps, len(dataset.poses()))
+    summary: dict = {"command": "analyze", "method": args.method, "notices": list(drift.notices)}
 
     trajectory_rows: list[list] = []
-    trajectory = None
-    down_series = [
-        (index, results[(PoseLabel.DOWN, index)])
-        for index in range(len(settings))
-        if (PoseLabel.DOWN, index) in results
-    ]
-    if len(down_series) >= 3:
-        pps = [res.intrinsics.pp for _, res in down_series]
-        try:
-            trajectory = analysis.analyze_trajectory(pps)
-        except TooFewPoints:
-            trajectory = None
-    if trajectory is not None:
-        for (index, res), (du, dv) in zip(down_series, [(None, None), *trajectory.per_step]):
-            pp = res.intrinsics.pp
+    if drift.trajectory is not None:
+        steps = [(None, None), *drift.trajectory.per_step]
+        for index, (du, dv) in zip(drift.down_indices, steps):
+            pp = pps[(PoseLabel.DOWN, index)]
             trajectory_rows.append([index, settings[index].label_mm, pp.u, pp.v, du, dv])
-        summary["trajectory"] = {
-            "direction_deg": trajectory.direction_deg,
-            "monotonicity": trajectory.monotonicity,
-            "total_shift_px": trajectory.total_shift_px,
-            "degenerate": trajectory.degenerate,
-        }
-    else:
-        summary["notices"].append("trajectory analysis skipped: needs 3 or more DOWN settings")
-    reports.atomic_write(
-        out_dir / "trajectory.csv", reports.rows_to_csv(reports.TRAJECTORY_CSV_HEADER, trajectory_rows)
-    )
+        fields = ("direction_deg", "monotonicity", "total_shift_px", "degenerate")
+        summary["trajectory"] = {name: getattr(drift.trajectory, name) for name in fields}
+    reports.write_csv(out_dir / "trajectory.csv", reports.TRAJECTORY_CSV_HEADER, trajectory_rows)
 
     gravity_rows: list[list] = []
-    pose_set = dataset.poses()
-    if trajectory is not None and not trajectory.degenerate and len(pose_set) >= 2:
-        pps = {
-            (pose, index): res.intrinsics.pp
-            for (pose, index), res in results.items()
+    if drift.gravity is not None:
+        for index in sorted(drift.gravity.offsets):
+            for pose, (du, dv) in drift.gravity.offsets[index].items():
+                gravity_rows.append([index, settings[index].label_mm, pose.value, du, dv, math.hypot(du, dv)])
+        ratio = drift.gravity.sideway_ratio
+        summary["gravity"] = {
+            "mean_offset_px": {p.value: m for p, m in drift.gravity.mean_offset_px.items()},
+            "sideway_ratio": ratio if math.isfinite(ratio) else "inf",
         }
-        angle = math.radians(trajectory.direction_deg)
-        try:
-            gravity = analysis.analyze_gravity(pps, (math.cos(angle), math.sin(angle)))
-        except CaliblabError as err:
-            gravity = None
-            summary["notices"].append(f"gravity analysis skipped: {err}")
-        if gravity is not None:
-            for index in sorted(gravity.offsets):
-                for pose, (du, dv) in gravity.offsets[index].items():
-                    gravity_rows.append(
-                        [index, settings[index].label_mm, pose.value, du, dv, math.hypot(du, dv)]
-                    )
-            summary["gravity"] = {
-                "mean_offset_px": {p.value: m for p, m in gravity.mean_offset_px.items()},
-                "sideway_ratio": gravity.sideway_ratio
-                if math.isfinite(gravity.sideway_ratio)
-                else "inf",
-            }
-    else:
-        summary["notices"].append("gravity analysis skipped: needs 2 or more poses and a drift axis")
-    reports.atomic_write(
-        out_dir / "gravity.csv", reports.rows_to_csv(reports.GRAVITY_CSV_HEADER, gravity_rows)
-    )
+    reports.write_csv(out_dir / "gravity.csv", reports.GRAVITY_CSV_HEADER, gravity_rows)
 
-    reports.atomic_write(out_dir / "results.csv", reports.rows_to_csv(reports.CALIBRATION_CSV_HEADER, rows))
-    reports.atomic_write(out_dir / "pp_scatter.svg", reports.render_pp_scatter_svg(_scatter_payload(results)))
+    _write_results(out_dir, rows, pps)
     reports.write_json_summary(out_dir / "summary.json", summary)
     print(f"analyzed {len(rows)} cells -> {out_dir / 'summary.json'}")
     return EXIT_OK

@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 
 from .errors import ConfigError
+from .geometry import Point2
 from .synth import PoseLabel
 
 CALIBRATION_CSV_HEADER = [
@@ -92,17 +93,24 @@ def rows_to_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    atomic_write(path, rows_to_csv(header, rows))
+
+
 def write_json_summary(path, summary: dict) -> None:
     atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def render_pp_scatter_svg(pp_by_pose: dict[str, list[tuple[int, float, float]]]) -> str:
-    """One panel per pose, each also carrying the DOWN locus in gray for
-    reference. Coordinates are image pixels (v grows downward). The file
-    is self-contained: inline styles, no scripts."""
+def render_pp_scatter_svg(pps: dict[tuple[PoseLabel, int], Point2]) -> str:
+    """One panel per pose of the principal points keyed (pose, setting
+    index), each panel also carrying the DOWN locus in gray for reference;
+    a pose's points are drawn in the order given. Coordinates are image
+    pixels (v grows downward). The file is self-contained: inline styles,
+    no scripts."""
+    pp_by_pose: dict[str, list[tuple[int, float, float]]] = {}
+    for (pose, index), pp in pps.items():
+        pp_by_pose.setdefault(pose.value, []).append((index, pp.u, pp.v))
     poses = [p.value for p in _POSE_ORDER if p.value in pp_by_pose]
-    if not poses:
-        poses = sorted(pp_by_pose)
     points = [xy for pts in pp_by_pose.values() for xy in pts]
     if points:
         us = [p[1] for p in points]

@@ -199,6 +199,8 @@ class SceneConfig:
     fill_fraction: float = 0.6
 
     def __post_init__(self):
+        if not isinstance(self.camera_id, str):
+            raise ConfigError(f"camera_id must be a string, got {self.camera_id!r}")
         _require_finite(
             "scene",
             board_cols=self.board_cols,

@@ -16,15 +16,17 @@ import pytest
 import caliblab
 from caliblab import calibrate
 from caliblab.analysis import (
+    analyze_drift,
     analyze_gravity,
     analyze_trajectory,
+    calibrate_cells,
     calibrate_views,
     cross_validate,
     spearman,
 )
 from caliblab.calibrate import CalibrationView, Intrinsics, _views_rmse, refit_view_poses
 from caliblab.dataset_io import dumps_dataset, loads_dataset
-from caliblab.errors import CaliblabError, MissingPose, TooFewPoints
+from caliblab.errors import CaliblabError, InsufficientViews, MissingPose, TooFewPoints
 from caliblab.geometry import Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
 
@@ -215,6 +217,98 @@ class TestAnalyzeGravity:
             if all(10.0 <= m <= 20.0 for m in mags):
                 hits += 1
         assert hits >= 18
+
+
+class TestCalibrateCells:
+    def test_key_order_is_poses_then_focal_labels(self):
+        dataset = generate_dataset(crossval_config(gravity_px=15.0, sigma=0.2, seed=2, n_settings=3))
+        # cells listed backwards: poses come in order of first appearance,
+        # settings by focal label whatever the listing
+        shuffled = replace(dataset, cells=dict(reversed(dataset.cells.items())))
+        poses = shuffled.poses()
+        assert poses == [PoseLabel.E, PoseLabel.W, PoseLabel.N, PoseLabel.DOWN]
+        cells = calibrate_cells(shuffled, "geometric", 5.0)
+        assert list(cells) == [(pose, index) for pose in poses for index in range(3)]
+        settings = shuffled.settings()
+        for (pose, index), result in cells.items():
+            expected = calibrate_views("geometric", shuffled.cells[(pose, settings[index])], 5.0)
+            assert result.intrinsics == expected.intrinsics
+
+    def test_failing_and_missing_cells(self):
+        dataset = generate_dataset(crossval_config(gravity_px=15.0, sigma=0.2, seed=2, n_settings=2))
+        first, second = dataset.settings()
+        cells = dict(dataset.cells)
+        cells[(PoseLabel.N, first)] = cells[(PoseLabel.N, first)][:2]
+        cells[(PoseLabel.W, second)] = ()
+        del cells[(PoseLabel.E, first)]
+        broken = replace(dataset, cells=cells)
+        results = calibrate_cells(broken, "algebraic", 5.0)
+        assert (PoseLabel.E, 0) not in results
+        assert len(results) == 7
+        assert isinstance(results[(PoseLabel.N, 0)], InsufficientViews)
+        # an empty cell is a failed calibration here, an absent one in crossval
+        assert isinstance(results[(PoseLabel.W, 1)], InsufficientViews)
+        failed = [key for key, result in results.items() if isinstance(result, CaliblabError)]
+        assert failed == [(PoseLabel.N, 0), (PoseLabel.W, 1)]
+        notices = cross_validate(broken, "algebraic").notices
+        assert "setting 15.0 mm: cell for pose W is absent" in notices
+        assert any(n.startswith("setting 10.0 mm: calibration failed for pose N: ") for n in notices)
+
+
+class TestAnalyzeDrift:
+    TRAJECTORY = "trajectory analysis skipped: needs 3 or more DOWN settings"
+    GRAVITY = "gravity analysis skipped: needs 2 or more poses and a drift axis"
+
+    @staticmethod
+    def down_line(indices):
+        return {(PoseLabel.DOWN, i): Point2(100.0 + 3.0 * i, 200.0 + 4.0 * i) for i in indices}
+
+    def test_both_analyses(self):
+        pps = self.down_line([0, 2, 3])
+        for i in (0, 2):
+            down = pps[(PoseLabel.DOWN, i)]
+            pps[(PoseLabel.N, i)] = Point2(down.u + 4.0, down.v - 3.0)  # across the drift axis
+        report = analyze_drift(pps, 2)
+        assert report.down_indices == (0, 2, 3)
+        assert report.trajectory.direction_deg == pytest.approx(math.degrees(math.atan2(4.0, 3.0)))
+        assert report.gravity.mean_offset_px[PoseLabel.N] == pytest.approx(5.0)
+        assert report.gravity.sideway_ratio == pytest.approx(math.inf)
+        assert report.notices == ()
+
+    def test_fewer_than_three_down_settings(self):
+        pps = {**self.down_line([0, 1]), (PoseLabel.N, 2): Point2(0.0, 0.0)}
+        report = analyze_drift(pps, 2)
+        assert report.down_indices == (0, 1)
+        assert report.trajectory is None and report.gravity is None
+        assert report.notices == (self.TRAJECTORY, self.GRAVITY)
+
+    def test_degenerate_trajectory(self):
+        pps = {(PoseLabel.DOWN, i): Point2(100.0, 200.0) for i in range(3)}
+        pps[(PoseLabel.N, 0)] = Point2(110.0, 200.0)
+        report = analyze_drift(pps, 2)
+        assert report.trajectory.degenerate
+        assert report.gravity is None
+        assert report.notices == (self.GRAVITY,)
+
+    def test_single_pose(self):
+        report = analyze_drift(self.down_line(range(4)), 1)
+        assert report.trajectory.monotonicity == pytest.approx(1.0)
+        assert report.gravity is None
+        assert report.notices == (self.GRAVITY,)
+
+    def test_pose_count_is_the_datasets(self):
+        # the tipped poses' cells may all have failed: the gravity analysis
+        # still runs, over no offsets
+        report = analyze_drift(self.down_line(range(3)), 4)
+        assert report.gravity.offsets == {0: {}, 1: {}, 2: {}}
+        assert report.notices == ()
+
+    def test_missing_down(self):
+        pps = {**self.down_line(range(3)), (PoseLabel.W, 5): Point2(0.0, 0.0)}
+        report = analyze_drift(pps, 2)
+        assert report.trajectory is not None
+        assert report.gravity is None
+        assert report.notices == ("gravity analysis skipped: no DOWN principal point for setting index 5",)
 
 
 class TestCrossValidate:

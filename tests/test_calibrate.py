@@ -288,16 +288,16 @@ class TestRefine:
             result = calibrate_geometric(views) if len(views) >= 2 else None
             by_id = {v.id: v for v in views}
             stack = _stack_views([by_id[i] for i in result.accepted_ids])
-            params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t, True)
-            jac = _cell_jacobian(params, stack, True, result.intrinsics)
+            params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)
+            jac = _cell_jacobian(params, stack)
             fd = np.empty_like(jac)
             for j in range(len(params)):
                 h = 1e-6 * max(1.0, abs(params[j]))
                 dp = np.zeros_like(params)
                 dp[j] = h
                 fd[:, j] = (
-                    _cell_residuals(params + dp, stack, True, result.intrinsics)
-                    - _cell_residuals(params - dp, stack, True, result.intrinsics)
+                    _cell_residuals(params + dp, stack)
+                    - _cell_residuals(params - dp, stack)
                 ) / (2 * h)
             col_scale = np.abs(fd).max(axis=0)
             rel = np.abs(jac - fd).max(axis=0) / col_scale

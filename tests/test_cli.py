@@ -1,19 +1,28 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import copy
 import csv
+import functools
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import caliblab
 from caliblab.cli import main
+from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import NoFocalEstimate
+from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
 
 DRIFT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_drift_experiment.py"
 
@@ -112,6 +121,8 @@ class TestSimulate:
             ({"image_width": 6048.5}, "image_width must be an integer, got 6048.5"),
             ({"noise_sigma_px": True}, "scene noise_sigma_px must be a finite number, got True"),
             ({"drift": {"flip_gravity": "no"}}, "flip_gravity must be true or false, got 'no'"),
+            ({"camera_id": 5}, "camera_id must be a string, got 5"),
+            ({"camera_id": ["x"]}, "camera_id must be a string, got ['x']"),
         ],
         ids=[
             "square",
@@ -131,6 +142,8 @@ class TestSimulate:
             "fractional-image",
             "boolean-noise",
             "text-flip-gravity",
+            "camera-id-number",
+            "camera-id-list",
         ],
     )
     def test_bad_scene_number_exits_2(self, tmp_path, capsys, overrides, message):
@@ -490,7 +503,7 @@ class TestEntryPoint:
         def failing(*args):
             raise NoFocalEstimate("all per-view focal constraints were degenerate")
 
-        monkeypatch.setattr(script, "calibrate_views", failing)
+        monkeypatch.setattr(caliblab.analysis, "calibrate_views", failing)
         assert script.run("cam1", 0, 0.5, tmp_path / "drift") == 4
         err = capsys.readouterr().err
         assert err == "error: all per-view focal constraints were degenerate\n"
@@ -500,3 +513,54 @@ class TestEntryPoint:
         assert self.drift_script().run("cam1", 0, 0.5, tmp_path / "a-file") == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot write ")
+
+
+@functools.lru_cache(maxsize=1)
+def small_cam1_document() -> str:
+    """The cam1 dataset file of 2 poses x 3 focal settings, 8 views each."""
+    cam1 = SceneConfig.for_camera("cam1")
+    config = replace(cam1, poses=(PoseLabel.DOWN, PoseLabel.N), focal_settings=cam1.focal_settings[:3])
+    return dumps_dataset(generate_dataset(config))
+
+
+# fresh copies, since a later mutation may descend into an inserted value
+JSON_JUNK = st.sampled_from(
+    [None, True, False, math.nan, math.inf, -math.inf, "x", "", [], [1.0, "x"], {}, {"x": 1}]
+).map(copy.deepcopy)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The small cam1 dataset file with 1 to 3 nodes deleted or replaced by
+    a JSON value of another kind. Each mutation walks down from the root,
+    stopping at each level with even odds, so that every depth is hit."""
+    root = json.loads(small_cam1_document())
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, root
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            break
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_JUNK)
+    return json.dumps(root)
+
+
+class TestMalformedDatasetFuzz:
+    """Any damage to a dataset file ends in an exit code and at most one
+    line on stderr, never a traceback."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(document=mutated_documents(), command=st.sampled_from(["calibrate", "analyze", "crossval"]))
+    def test_exit_code_and_one_line(self, document, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.json"
+            path.write_text(document)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--dataset", str(path), "--out-dir", str(Path(tmp) / "out")])
+        assert code in {0, 2, 4, 5}
+        assert len(err.getvalue().splitlines()) <= 1

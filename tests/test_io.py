@@ -127,11 +127,12 @@ class TestCsv:
 
 class TestSvg:
     def test_well_formed_and_self_contained(self):
-        payload = {
-            "DOWN": [(0, 3024.0, 2012.0), (1, 3050.0, 1990.0)],
-            "N": [(0, 3026.0, 2030.0)],
+        pps = {
+            (PoseLabel.DOWN, 0): Point2(3024.0, 2012.0),
+            (PoseLabel.DOWN, 1): Point2(3050.0, 1990.0),
+            (PoseLabel.N, 0): Point2(3026.0, 2030.0),
         }
-        svg = render_pp_scatter_svg(payload)
+        svg = render_pp_scatter_svg(pps)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "script" not in svg
@@ -140,5 +141,5 @@ class TestSvg:
         assert svg.count("pose N") == 1
 
     def test_deterministic(self):
-        payload = {"DOWN": [(0, 10.0, 20.0)]}
-        assert render_pp_scatter_svg(payload) == render_pp_scatter_svg(payload)
+        pps = {(PoseLabel.DOWN, 0): Point2(10.0, 20.0)}
+        assert render_pp_scatter_svg(pps) == render_pp_scatter_svg(pps)

@@ -357,6 +357,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be a finite number"):
             build(bad)
 
+    @pytest.mark.parametrize("camera_id", [5, ["x"], None])
+    def test_camera_id_must_be_a_string(self, camera_id):
+        with pytest.raises(ConfigError, match="camera_id must be a string"):
+            small_config(camera_id=camera_id)
+
     def test_seed_must_be_an_integer(self):
         with pytest.raises(ConfigError, match="rng_seed"):
             small_config(rng_seed=1.5)
