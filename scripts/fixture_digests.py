@@ -3,13 +3,14 @@
 
 Runs the `caliblab` CLI on the cam1 preset at seed 7, at noise sigma 0 and
 0.5 px: `simulate`, then `calibrate` and `crossval` with every method,
-`calibrate --max-views 3`, and `analyze` with the geometric and
-algebraic-refined methods. Four more commands run the failure and notice
-paths: `calibrate --pl-outlier-px 0.05` (failed cells),
-`crossval --pl-outlier-px 0.5` and `analyze --pl-outlier-px 0.5` (notices
-of failed calibrations and skipped analyses), and
-`analyze --method algebraic --max-views 2` (exit 5). That is 28 commands
-writing 80 files, 108 output lines. Prints
+`calibrate --max-views 3`, `calibrate --method algebraic-refined
+--max-views 4` (the joint refine on 4-view cells rather than 8), and
+`analyze` with the geometric and algebraic-refined methods. Four more
+commands run the failure and notice paths: `calibrate --pl-outlier-px
+0.05` (failed cells), `crossval --pl-outlier-px 0.5` and
+`analyze --pl-outlier-px 0.5` (notices of failed calibrations and skipped
+analyses), and `analyze --method algebraic --max-views 2` (exit 5). That
+is 30 commands writing 86 files, 116 output lines. Prints
 the exit code of each command, then one `sha256  path` line per file
 written, with paths relative to the output directory.
 
@@ -40,6 +41,9 @@ def commands(sigma_dir: str, sigma: str):
         yield f"calibrate-{method}", ["calibrate", "--dataset", dataset, "--method", method]
         yield f"crossval-{method}", ["crossval", "--dataset", dataset, "--method", method]
     yield "calibrate-max-views-3", ["calibrate", "--dataset", dataset, "--max-views", "3"]
+    yield "calibrate-algebraic-refined-max-views-4", [
+        "calibrate", "--dataset", dataset, "--method", "algebraic-refined", "--max-views", "4"
+    ]
     for method in ("geometric", "algebraic-refined"):
         yield f"analyze-{method}", ["analyze", "--dataset", dataset, "--method", method]
     # failure and notice paths: failed cells, skipped analyses, exit 5

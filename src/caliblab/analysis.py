@@ -91,7 +91,10 @@ def calibrate_views(method: str, views, pl_outlier_px: float) -> CalibrationResu
     if method == "algebraic":
         return calibrate_algebraic(views)
     if method == "algebraic-refined":
-        return refine(calibrate_algebraic(views), views)
+        (result,), (err,) = refine([(calibrate_algebraic(views), views)])
+        if err is not None:
+            raise err
+        return result
     raise ValueError(f"unknown calibration method {method!r}")
 
 
@@ -102,8 +105,11 @@ def calibrate_cells(
 
     Poses come in dataset.poses() order and, within a pose, settings by
     focal label. A cell whose calibration fails, an empty one included,
-    holds its error in place of a result.
+    holds its error in place of a result. With "algebraic-refined" every
+    cell is solved algebraically first, and then all cells that succeeded
+    are refined in one `refine` call.
     """
+    refined = method == "algebraic-refined"
     cells: dict[tuple[PoseLabel, int], CalibrationResult | CaliblabError] = {}
     settings = dataset.settings()
     for pose in dataset.poses():
@@ -112,9 +118,14 @@ def calibrate_cells(
             if views is None:
                 continue
             try:
-                cells[(pose, index)] = calibrate_views(method, views, pl_outlier_px)
+                cells[(pose, index)] = calibrate_views("algebraic" if refined else method, views, pl_outlier_px)
             except CaliblabError as err:
                 cells[(pose, index)] = err
+    if refined:
+        keys = [key for key, result in cells.items() if isinstance(result, CalibrationResult)]
+        results, errors = refine([(cells[key], dataset.cells[(key[0], settings[key[1]])]) for key in keys])
+        for key, result, err in zip(keys, results, errors):
+            cells[key] = result if err is None else err
     return cells
 
 

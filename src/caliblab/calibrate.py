@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -397,22 +397,18 @@ def _pack(f: float, pp: Point2, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([[f, pp.u, pp.v], body])
 
 
-def _unpack(params: np.ndarray):
-    """(f, u0, v0, poses) with poses a (n_views, 6) array of (rvec, t) rows."""
-    return params[0], params[1], params[2], params[3:].reshape(-1, 6)
-
-
-def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray) -> np.ndarray:
+def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray, out=None) -> np.ndarray:
     """d(u, v)/d(rvec, t) of every projected corner, shape (..., n, 2, 6),
     for poses rvec (..., 3), board points pts (..., n, 3), their
     camera-frame positions cam (..., n, 3) and focal lengths f that
-    broadcast against (..., n)."""
+    broadcast against (..., n). Written into out, a zeroed (..., n, 2, 6)
+    array or view, when given."""
     x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
     # d(u, v)/d(cam point) is [[a00, 0, a02], [0, a11, a12]]: it fills the
     # t columns, and the rvec columns are its rows times d(cam)/d(rvec),
     # summed in place so that one (..., n, 3) temporary is alive at a time
     rot_jac = rotate_point_jacobian(rvec, pts)
-    jac = np.zeros(cam.shape[:-1] + (2, 6))
+    jac = np.zeros(cam.shape[:-1] + (2, 6)) if out is None else out
     jac[..., 0, 3] = a00 = f / z
     jac[..., 0, 5] = a02 = -f * x / (z * z)
     jac[..., 1, 4] = a11 = a00
@@ -424,64 +420,78 @@ def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray) -> np.
     return jac
 
 
-def _stack_views(views: Sequence[CalibrationView]):
-    """Board points (V, n, 3), image corners (V, n, 2) and the (V, n) mask
-    of real corners, with views shorter than the longest one padded."""
-    n = max(len(v.board_xy) for v in views)
-    board = np.zeros((len(views), n, 2))
-    image = np.zeros((len(views), n, 2))
-    mask = np.zeros((len(views), n), dtype=bool)
-    for i, view in enumerate(views):
-        k = len(view.board_xy)
-        board[i, :k], image[i, :k], mask[i, :k] = view.board_xy, view.image_uv, True
-    return _board_points(board), image, mask
-
-
-def _cell_residuals(params, stack) -> np.ndarray:
-    f, u0, v0, poses = _unpack(params)
-    pts, image, mask = stack
-    _, uv = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
-    return (uv - image)[mask].ravel()
-
-
-def _cell_jacobian(params, stack) -> np.ndarray:
-    """Analytic Jacobian of the reprojection residuals.
-
-    Rows alternate (u, v) per corner per view; columns are the (f, u0, v0)
-    head followed by (rvec, t) per view.
-    """
-    f, u0, v0, poses = _unpack(params)
-    pts, _, mask = stack
-    n_views = len(poses)
-    cam, _ = _project(f, (u0, v0), rodrigues(poses[:, :3]), poses[:, 3:], pts)
-    jac = np.zeros(mask.shape + (2, n_views, 6))
-    diag = np.arange(n_views)
-    jac[diag, :, :, diag] = _pose_jacobian(f, poses[:, :3], pts, cam)
-    jac = jac.reshape(mask.shape + (2, 6 * n_views))
-    head = np.zeros(mask.shape + (2, 3))
-    head[..., 0] = cam[..., :2] / cam[..., 2:3]
-    head[..., 0, 1] = 1.0
-    head[..., 1, 2] = 1.0
-    jac = np.concatenate([head, jac], axis=-1)
-    return jac[mask].reshape(-1, jac.shape[-1])
-
-
 def _pose_problem(f: np.ndarray, pp: np.ndarray, pts: np.ndarray, image: np.ndarray):
-    """Residual and Jacobian callbacks of independent pose-only refits:
-    problem i is the view with board points pts[i] (n, 3) and image
-    corners image[i] (n, 2) under focal length f[i] and principal point
-    pp[i], its parameters (rvec, t)."""
+    """Residual and normal-equation callbacks of independent pose-only
+    refits: problem i is the view with board points pts[i] (n, 3) and
+    image corners image[i] (n, 2) under focal length f[i] and principal
+    point pp[i], its parameters (rvec, t)."""
 
     def residuals(params, rows):
         _, uv = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])
         return (uv - image[rows]).reshape(len(rows), -1)
 
-    def jacobian(params, rows):
+    def normal_equations(params, rows, res):
         # keep only cam: the pixels would stay alive while the Jacobian is built
         cam = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])[0]
-        return _pose_jacobian(f[rows, None], params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
+        jac = _pose_jacobian(f[rows, None], params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
+        jac_t = np.swapaxes(jac, -1, -2)
+        return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
 
-    return residuals, jacobian
+    return residuals, normal_equations
+
+
+def _joint_rows(params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per-view Jacobian rows of joint refines, shape (B, V, n, 2, 9):
+    d(u, v)/d(f, u0, v0, rvec, t) of every corner of problem b's view v,
+    for parameters params (B, 3 + 6V) laid out as (f, u0, v0) then
+    (rvec, t) per view, and board points pts (B, V, n, 3)."""
+    poses = params[:, 3:].reshape(len(params), -1, 6)
+    cam = _project(params[:, :1], params[:, None, 1:3], rodrigues(poses[..., :3]), poses[..., 3:], pts)[0]
+    rows = np.zeros(cam.shape[:-1] + (2, 9))
+    rows[..., 0] = cam[..., :2] / cam[..., 2:3]
+    rows[..., 0, 1] = rows[..., 1, 2] = 1.0
+    _pose_jacobian(params[:, :1, None], poses[..., :3], pts, cam, out=rows[..., 3:])
+    return rows
+
+
+def _joint_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray):
+    """Residual and normal-equation callbacks of independent joint refines
+    of (f, u0, v0) and every pose: problem i is a cell whose views have
+    board points pts[i] (V, n, 3) and image corners image[i] (V, n, 2),
+    of which the corners where mask (V, n) is set are real and the rest
+    padding. Its parameters are (f, u0, v0) then (rvec, t) per view, and
+    its residuals run over views, then corners, then (u, v).
+
+    The normal equations are assembled from per-view (2n x 9) Jacobian
+    rows without forming the dense Jacobian: J^T J is block-arrow, with a
+    3x3 intrinsic block, a 6x6 block per pose and 3x6 blocks coupling the
+    two (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000)."""
+    n_views = mask.shape[0]
+    poses = 3 + 6 * np.arange(n_views)[:, None] + np.arange(6)  # (V, 6) parameter columns
+
+    def residuals(params, rows):
+        pose = params[:, 3:].reshape(len(rows), n_views, 6)
+        _, uv = _project(params[:, :1], params[:, None, 1:3], rodrigues(pose[..., :3]), pose[..., 3:], pts[rows])
+        return (uv - image[rows])[:, mask].reshape(len(rows), -1)
+
+    def normal_equations(params, rows, res):
+        jac = _joint_rows(params, pts[rows])
+        per_view = np.zeros(jac.shape[:-1])
+        per_view[:, mask] = res.reshape(len(rows), -1, 2)
+        jac[:, ~mask] = 0.0
+        jac = jac.reshape(len(rows), n_views, -1, 9)
+        jac_t = np.swapaxes(jac, -1, -2)
+        blocks = jac_t @ jac  # (B, V, 9, 9)
+        grads = (jac_t @ per_view.reshape(len(rows), n_views, -1, 1))[..., 0]  # (B, V, 9)
+        hess = np.zeros((len(rows), 3 + 6 * n_views, 3 + 6 * n_views))
+        hess[:, :3, :3] = blocks[:, :, :3, :3].sum(axis=1)
+        hess[:, poses[:, :, None], poses[:, None, :]] = blocks[:, :, 3:, 3:]
+        hess[:, :3, 3:] = np.swapaxes(blocks[:, :, :3, 3:], 1, 2).reshape(len(rows), 3, -1)
+        hess[:, 3:, :3] = np.swapaxes(hess[:, :3, 3:], 1, 2)
+        grad = np.concatenate([grads[:, :, :3].sum(axis=1), grads[:, :, 3:].reshape(len(rows), -1)], axis=1)
+        return hess, grad
+
+    return residuals, normal_equations
 
 
 def _sum_squares(res: np.ndarray) -> np.ndarray:
@@ -508,17 +518,18 @@ def _damped_steps(hess, damping, lam, grad):
         return steps, solved
 
 
-def _levenberg_marquardt(params0, residuals, jacobian):
+def _levenberg_marquardt(params0, residuals, normal_equations):
     """Damped Gauss-Newton on a stack of independent least-squares problems.
 
-    params0 is (B, P). residuals(params, rows) and jacobian(params, rows)
-    evaluate the problems `rows` at params (len(rows), P) and return
-    (len(rows), m) and (len(rows), m, P). Every problem follows its own
-    multiplicative lambda schedule, as if it were solved alone: x10 on
-    reject (a singular damped system is a reject), x0.1 on accept, give up
-    once lambda exceeds 1e12, stop on relative cost change < 1e-12 or after
-    LM_MAX_ITERS Jacobians. Returns params, cost, converged and iteration
-    counts, each per problem.
+    params0 is (B, P). residuals(params, rows) evaluates the problems
+    `rows` at params (len(rows), P) and returns their (len(rows), m)
+    residuals r; normal_equations(params, rows, res) returns their
+    Gauss-Newton systems J^T J (len(rows), P, P) and J^T r (len(rows), P)
+    at residuals res. Every problem follows its own multiplicative lambda
+    schedule, as if it were solved alone: x10 on reject (a singular damped
+    system is a reject), x0.1 on accept, give up once lambda exceeds 1e12,
+    stop on relative cost change < 1e-12 or after LM_MAX_ITERS systems.
+    Returns params, cost, converged and iteration counts, each per problem.
     """
     params = np.array(params0, dtype=float)
     live = np.arange(len(params))
@@ -529,10 +540,7 @@ def _levenberg_marquardt(params0, residuals, jacobian):
     iters = np.zeros(len(params), dtype=int)
     while live.size:
         iters[live] += 1
-        jac = jacobian(params[live], live)
-        jac_t = np.swapaxes(jac, -1, -2)
-        grad = (jac_t @ res[live][..., None])[..., 0]
-        hess = jac_t @ jac
+        hess, grad = normal_equations(params[live], live, res[live])
         damping = np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
         accepted = np.zeros(len(live), dtype=bool)
         rel = np.zeros(len(live))
@@ -561,57 +569,100 @@ def _levenberg_marquardt(params0, residuals, jacobian):
 
 
 def _usable_poses(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mask of the solved poses that are finite, proper and put the board
-    in front of the camera."""
+    """Mask of the solved poses (..., 3, 3), (..., 3) that are finite,
+    proper and put the board in front of the camera."""
     finite = np.all(np.isfinite(rot), axis=(-2, -1)) & np.all(np.isfinite(t), axis=-1)
-    det = np.linalg.det(np.where(finite[:, None, None], rot, np.eye(3)))
-    return finite & (t[:, 2] > 0.0) & (det > 0.0)
+    det = np.linalg.det(np.where(finite[..., None, None], rot, np.eye(3)))
+    return finite & (t[..., 2] > 0.0) & (det > 0.0)
 
 
-def refine(result: CalibrationResult, views: Sequence[CalibrationView]) -> CalibrationResult:
+class Refinement(NamedTuple):
+    """What `refine` returns: the refined results and, aligned with them,
+    the error of each cell that could not be refined (its result is then
+    None)."""
+
+    results: list[CalibrationResult | None]
+    errors: list[CaliblabError | None]
+
+    @property
+    def diagnostics(self) -> dict:
+        """LM summary of the call: mean iterations per refined cell, and
+        whether every refined cell converged."""
+        done = [r.diagnostics for r in self.results if r is not None]
+        return {
+            "lm_iterations": sum(d["lm_iterations"] for d in done) / len(done) if done else 0,
+            "converged": all(d["converged"] for d in done),
+        }
+
+
+def refine(cells: Sequence[tuple[CalibrationResult, Sequence[CalibrationView]]]) -> Refinement:
     """Levenberg-Marquardt refinement of (f, u0, v0) and all accepted
-    per-view poses, minimizing the total squared reprojection error.
+    per-view poses of each cell, minimizing the cell's total squared
+    reprojection error. cells holds (result, views) pairs: a calibration
+    and the views it was computed from.
 
-    The refined cost never exceeds the starting cost. If the iteration
-    budget runs out before the relative cost change drops below 1e-12, the
-    best iterate is returned with diagnostics["converged"] = False. Raises
-    BehindCamera, naming the view, when a refined pose is not finite or
-    puts the board behind the camera.
+    Cells with the same accepted-view count and per-view corner counts are
+    solved as one stacked LM, each with its own damping and stopping, so
+    every entry is what refining its cell alone gives. A refined cost
+    never exceeds the starting cost. If the iteration budget runs out
+    before the relative cost change drops below 1e-12, the best iterate is
+    returned with diagnostics["converged"] = False. A cell fails with
+    InsufficientViews below 2 accepted views, and with BehindCamera,
+    naming the view, when a refined pose is not finite or puts the board
+    behind the camera; a failed cell leaves the others untouched.
     """
-    by_id = {v.id: v for v in views}
-    accepted = [by_id[i] for i in result.accepted_ids]
-    if len(accepted) < 2:
-        raise InsufficientViews("refinement needs at least 2 accepted views")
+    count = len(cells)
+    results: list[CalibrationResult | None] = [None] * count
+    errors: list[CaliblabError | None] = [None] * count
+    accepted: list[list[CalibrationView]] = []
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (result, views) in enumerate(cells):
+        by_id = {v.id: v for v in views}
+        accepted.append([by_id[view_id] for view_id in result.accepted_ids])
+        if len(accepted[i]) < 2:
+            errors[i] = InsufficientViews("refinement needs at least 2 accepted views")
+            continue
+        groups.setdefault(tuple(len(v.board_xy) for v in accepted[i]), []).append(i)
 
-    stack = _stack_views(accepted)
-    intr0 = result.intrinsics
-    params, cost, converged, iters = _levenberg_marquardt(
-        _pack(intr0.f, intr0.pp, result.rot, result.t)[None],
-        lambda p, rows: _cell_residuals(p[0], stack)[None],
-        lambda p, rows: _cell_jacobian(p[0], stack)[None],
-    )
-    f, u0, v0, poses = _unpack(params[0])
-    rot, t = rodrigues(poses[:, :3]), poses[:, 3:]
-    for view, usable in zip(accepted, _usable_poses(rot, t)):
-        if not usable:
-            raise BehindCamera(f"view {view.id}: refined pose is not finite or lies behind the camera")
-    n_res = sum(len(v.board_xy) for v in accepted)
-    diagnostics = dict(result.diagnostics)
-    diagnostics.update(
-        {"converged": bool(converged[0]), "lm_iterations": int(iters[0]), "initial_rmse": result.rmse}
-    )
-    return CalibrationResult(
-        method="refined",
-        intrinsics=Intrinsics(f, Point2(u0, v0)),
-        rot=rot,
-        t=t,
-        accepted_ids=result.accepted_ids,
-        pp_estimate=result.pp_estimate,
-        focal_samples=result.focal_samples,
-        rmse=math.sqrt(cost[0] / n_res),
-        flags=result.flags,
-        diagnostics=diagnostics,
-    )
+    for layout, members in groups.items():
+        mask = np.arange(max(layout)) < np.array(layout)[:, None]
+        board = np.zeros((len(members),) + mask.shape + (2,))
+        image = np.zeros(board.shape)
+        for b, i in enumerate(members):
+            for v, view in enumerate(accepted[i]):
+                board[b, v, : layout[v]], image[b, v, : layout[v]] = view.board_xy, view.image_uv
+        starts = [cells[i][0] for i in members]
+        params0 = np.array([_pack(r.intrinsics.f, r.intrinsics.pp, r.rot, r.t) for r in starts])
+        params, cost, converged, iters = _levenberg_marquardt(
+            params0, *_joint_problem(_board_points(board), image, mask)
+        )
+        poses = params[:, 3:].reshape(len(members), len(layout), 6)
+        rot, t = rodrigues(poses[..., :3]), poses[..., 3:]
+        usable = _usable_poses(rot, t)
+        for b, (i, start) in enumerate(zip(members, starts)):
+            bad = np.flatnonzero(~usable[b])
+            if bad.size:
+                errors[i] = BehindCamera(
+                    f"view {accepted[i][bad[0]].id}: refined pose is not finite or lies behind the camera"
+                )
+                continue
+            diagnostics = dict(start.diagnostics)
+            diagnostics.update(
+                {"converged": bool(converged[b]), "lm_iterations": int(iters[b]), "initial_rmse": start.rmse}
+            )
+            results[i] = CalibrationResult(
+                method="refined",
+                intrinsics=Intrinsics(params[b, 0], Point2(params[b, 1], params[b, 2])),
+                rot=rot[b],
+                t=t[b],
+                accepted_ids=start.accepted_ids,
+                pp_estimate=start.pp_estimate,
+                focal_samples=start.focal_samples,
+                rmse=math.sqrt(cost[b] / sum(layout)),
+                flags=start.flags,
+                diagnostics=diagnostics,
+            )
+    return Refinement(results, errors)
 
 
 @dataclass(frozen=True, eq=False)

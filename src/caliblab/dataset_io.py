@@ -74,47 +74,91 @@ def dumps_json(node: Any) -> str:
     return "".join(out)
 
 
-def _view_node(view: CalibrationView) -> dict:
-    corners = [
-        {"x_mm": x, "y_mm": y, "u_px": u, "v_px": v}
-        for (x, y), (u, v) in zip(view.board_xy.tolist(), view.image_uv.tolist())
-    ]
-    return {"id": view.id, "corners": corners}
+# One board corner; "%.9g" formats exactly as format_float does.
+_CORNER = '{"x_mm":%.9g,"y_mm":%.9g,"u_px":%.9g,"v_px":%.9g}'
 
 
-def dataset_to_node(dataset: Dataset) -> dict:
-    cells = []
-    for (pose, setting), views in dataset.cells.items():
-        node: dict[str, Any] = {
-            "pose": pose.value,
-            "focal_label_mm": float(setting.label_mm),
-            "focal_px": float(setting.f_px),
-            "views": [_view_node(v) for v in views],
-        }
+def _emit_view(view: CalibrationView, out: list[str]) -> None:
+    """Append a view's JSON object, its corners written through one
+    template filled from the (n, 4) rows of board and image coordinates."""
+    rows = np.concatenate([view.board_xy, view.image_uv], axis=1)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        format_float(float(rows[bad][0]))  # raises, naming the value
+    out.append('{"id":')
+    _emit(view.id, out)
+    out.append(',"corners":[')
+    out.append(",".join([_CORNER] * len(rows)) % tuple(rows.ravel().tolist()))
+    out.append("]}")
+
+
+def dumps_dataset(dataset: Dataset) -> str:
+    """The dataset file's text, in the layout of the module docstring."""
+    out = ['{"camera_id":']
+    _emit(dataset.camera_id, out)
+    out.append(',"cells":[')
+    for i, ((pose, setting), views) in enumerate(dataset.cells.items()):
+        out.append(',{"pose":' if i else '{"pose":')
+        _emit(pose.value, out)
+        out.append(f',"focal_label_mm":{format_float(float(setting.label_mm))}')
+        out.append(f',"focal_px":{format_float(float(setting.f_px))},"views":[')
+        for k, view in enumerate(views):
+            if k:
+                out.append(",")
+            _emit_view(view, out)
+        out.append("]")
         if dataset.ground_truth and (pose, setting) in dataset.ground_truth:
             intr, rvec, t = dataset.ground_truth[(pose, setting)]
-            node["ground_truth"] = {
+            out.append(',"ground_truth":')
+            truth = {
                 "f_px": float(intr.f),
                 "pp_u_px": float(intr.pp.u),
                 "pp_v_px": float(intr.pp.v),
                 "views": [{"rvec": r, "t_mm": shift} for r, shift in zip(rvec.tolist(), t.tolist())],
             }
-        cells.append(node)
-    return {"camera_id": dataset.camera_id, "cells": cells}
+            _emit(truth, out)
+        out.append("}")
+    out.append("]}\n")
+    return "".join(out)
 
 
-def dumps_dataset(dataset: Dataset) -> str:
-    return dumps_json(dataset_to_node(dataset))
+def _number(value, field: str) -> float:
+    """A JSON number as a float; a string, bool or null is not a number."""
+    if type(value) not in (int, float):
+        raise ValueError(f"field {field} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _vector(value, field: str) -> np.ndarray:
+    """A JSON array as a float array; each element must be a number."""
+    bad = [x for x in value if type(x) not in (int, float)] if isinstance(value, list) else []
+    if bad:
+        raise ValueError(f"field {field} must hold only numbers, got {type(bad[0]).__name__}")
+    return np.array(value, dtype=float)
+
+
+_CORNER_FIELDS = ("x_mm", "y_mm", "u_px", "v_px")
+
+
+def _corner_rows(corners) -> np.ndarray:
+    """The (n, 4) board and image coordinates of a view's corner objects."""
+    rows = [(c["x_mm"], c["y_mm"], c["u_px"], c["v_px"]) for c in corners]
+    if not {type(x) for row in rows for x in row} <= {int, float}:
+        for k, row in enumerate(rows):
+            for name, x in zip(_CORNER_FIELDS, row):
+                _number(x, f"{name} of corner {k}")
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple, tuple | None]:
     """Parse one cell; any malformed field raises ConfigError naming the
-    cell index and, inside a view, the view id."""
+    cell index and, inside a view, the view id. Every numeric field must
+    be a JSON number: a string or a bool in its place is malformed."""
     where = f"cell {index}"
     try:
         pose = PoseLabel(node["pose"])
-        label = float(node["focal_label_mm"])
-        f_px = float(node.get("focal_px", label * 1000.0 / _FALLBACK_PITCH_UM))
+        label = _number(node["focal_label_mm"], "focal_label_mm")
+        f_px = _number(node["focal_px"], "focal_px") if "focal_px" in node else label * 1000.0 / _FALLBACK_PITCH_UM
         setting = FocalSetting(label, f_px)
         ids, boards, images = [], [], []
         for vnode in node["views"]:
@@ -123,9 +167,9 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
             where = f"cell {index}, view {view_id}"
             if view_id in ids:
                 raise ValueError("duplicate view id")
-            corners = vnode["corners"]
-            boards.append(np.array([[c["x_mm"], c["y_mm"]] for c in corners], dtype=float))
-            images.append(np.array([[c["u_px"], c["v_px"]] for c in corners], dtype=float))
+            rows = _corner_rows(vnode["corners"])
+            boards.append(rows[:, :2])
+            images.append(rows[:, 2:])
             ids.append(view_id)
         views, errors = views_from_points(ids, boards, images)
         for view_id, err in zip(ids, errors):
@@ -136,9 +180,11 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
         truth = None
         if "ground_truth" in node:
             g = node["ground_truth"]
-            intr = Intrinsics(float(g["f_px"]), Point2(float(g["pp_u_px"]), float(g["pp_v_px"])))
-            rvec = [np.array(e["rvec"], dtype=float) for e in g["views"]]
-            t = [np.array(e["t_mm"], dtype=float) for e in g["views"]]
+            intr = Intrinsics(
+                _number(g["f_px"], "f_px"), Point2(_number(g["pp_u_px"], "pp_u_px"), _number(g["pp_v_px"], "pp_v_px"))
+            )
+            rvec = [_vector(e["rvec"], f"rvec of view {k}") for k, e in enumerate(g["views"])]
+            t = [_vector(e["t_mm"], f"t_mm of view {k}") for k, e in enumerate(g["views"])]
             if any(r.shape != (3,) for r in rvec):
                 raise ValueError("a ground-truth rvec needs 3 components")
             if any(shift.shape != (3,) for shift in t):
@@ -154,7 +200,7 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
             truth = (intr, rvec, t)
     except KeyError as err:
         raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
-    except (TypeError, ValueError, ConfigError, DegenerateConfiguration) as err:
+    except (TypeError, ValueError, OverflowError, ConfigError, DegenerateConfiguration) as err:
         raise ConfigError(f"malformed dataset at {where}: {err}") from None
     return pose, setting, tuple(views), truth
 

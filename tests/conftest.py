@@ -24,6 +24,38 @@ def only(stacked):
     return result
 
 
+def joint_stack(result, views):
+    """One cell's joint-refine stack: board points (1, V, n, 3) and image
+    corners (1, V, n, 2) of the result's accepted views, padded to the
+    longest one, the (V, n) mask of real corners, and the packed
+    parameters (1, 3 + 6V)."""
+    from caliblab.calibrate import _board_points, _pack
+
+    by_id = {v.id: v for v in views}
+    accepted = [by_id[i] for i in result.accepted_ids]
+    counts = np.array([len(v.board_xy) for v in accepted])
+    mask = np.arange(counts.max()) < counts[:, None]
+    board = np.zeros((1,) + mask.shape + (2,))
+    image = np.zeros(board.shape)
+    for v, view in enumerate(accepted):
+        board[0, v, : counts[v]], image[0, v, : counts[v]] = view.board_xy, view.image_uv
+    params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)[None]
+    return _board_points(board), image, mask, params
+
+
+def dense_joint_jacobian(rows, mask) -> np.ndarray:
+    """The dense (m, 3 + 6V) Jacobian of one cell's residuals, built from
+    its per-view rows (V, n, 2, 9) and corner mask (V, n): the intrinsic
+    columns of every view side by side, each view's pose columns in its
+    own block, the padded corners dropped."""
+    n_views = len(rows)
+    jac = np.zeros(rows.shape[:-1] + (3 + 6 * n_views,))
+    jac[..., :3] = rows[..., :3]
+    for v in range(n_views):
+        jac[v, ..., 3 + 6 * v : 9 + 6 * v] = rows[v, ..., 3:]
+    return jac[mask].reshape(-1, jac.shape[-1])
+
+
 def kmat(f: float, u0: float, v0: float) -> np.ndarray:
     return np.array([[f, 0.0, u0], [0.0, f, v0], [0.0, 0.0, 1.0]])
 

@@ -12,10 +12,8 @@ import pytest
 
 from caliblab.analysis import analyze_gravity, analyze_trajectory, cross_validate
 from caliblab.calibrate import (
-    _cell_jacobian,
-    _cell_residuals,
-    _pack,
-    _stack_views,
+    _joint_problem,
+    _joint_rows,
     calibrate_algebraic,
     calibrate_geometric,
     views_from_points,
@@ -34,6 +32,8 @@ from caliblab.synth import (
 from conftest import (
     bias_half_board,
     canonical_homography,
+    dense_joint_jacobian,
+    joint_stack,
     line_distance,
     only,
     oracle_rot_x,
@@ -264,19 +264,15 @@ def test_numerical_hygiene(tmp_path):
             rng=rng,
         )
         result = calibrate_geometric(views)
-        by_id = {v.id: v for v in views}
-        stack = _stack_views([by_id[i] for i in result.accepted_ids])
-        params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)
-        jac = _cell_jacobian(params, stack)
+        pts, image, mask, params = joint_stack(result, views)
+        residuals, _ = _joint_problem(pts, image, mask)
+        jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
         fd = np.empty_like(jac)
-        for j in range(len(params)):
-            h = 1e-6 * max(1.0, abs(params[j]))
+        for j in range(params.shape[1]):
+            h = 1e-6 * max(1.0, abs(params[0, j]))
             dp = np.zeros_like(params)
-            dp[j] = h
-            fd[:, j] = (
-                _cell_residuals(params + dp, stack)
-                - _cell_residuals(params - dp, stack)
-            ) / (2 * h)
+            dp[0, j] = h
+            fd[:, j] = (residuals(params + dp, [0])[0] - residuals(params - dp, [0])[0]) / (2 * h)
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4
         for rot in result.rot:

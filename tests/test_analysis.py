@@ -24,13 +24,29 @@ from caliblab.analysis import (
     cross_validate,
     spearman,
 )
-from caliblab.calibrate import CalibrationView, Intrinsics, _views_rmse, refit_view_poses
+from caliblab.calibrate import (
+    CalibrationView,
+    Intrinsics,
+    _views_rmse,
+    calibrate_algebraic,
+    refine,
+    refit_view_poses,
+    views_from_points,
+)
 from caliblab.dataset_io import dumps_dataset, loads_dataset
-from caliblab.errors import CaliblabError, InsufficientViews, MissingPose, TooFewPoints
+from caliblab.errors import BehindCamera, CaliblabError, InsufficientViews, MissingPose, TooFewPoints
 from caliblab.geometry import Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
 
-from conftest import canonical_homography, oracle_rot_x, scene_homography, tilted_scene_views
+from conftest import (
+    canonical_homography,
+    dense_joint_jacobian,
+    joint_stack,
+    only,
+    oracle_rot_x,
+    scene_homography,
+    tilted_scene_views,
+)
 
 
 def crossval_config(gravity_px, sigma, seed, n_settings=1):
@@ -250,6 +266,11 @@ class TestCalibrateCells:
         assert isinstance(results[(PoseLabel.W, 1)], InsufficientViews)
         failed = [key for key, result in results.items() if isinstance(result, CaliblabError)]
         assert failed == [(PoseLabel.N, 0), (PoseLabel.W, 1)]
+        # the refined route keeps the same failures and refines the rest
+        refined = calibrate_cells(broken, "algebraic-refined", 5.0)
+        assert list(refined) == list(results)
+        assert [str(refined[key]) for key in failed] == [str(results[key]) for key in failed]
+        assert all(r.method == "refined" for key, r in refined.items() if key not in failed)
         notices = cross_validate(broken, "algebraic").notices
         assert "setting 15.0 mm: cell for pose W is absent" in notices
         assert any(n.startswith("setting 10.0 mm: calibration failed for pose N: ") for n in notices)
@@ -533,3 +554,119 @@ class TestCrossvalStacks:
         # one setting's stack peaks near 3 MB; stacking two settings, or the
         # whole dataset, would not fit
         assert peak < 4e6
+
+
+def counting_kernel(monkeypatch) -> list[int]:
+    """Record the stack size of every LM kernel call."""
+    kernel = calibrate._levenberg_marquardt
+    stacks = []
+
+    def counting(params0, *callbacks, **kwargs):
+        stacks.append(len(params0))
+        return kernel(params0, *callbacks, **kwargs)
+
+    monkeypatch.setattr(calibrate, "_levenberg_marquardt", counting)
+    return stacks
+
+
+def assert_same_refinement(a, b):
+    assert a.intrinsics == b.intrinsics and a.rmse == b.rmse
+    np.testing.assert_array_equal(a.rot, b.rot)
+    np.testing.assert_array_equal(a.t, b.t)
+    assert a.diagnostics == b.diagnostics
+    assert (a.accepted_ids, a.flags) == (b.accepted_ids, b.flags)
+
+
+class TestRefineStacks:
+    """refine solves every cell of the same layout as one LM stack; each
+    cell gets, bit for bit, what refining it alone gives."""
+
+    @staticmethod
+    def algebraic_pairs(dataset, count):
+        return [(calibrate_algebraic(views), views) for views in list(dataset.cells.values())[:count]]
+
+    def test_stack_equals_stacks_of_one(self, cam1_dataset):
+        cells = calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)
+        settings = cam1_dataset.settings()
+        assert len(cells) == 28
+        for (pose, index), result in cells.items():
+            alone = calibrate_views("algebraic-refined", cam1_dataset.cells[(pose, settings[index])], 5.0)
+            assert_same_refinement(result, alone)
+
+    def test_matches_dense_reference(self, cam1_dataset):
+        # the same kernel on the dense J^T J and J^T r: summation order
+        # differs, so f and pp agree to 1e-8 relative, iterations exactly
+        pairs = self.algebraic_pairs(cam1_dataset, 28)[::3]
+        results, _ = refine(pairs)
+        for (start, views), result in zip(pairs, results):
+            pts, image, mask, params0 = joint_stack(start, views)
+            residuals, _ = calibrate._joint_problem(pts, image, mask)
+
+            def dense(params, rows, res):
+                jac = dense_joint_jacobian(calibrate._joint_rows(params, pts[rows])[0], mask)
+                return (jac.T @ jac)[None], (jac.T @ res[0])[None]
+
+            params, _, converged, iters = calibrate._levenberg_marquardt(params0, residuals, dense)
+            got = [result.intrinsics.f, result.intrinsics.pp.u, result.intrinsics.pp.v]
+            np.testing.assert_allclose(got, params[0, :3], rtol=1e-8, atol=0.0)
+            assert result.diagnostics["lm_iterations"] == iters[0]
+            assert result.diagnostics["converged"] == converged[0]
+
+    def test_one_lm_call_for_all_cells(self, cam1_dataset, monkeypatch):
+        stacks = counting_kernel(monkeypatch)
+        calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)
+        assert stacks == [28]
+
+    def test_layouts_share_one_call(self, cam1_dataset, monkeypatch):
+        # 8-view cells, 4-view cells and a cell with a 27-corner view each
+        # form their own LM stack inside one refine call
+        views = list(cam1_dataset.cells.values())
+        short = only(views_from_points(["short"], [views[2][0].board_xy[:27]], [views[2][0].image_uv[:27]]))
+        cells = [views[0], views[1][:4], (short, *views[2][1:]), views[3], views[4][:4]]
+        pairs = [(calibrate_algebraic(c), c) for c in cells]
+        stacks = counting_kernel(monkeypatch)
+        results, errors = refine(pairs)
+        assert errors == [None] * len(cells)
+        assert sorted(stacks) == [1, 2, 2]
+        for result, pair in zip(results, pairs):
+            assert_same_refinement(result, only(refine([pair])))
+
+    def test_failure_isolation(self, cam1_dataset, monkeypatch):
+        pairs = self.algebraic_pairs(cam1_dataset, 6)
+        reference, _ = refine(pairs)
+        # cell 0 keeps one accepted view; the kernel puts view 1 of cell 3
+        # (problem 2 of the stack, as cell 0 never enters it) behind the camera
+        start, views = pairs[0]
+        pairs[0] = (replace(start, accepted_ids=start.accepted_ids[:1], rot=start.rot[:1], t=start.t[:1]), views)
+        kernel = calibrate._levenberg_marquardt
+
+        def broken(params0, *callbacks, **kwargs):
+            params, *rest = kernel(params0, *callbacks, **kwargs)
+            params = params.copy()
+            params[2, 3 + 6 + 3 : 3 + 6 + 6] *= -1.0
+            return (params, *rest)
+
+        monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
+        results, errors = refine(pairs)
+        assert results[0] is None and results[3] is None
+        assert isinstance(errors[0], InsufficientViews)
+        assert str(errors[0]) == "refinement needs at least 2 accepted views"
+        assert isinstance(errors[3], BehindCamera)
+        view_id = pairs[3][0].accepted_ids[1]
+        assert str(errors[3]) == f"view {view_id}: refined pose is not finite or lies behind the camera"
+        for i in (1, 2, 4, 5):
+            assert errors[i] is None
+            assert_same_refinement(results[i], reference[i])
+
+    def test_memory_peak(self, cam1_dataset):
+        calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)
+        tracemalloc.start()
+        try:
+            calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 28-cell stack peaks near 5.9 MB (per-view Jacobian rows of
+        # 1.7 MB, then the (28, 51, 51) systems and their damped copies);
+        # a dense (864 x 51) Jacobian per cell would need 9.9 MB for the rows alone
+        assert peak < 8e6

@@ -12,15 +12,15 @@ from caliblab.calibrate import (
     CalibrationView,
     Intrinsics,
     _board_points,
-    _cell_jacobian,
-    _cell_residuals,
     _damped_steps,
     _decompose_homographies,
     _intrinsic_arrays,
+    _joint_problem,
+    _joint_rows,
     _levenberg_marquardt,
-    _pack,
+    _pose_jacobian,
     _pose_problem,
-    _stack_views,
+    _project,
     _views_rmse,
     calibrate_algebraic,
     calibrate_geometric,
@@ -42,12 +42,14 @@ from caliblab.errors import (
 from caliblab.geometry import DLT_RANK_RTOL, Point2
 from caliblab.principal_line import DIRECTION_EPS, PERSPECTIVE_EPS
 from caliblab.synth import SceneConfig, generate_dataset
-from caliblab.rotations import rvec_from_rotation
+from caliblab.rotations import rodrigues, rvec_from_rotation
 
 from conftest import (
     bias_half_board,
     canonical_homography,
+    dense_joint_jacobian,
     grid_board,
+    joint_stack,
     only,
     oracle_rot_x,
     oracle_rot_z,
@@ -252,7 +254,7 @@ class TestRefine:
             ),
             flags=result.flags,
         )
-        refined = refine(start, views)
+        refined = only(refine([(start, views)]))
         assert abs(refined.intrinsics.f - 3000.0) / 3000.0 < 1e-8
         assert refined.method == "refined"
         assert refined.diagnostics["converged"]
@@ -260,7 +262,7 @@ class TestRefine:
     def test_fixed_point_at_optimum(self):
         views, _ = tilted_scene_views()
         result = calibrate_geometric(views)
-        refined = refine(result, views)
+        refined = only(refine([(result, views)]))
         n = sum(len(v.board_xy) for v in views)
         cost_before = result.rmse**2 * n
         cost_after = refined.rmse**2 * n
@@ -270,13 +272,14 @@ class TestRefine:
     def test_noisy_refinement_improves_rmse(self, rng):
         views, _ = tilted_scene_views(sigma=0.5, rng=rng)
         result = calibrate_geometric(views)
-        refined = refine(result, views)
+        refined = only(refine([(result, views)]))
         assert refined.rmse <= result.rmse + 1e-12
 
-    def test_jacobian_matches_central_differences(self, rng):
-        # relative to the column scale: each column is one parameter's
-        # sensitivity, so entries within it share units
-        for _ in range(10):
+    @staticmethod
+    def jacobian_cases(rng):
+        """Ten noisy cells of random geometry, the last one with a view cut
+        to 27 corners so that its stack carries padding."""
+        for k in range(10):
             views, _ = tilted_scene_views(
                 f=float(rng.uniform(1500, 6000)),
                 pp=(float(rng.uniform(1000, 4000)), float(rng.uniform(800, 3000))),
@@ -285,23 +288,44 @@ class TestRefine:
                 sigma=0.5,
                 rng=rng,
             )
-            result = calibrate_geometric(views) if len(views) >= 2 else None
-            by_id = {v.id: v for v in views}
-            stack = _stack_views([by_id[i] for i in result.accepted_ids])
-            params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)
-            jac = _cell_jacobian(params, stack)
+            if k == 9:
+                views[1] = only(views_from_points(["short"], [views[1].board_xy[:27]], [views[1].image_uv[:27]]))
+            yield calibrate_geometric(views), views
+
+    def test_jacobian_matches_central_differences(self, rng):
+        # the dense Jacobian built from the per-view (2n x 9) rows, checked
+        # relative to the column scale: each column is one parameter's
+        # sensitivity, so entries within it share units
+        for result, views in self.jacobian_cases(rng):
+            pts, image, mask, params = joint_stack(result, views)
+            residuals, _ = _joint_problem(pts, image, mask)
+            jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
+            rows = np.arange(1)
             fd = np.empty_like(jac)
-            for j in range(len(params)):
-                h = 1e-6 * max(1.0, abs(params[j]))
+            for j in range(params.shape[1]):
+                h = 1e-6 * max(1.0, abs(params[0, j]))
                 dp = np.zeros_like(params)
-                dp[j] = h
-                fd[:, j] = (
-                    _cell_residuals(params + dp, stack)
-                    - _cell_residuals(params - dp, stack)
-                ) / (2 * h)
+                dp[0, j] = h
+                fd[:, j] = (residuals(params + dp, rows)[0] - residuals(params - dp, rows)[0]) / (2 * h)
             col_scale = np.abs(fd).max(axis=0)
             rel = np.abs(jac - fd).max(axis=0) / col_scale
             assert rel.max() < 1e-4
+
+    def test_normal_equations_equal_dense_products(self, rng):
+        # the assembled block-arrow system is J^T J and J^T r of the dense
+        # Jacobian, up to summation order
+        for result, views in self.jacobian_cases(rng):
+            pts, image, mask, params = joint_stack(result, views)
+            residuals, normal_equations = _joint_problem(pts, image, mask)
+            rows = np.arange(1)
+            res = residuals(params, rows)
+            hess, grad = normal_equations(params, rows, res)
+            jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
+            dense_hess, dense_grad = jac.T @ jac, jac.T @ res[0]
+            assert np.abs(hess[0] - dense_hess).max() <= 1e-12 * np.abs(dense_hess).max()
+            assert np.abs(grad[0] - dense_grad).max() <= 1e-12 * np.abs(dense_grad).max()
+            # the pose blocks of different views are not coupled
+            np.testing.assert_array_equal(hess[0] == 0.0, dense_hess == 0.0)
 
     def test_pose_only_refit(self):
         views, truth = tilted_scene_views()
@@ -321,9 +345,11 @@ class TestBatchedPoseRefit:
         image = np.array([v.image_uv for v in views])
         params = np.array([np.concatenate([rng.normal(0.0, 0.5, 3), t]) for _, t in truth])
         params[0, :3] = 0.0
-        residuals, jacobian = _pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image)
+        f, pp = _intrinsic_arrays([intr] * len(views))
+        residuals, normal_equations = _pose_problem(f, pp, pts, image)
         rows = np.arange(len(views))
-        jac = jacobian(params, rows)
+        cam, _ = _project(f, pp, rodrigues(params[:, :3]), params[:, 3:], pts)
+        jac = _pose_jacobian(f[:, None], params[:, :3], pts, cam).reshape(len(views), -1, 6)
         fd = np.empty_like(jac)
         for j in range(6):
             dp = np.zeros_like(params)
@@ -331,8 +357,16 @@ class TestBatchedPoseRefit:
             fd[..., j] = (residuals(params + dp, rows) - residuals(params - dp, rows)) / (2 * dp[:, None, j])
         col_scale = np.abs(fd).max(axis=1)
         assert (np.abs(jac - fd).max(axis=1) / col_scale).max() < 1e-4
-        # a problem's Jacobian does not depend on the batch around it
-        np.testing.assert_array_equal(jacobian(params[:1], rows[:1])[0], jac[0])
+        # the callback's systems are J^T J and J^T r of that Jacobian, and a
+        # problem's system does not depend on the batch around it
+        res = residuals(params, rows)
+        hess, grad = normal_equations(params, rows, res)
+        jac_t = np.swapaxes(jac, -1, -2)
+        np.testing.assert_array_equal(hess, jac_t @ jac)
+        np.testing.assert_array_equal(grad, (jac_t @ res[..., None])[..., 0])
+        alone = normal_equations(params[:1], rows[:1], res[:1])
+        np.testing.assert_array_equal(alone[0][0], hess[0])
+        np.testing.assert_array_equal(alone[1][0], grad[0])
 
     def test_kernel_keeps_per_problem_schedule(self, rng):
         # starts at different distances from the optimum take different
@@ -344,8 +378,7 @@ class TestBatchedPoseRefit:
         image = np.array([v.image_uv for v in views])
         params0 = np.array([np.concatenate([rvec_from_rotation(rot), t]) for rot, t in truth])
         params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(views))[:, None]
-        residuals, jacobian = _pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image)
-        stacked = _levenberg_marquardt(params0, residuals, jacobian)
+        stacked = _levenberg_marquardt(params0, *_pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image))
         assert len(set(stacked[3].tolist())) > 1
         for i in range(len(views)):
             alone = _levenberg_marquardt(

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import caliblab
 from caliblab.cli import main
@@ -276,7 +276,7 @@ class TestRunOptions:
         "mutate, in_view, detail",
         [
             (lambda cell: cell["views"][1]["corners"][0].pop("u_px"), True, "missing field 'u_px'"),
-            (lambda cell: cell.update(focal_label_mm=None), False, "float()"),
+            (lambda cell: cell.update(focal_label_mm=None), False, "field focal_label_mm must be a number, got NoneType"),
             (lambda cell: cell["views"][1].update(corners=cell["views"][1]["corners"][:3]), True, "at least 4 corners"),
             (lambda cell: cell["views"][1]["corners"][5].update(v_px=float("nan")), True, "must be finite"),
             (lambda cell: [c.update(y_mm=0.0) for c in cell["views"][1]["corners"]], True, "rank deficient"),
@@ -290,6 +290,27 @@ class TestRunOptions:
             (lambda cell: cell["views"][1]["corners"][0].update(u_px=1e200), True, "spread too far to normalize"),
             (lambda cell: cell.update(focal_px=float("nan")), False, "f_px > 0, got nan"),
             (lambda cell: cell.update(focal_px=0.0), False, "f_px > 0, got 0.0"),
+            (
+                lambda cell: cell["views"][1]["corners"][7].update(u_px="816.878231"),
+                True,
+                "field u_px of corner 7 must be a number, got str",
+            ),
+            (
+                lambda cell: cell["views"][1]["corners"][3].update(x_mm=False),
+                True,
+                "field x_mm of corner 3 must be a number, got bool",
+            ),
+            (lambda cell: cell.update(focal_label_mm="18"), False, "field focal_label_mm must be a number, got str"),
+            (
+                lambda cell: cell["ground_truth"]["views"][1]["rvec"].__setitem__(1, True),
+                "truth",
+                "field rvec of view 1 must hold only numbers, got bool",
+            ),
+            (
+                lambda cell: cell["views"][1]["corners"][0].update(v_px=10**400),
+                True,
+                "int too large to convert to float",
+            ),
         ],
         ids=[
             "missing-u",
@@ -307,6 +328,11 @@ class TestRunOptions:
             "overflowing-corner",
             "nan-focal",
             "zero-focal",
+            "string-corner",
+            "bool-corner",
+            "string-focal-label",
+            "bool-truth-rvec",
+            "huge-int-corner",
         ],
     )
     def test_malformed_dataset_exits_2(self, dataset_path, tmp_path, capsys, mutate, in_view, detail):
@@ -529,6 +555,13 @@ JSON_JUNK = st.sampled_from(
 ).map(copy.deepcopy)
 
 
+def mutated_document(mutate) -> str:
+    """The small cam1 dataset file with mutate applied to its first cell."""
+    root = json.loads(small_cam1_document())
+    mutate(root["cells"][0])
+    return json.dumps(root)
+
+
 @st.composite
 def mutated_documents(draw):
     """The small cam1 dataset file with 1 to 3 nodes deleted or replaced by
@@ -555,6 +588,12 @@ class TestMalformedDatasetFuzz:
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(document=mutated_documents(), command=st.sampled_from(["calibrate", "analyze", "crossval"]))
+    # a number written as a string, and one written as a bool: both exited 0
+    @example(
+        document=mutated_document(lambda cell: cell["views"][2]["corners"][4].update(u_px="816.878231")),
+        command="calibrate",
+    )
+    @example(document=mutated_document(lambda cell: cell["views"][0]["corners"][1].update(x_mm=False)), command="analyze")
     def test_exit_code_and_one_line(self, document, command):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ds.json"

@@ -2,12 +2,14 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from caliblab.dataset_io import (
     dumps_dataset,
+    dumps_json,
     format_float,
     loads_dataset,
     read_dataset,
@@ -99,6 +101,105 @@ class TestDatasetRoundTrip:
         with pytest.raises(ConfigError) as exc:
             loads_dataset(json.dumps(node))
         assert str(exc.value) == f"malformed dataset at cell 1, view {views[1]['id']}: duplicate view id"
+
+
+class TestDatasetWriter:
+    def test_template_matches_generic_emitter(self, dataset):
+        # the corner template writes what the generic JSON emitter writes
+        cells = []
+        for (pose, setting), views in dataset.cells.items():
+            intr, rvec, t = dataset.ground_truth[(pose, setting)]
+            cells.append(
+                {
+                    "pose": pose.value,
+                    "focal_label_mm": float(setting.label_mm),
+                    "focal_px": float(setting.f_px),
+                    "views": [
+                        {
+                            "id": view.id,
+                            "corners": [
+                                {"x_mm": x, "y_mm": y, "u_px": u, "v_px": v}
+                                for (x, y), (u, v) in zip(view.board_xy.tolist(), view.image_uv.tolist())
+                            ],
+                        }
+                        for view in views
+                    ],
+                    "ground_truth": {
+                        "f_px": intr.f,
+                        "pp_u_px": intr.pp.u,
+                        "pp_v_px": intr.pp.v,
+                        "views": [{"rvec": r, "t_mm": shift} for r, shift in zip(rvec.tolist(), t.tolist())],
+                    },
+                }
+            )
+        assert dumps_dataset(dataset) == dumps_json({"camera_id": dataset.camera_id, "cells": cells})
+
+    def test_percent_format_equals_format_float(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-1.0, 1.0, 20000) * 10.0 ** rng.uniform(-300.0, 300.0, 20000)
+        values = [*values.tolist(), 5e-324, -0.0, 0.0, 1.7976931348623157e308, 1e16, 123456789.5]
+        assert all("%.9g" % x == format_float(x) for x in values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_corner_rejected(self, dataset, bad):
+        key = next(iter(dataset.cells))
+        view = dataset.cells[key][1]
+        image = view.image_uv.copy()
+        image[4, 1] = bad
+        broken = replace(view, image_uv=image)
+        cells = {**dataset.cells, key: (dataset.cells[key][0], broken, *dataset.cells[key][2:])}
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            dumps_dataset(replace(dataset, cells=cells))
+
+
+class TestStrictNumbers:
+    """Every numeric field must be a JSON number: a string or a bool in its
+    place is malformed, named by cell, view and field."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda cell: cell["views"][2]["corners"][5].update(u_px="816.878231"),
+                "malformed dataset at cell 1, view {view}: field u_px of corner 5 must be a number, got str",
+            ),
+            (
+                lambda cell: cell["views"][2]["corners"][0].update(y_mm=True),
+                "malformed dataset at cell 1, view {view}: field y_mm of corner 0 must be a number, got bool",
+            ),
+            (
+                lambda cell: cell.update(focal_label_mm="18"),
+                "malformed dataset at cell 1: field focal_label_mm must be a number, got str",
+            ),
+            (
+                lambda cell: cell.update(focal_px=False),
+                "malformed dataset at cell 1: field focal_px must be a number, got bool",
+            ),
+            (
+                lambda cell: cell["ground_truth"].update(f_px="6000"),
+                "malformed dataset at cell 1, ground truth: field f_px must be a number, got str",
+            ),
+            (
+                lambda cell: cell["ground_truth"]["views"][3]["t_mm"].__setitem__(2, "800"),
+                "malformed dataset at cell 1, ground truth: field t_mm of view 3 must hold only numbers, got str",
+            ),
+        ],
+        ids=["string-corner", "bool-corner", "string-label", "bool-focal", "string-truth-f", "string-truth-t"],
+    )
+    def test_wrong_type_rejected(self, dataset, mutate, message):
+        node = json.loads(dumps_dataset(dataset))
+        cell = node["cells"][1]
+        mutate(cell)
+        with pytest.raises(ConfigError) as exc:
+            loads_dataset(json.dumps(node))
+        assert str(exc.value) == message.format(view=cell["views"][2]["id"])
+
+    def test_integers_are_numbers(self, dataset):
+        node = json.loads(dumps_dataset(dataset))
+        node["cells"][0]["focal_label_mm"] = 12
+        node["cells"][0]["views"][0]["corners"][0]["u_px"] = 1800
+        loaded = loads_dataset(json.dumps(node))
+        assert loaded.cells[(PoseLabel.DOWN, FocalSetting(12.0, 3000.0))][0].image_uv[0, 0] == 1800.0
 
 
 class TestCsv:
