@@ -9,10 +9,14 @@ Runs the `caliblab` CLI on the cam1 preset at seed 7, at noise sigma 0 and
 commands run the failure and notice paths: `calibrate --pl-outlier-px
 0.05` (failed cells), `crossval --pl-outlier-px 0.5` and
 `analyze --pl-outlier-px 0.5` (notices of failed calibrations and skipped
-analyses), and `analyze --method algebraic --max-views 2` (exit 5). That
-is 30 commands writing 86 files, 116 output lines. Prints
-the exit code of each command, then one `sha256  path` line per file
-written, with paths relative to the output directory.
+analyses), and `analyze --method algebraic --max-views 2` (exit 5).
+Last, a ragged copy of the dataset, in which view k of every cell keeps
+its first 54 - 4k corners, goes through `calibrate` with every method and
+`crossval --method geometric`, so the padded corner stacks of a cell are
+exercised end to end. That is 38 commands and 2 ragged copies writing
+110 files, 148 output lines. Prints the exit code of each command, then
+one `sha256  path` line per file written, with paths relative to the
+output directory.
 
 The commands run as `python -m caliblab` children inside the output
 directory. They inherit the environment, with PYTHONPATH made absolute,
@@ -25,6 +29,7 @@ Usage:
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +58,21 @@ def commands(sigma_dir: str, sigma: str):
     yield "analyze-algebraic-max-views-2", [
         "analyze", "--dataset", dataset, "--method", "algebraic", "--max-views", "2"
     ]
+    # padded stacks: views of one cell with different corner counts
+    ragged = f"{sigma_dir}/ragged.json"
+    for method in METHODS:
+        yield f"ragged-calibrate-{method}", ["calibrate", "--dataset", ragged, "--method", method]
+    yield "ragged-crossval-geometric", ["crossval", "--dataset", ragged, "--method", "geometric"]
+
+
+def write_ragged(dataset: Path, out: Path) -> None:
+    """Copy of a dataset file in which view k of every cell keeps its first
+    54 - 4k corners (the ground truth is kept whole)."""
+    node = json.loads(dataset.read_text(encoding="utf-8"))
+    for cell in node["cells"]:
+        for k, view in enumerate(cell["views"]):
+            view["corners"] = view["corners"][: 54 - 4 * k]
+    out.write_text(json.dumps(node), encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -76,6 +96,8 @@ def main(argv=None) -> int:
                 [sys.executable, "-m", "caliblab", *argv], cwd=out_dir, env=env, capture_output=True
             ).returncode
             print(f"exit {code}  {sigma_dir}/{name}")
+            if name == "simulate":
+                write_ragged(out_dir / sigma_dir / "dataset.json", out_dir / sigma_dir / "ragged.json")
 
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir).as_posix()}")

@@ -18,12 +18,12 @@ from .analysis import (
 )
 from .calibrate import (
     CalibrationResult,
-    CalibrationView,
+    Cell,
     Intrinsics,
     PoseRefits,
     calibrate_algebraic,
     calibrate_geometric,
-    focal_from_homography,
+    focal_from_homographies,
     refine,
     refit_view_poses,
     views_from_points,

@@ -10,6 +10,7 @@ import numpy as np
 
 from .calibrate import (
     CalibrationResult,
+    Cell,
     Intrinsics,
     calibrate_algebraic,
     calibrate_geometric,
@@ -85,13 +86,13 @@ class CrossValReport:
         return absent / total if total else 1.0
 
 
-def calibrate_views(method: str, views, pl_outlier_px: float) -> CalibrationResult:
+def calibrate_views(method: str, cell: Cell, pl_outlier_px: float) -> CalibrationResult:
     if method == "geometric":
-        return calibrate_geometric(views, pl_outlier_px=pl_outlier_px)
+        return calibrate_geometric(cell, pl_outlier_px=pl_outlier_px)
     if method == "algebraic":
-        return calibrate_algebraic(views)
+        return calibrate_algebraic(cell)
     if method == "algebraic-refined":
-        (result,), (err,) = refine([(calibrate_algebraic(views), views)])
+        (result,), (err,) = refine([calibrate_algebraic(cell)])
         if err is not None:
             raise err
         return result
@@ -114,16 +115,16 @@ def calibrate_cells(
     settings = dataset.settings()
     for pose in dataset.poses():
         for index, setting in enumerate(settings):
-            views = dataset.cells.get((pose, setting))
-            if views is None:
+            cell = dataset.cells.get((pose, setting))
+            if cell is None:
                 continue
             try:
-                cells[(pose, index)] = calibrate_views("algebraic" if refined else method, views, pl_outlier_px)
+                cells[(pose, index)] = calibrate_views("algebraic" if refined else method, cell, pl_outlier_px)
             except CaliblabError as err:
                 cells[(pose, index)] = err
     if refined:
         keys = [key for key, result in cells.items() if isinstance(result, CalibrationResult)]
-        results, errors = refine([(cells[key], dataset.cells[(key[0], settings[key[1]])]) for key in keys])
+        results, errors = refine([cells[key] for key in keys])
         for key, result, err in zip(keys, results, errors):
             cells[key] = result if err is None else err
     return cells
@@ -154,27 +155,27 @@ def _crossval_setting(
         self_rmse[pose] = result.rmse
 
     cells = [(b, pose_b, dataset.cells.get((pose_b, setting))) for b, pose_b in enumerate(poses)]
-    cells = [(b, pose_b, views) for b, pose_b, views in cells if views]
-    setting_views = [view for _, _, views in cells for view in views]
+    cells = [(b, pose_b, cell) for b, pose_b, cell in cells if cell]
     calibrated = [(a, pose_a) for a, pose_a in enumerate(poses) if pose_a in intrinsics]
     # every view of the setting is refit under each calibrated pose's
     # intrinsics, all in one stack
+    setting_views = sum(len(cell) for _, _, cell in cells)
     refits = refit_view_poses(
-        [intrinsics[pose_a] for _, pose_a in calibrated for _ in setting_views],
-        setting_views * len(calibrated),
+        [intrinsics[pose_a] for _, pose_a in calibrated for _ in range(setting_views)],
+        Cell.concat([cell for _, _, cell in cells] * len(calibrated)),
     )
     start = 0
     for a, pose_a in calibrated:
-        for b, pose_b, views in cells:
-            cell = slice(start, start + len(views))
-            start += len(views)
-            err = next((e for e in refits.errors[cell] if e is not None), None)
+        for b, pose_b, cell in cells:
+            rows = slice(start, start + len(cell))
+            start += len(cell)
+            err = next((e for e in refits.errors[rows] if e is not None), None)
             if err is not None:
                 notices.append(
                     f"setting {setting.label_mm} mm: pose refit {pose_a.value}->{pose_b.value} failed: {err}"
                 )
                 continue
-            matrix[a, b] = sum(refits.rmse[cell].tolist()) / len(views)
+            matrix[a, b] = sum(refits.rmse[rows].tolist()) / len(cell)
 
     return CrossValSetting(setting_index, setting.label_mm, tuple(poses), matrix, self_rmse), notices
 

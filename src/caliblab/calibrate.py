@@ -61,34 +61,76 @@ class Intrinsics:
 
 
 @dataclass(frozen=True, eq=False)
-class CalibrationView:
-    """One board observation: matching (n, 2) board and image corner
-    arrays, their homography h (3, 3), and (when the view has perspective)
-    its principal line (a, b, c), else None."""
+class Cell:
+    """The views of one (pose, focal setting) cell as stacked arrays, row i
+    for view ids[i]: board and image corners (V, n, 2), of which the first
+    count[i] of row i are real and the rest zero padding, homographies h
+    (V, 3, 3) and principal lines (a, b, c) as rows of line (V, 3), a NaN
+    row where a view has no perspective. The arrays are made read-only."""
 
-    id: str
+    ids: tuple[str, ...]
+    board: np.ndarray
+    image: np.ndarray
+    count: np.ndarray
     h: np.ndarray
-    line: np.ndarray | None
-    board_xy: np.ndarray
-    image_uv: np.ndarray
+    line: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.board, self.image, self.count, self.h, self.line):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(V, n) mask of the real corners."""
+        return np.arange(self.board.shape[1]) < self.count[:, None]
+
+    def take(self, rows) -> Cell:
+        """The views at rows (an index array or a slice), padded to the longest of them."""
+        rows = np.arange(len(self))[rows]
+        if rows.tolist() == list(range(len(self))):
+            return self  # every view in order: the cell is immutable, so no copy
+        width = self.count[rows].max(initial=0)
+        ids = tuple(self.ids[i] for i in rows.tolist())
+        board, image = self.board[rows, :width], self.image[rows, :width]
+        return Cell(ids, board, image, self.count[rows], self.h[rows], self.line[rows])
+
+    @staticmethod
+    def concat(cells: Sequence[Cell]) -> Cell:
+        """The views of cells one after another, padded to the longest."""
+        if not cells:
+            return views_from_points((), (), ())[0]
+        # filled in place: np.pad per cell cost cross_validate about a tenth of its time
+        board, image = np.zeros((2, sum(len(c) for c in cells), max(c.board.shape[1] for c in cells), 2))
+        ends = np.cumsum([len(c) for c in cells]).tolist()
+        for c, start, end in zip(cells, [0, *ends], ends):
+            board[start:end, : c.board.shape[1]], image[start:end, : c.image.shape[1]] = c.board, c.image
+        ids = sum((c.ids for c in cells), ())
+        count, hs, lines = (np.concatenate([getattr(c, name) for c in cells]) for name in ("count", "h", "line"))
+        return Cell(ids, board, image, count, hs, lines)
+
+    def by_count(self):
+        """(n, rows) per corner count n, ascending; rows index the views with n corners."""
+        for n in sorted(set(self.count.tolist())):  # np.unique would import numpy.ma
+            yield n, np.flatnonzero(self.count == n)
 
 
 def views_from_points(
     view_ids: Sequence[str], boards: Sequence, images: Sequence
-) -> tuple[list[CalibrationView | None], list[Exception | None]]:
-    """Build the views of a cell from matching (n, 2) board and image
-    corner arrays, one pair per view id.
+) -> tuple[Cell, list[Exception | None]]:
+    """Build the cell of views from matching (n, 2) board and image corner
+    arrays, one pair per view id. Views with the same corner count share
+    one stacked DLT, and all views one stacked principal-line pass.
 
-    Views with the same corner count share one stacked DLT, and all views
-    one stacked principal-line pass; a view without perspective gets no
-    principal line. Returns the views and, aligned with them, the error of
-    each view that cannot be built: ValueError for mismatched shapes,
-    fewer than 4 corners or non-finite coordinates, DegenerateConfiguration
-    for coincident, collinear or duplicated points.
+    Returns the cell of the views that were built, in input order, and,
+    aligned with view_ids, the error of each view that cannot be built:
+    ValueError for mismatched shapes, fewer than 4 corners or non-finite
+    coordinates, DegenerateConfiguration for coincident, collinear or
+    duplicated points.
     """
-    count = len(view_ids)
-    views: list[CalibrationView | None] = [None] * count
-    errors: list[Exception | None] = [None] * count
+    errors: list[Exception | None] = [None] * len(view_ids)
     arrays = []
     for i, (view_id, board_xy, image_uv) in enumerate(zip(view_ids, boards, images)):
         board_xy = np.array(board_xy, dtype=float)
@@ -99,43 +141,39 @@ def views_from_points(
             errors[i] = ValueError(f"a calibration view needs at least 4 corners, got {len(board_xy)}")
         elif not (np.all(np.isfinite(board_xy)) and np.all(np.isfinite(image_uv))):
             errors[i] = ValueError(f"view {view_id}: corner coordinates must be finite")
-        board_xy.setflags(write=False)
-        image_uv.setflags(write=False)
         arrays.append((board_xy, image_uv))
 
-    hs = np.full((count, 3, 3), np.nan)
-    corners = [len(board) if err is None else 0 for (board, _), err in zip(arrays, errors)]
-    for n in sorted(set(corners) - {0}):
-        rows = [i for i, k in enumerate(corners) if k == n]
-        hs[rows], failed = estimate_homographies(
-            np.array([arrays[i][0] for i in rows]), np.array([arrays[i][1] for i in rows])
-        )
-        for i, err in zip(rows, failed):
+    count = np.array([0 if err else len(board) for (board, _), err in zip(arrays, errors)], dtype=int)
+    board, image = np.zeros((2, len(arrays), count.max(initial=0), 2))
+    for i in np.flatnonzero(count).tolist():
+        board[i, : count[i]], image[i, : count[i]] = arrays[i]
+    hs = np.full((len(arrays), 3, 3), np.nan)
+    for n in sorted(set(count.tolist()) - {0}):
+        rows = np.flatnonzero(count == n)
+        hs[rows], failed = estimate_homographies(board[rows, :n], image[rows, :n])
+        for i, err in zip(rows.tolist(), failed):
             errors[i] = err
 
-    rows = [i for i, err in enumerate(errors) if err is None]
-    lines, failed = principal_lines(hs[rows])
-    hs.setflags(write=False)
-    lines.setflags(write=False)
-    for i, line, err in zip(rows, lines, failed):
+    valid = [i for i, err in enumerate(errors) if err is None]
+    lines = np.full((len(arrays), 3), np.nan)
+    lines[valid], failed = principal_lines(hs[valid])
+    for i, err in zip(valid, failed):
         if err is not None and not isinstance(err, (DegenerateView, AmbiguousDirection)):
             errors[i] = err
-            continue
-        board_xy, image_uv = arrays[i]
-        views[i] = CalibrationView(view_ids[i], hs[i], None if err else line, board_xy, image_uv)
-    return views, errors
+    cell = Cell(tuple(view_ids), board, image, count, hs, lines)
+    return cell.take([i for i, err in enumerate(errors) if err is None]), errors
 
 
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Intrinsics of a cell and the pose of each accepted view: row i of
-    rot (V, 3, 3) and t (V, 3) belongs to view accepted_ids[i]."""
+    rot (V, 3, 3) and t (V, 3) belongs to row i of views, the accepted views."""
 
     method: str
     intrinsics: Intrinsics
     rot: np.ndarray
     t: np.ndarray
-    accepted_ids: tuple[str, ...]
+    views: Cell
     pp_estimate: PPEstimate | None
     focal_samples: tuple[float, ...]
     rmse: float
@@ -157,51 +195,46 @@ def _project(f, pp, rot: np.ndarray, t: np.ndarray, pts: np.ndarray) -> tuple[np
     return cam, np.asarray(f)[..., None, None] * cam[..., :2] / cam[..., 2:3] + np.asarray(pp)[..., None, :]
 
 
-def _views_rmse(intr: Intrinsics, rot: np.ndarray, t: np.ndarray, views: Sequence[CalibrationView]) -> float:
+def _views_rmse(intr: Intrinsics, rot: np.ndarray, t: np.ndarray, views: Cell) -> float:
+    """Reprojection RMSE of the views under intr and poses rot, t: each view's
+    squared residuals are summed alone, and the sums added in view order."""
+    per_view = np.empty(len(views))
+    for n, rows in views.by_count():
+        _, uv = _project(intr.f, (intr.pp.u, intr.pp.v), rot[rows], t[rows], _board_points(views.board[rows, :n]))
+        d = uv - views.image[rows, :n]
+        per_view[rows] = (d * d).reshape(len(rows), -1).sum(axis=1)
     sq = 0.0
-    n = 0
-    for view_rot, view_t, view in zip(rot, t, views):
-        _, uv = _project(intr.f, (intr.pp.u, intr.pp.v), view_rot, view_t, _board_points(view.board_xy))
-        d = uv - view.image_uv
-        sq += float(np.sum(d * d))
-        n += len(d)
+    for s in per_view.tolist():
+        sq += s
+    n = int(views.count.sum())
     return math.sqrt(sq / n) if n else 0.0
 
 
-def focal_from_homography(h: np.ndarray, pp: Point2) -> list[float]:
-    """Closed-form focal estimates of a homography h (3, 3) given a known
-    principal point.
+def focal_from_homographies(hs: np.ndarray, pp: Point2) -> list[float]:
+    """Closed-form focal estimates of homographies hs (V, 3, 3) given a
+    known principal point, view by view.
 
-    With A = K^-1 H, the first two columns of A are scaled rotation
-    columns, so r1 . r2 = 0 and |r1| = |r2| each yield one equation in
-    f^2. Constraints whose denominators vanish are skipped; an empty list
-    is a valid return (fronto-parallel view).
+    With A = K^-1 H, the first two columns of A are scaled rotation columns,
+    so r1 . r2 = 0 and |r1| = |r2| each yield one equation in f^2, in that
+    order. A constraint whose denominator vanishes, or whose f^2 is not
+    positive, is skipped: fronto-parallel views give none.
     """
-    u0, v0 = pp.u, pp.v
-    a1 = h[0, 0] - u0 * h[2, 0]
-    a2 = h[0, 1] - u0 * h[2, 1]
-    b1 = h[1, 0] - v0 * h[2, 0]
-    b2 = h[1, 1] - v0 * h[2, 1]
-    p1, p2 = h[2, 0], h[2, 1]
-    persp = p1 * p1 + p2 * p2
-
-    estimates: list[float] = []
+    a1, a2 = hs[:, 0, 0] - pp.u * hs[:, 2, 0], hs[:, 0, 1] - pp.u * hs[:, 2, 1]
+    b1, b2 = hs[:, 1, 0] - pp.v * hs[:, 2, 0], hs[:, 1, 1] - pp.v * hs[:, 2, 1]
+    p1, p2 = hs[:, 2, 0], hs[:, 2, 1]
     # r1 . r2 = 0: (a1 a2 + b1 b2) / f^2 + p1 p2 = 0
-    if abs(p1 * p2) > FOCAL_DENOM_RTOL * persp:
-        f2 = -(a1 * a2 + b1 * b2) / (p1 * p2)
-        if f2 > 0.0:
-            estimates.append(math.sqrt(f2))
     # |r1| = |r2|: (a1^2 + b1^2 - a2^2 - b2^2) / f^2 + p1^2 - p2^2 = 0
-    if abs(p2 * p2 - p1 * p1) > FOCAL_DENOM_RTOL * persp:
-        f2 = (a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2) / (p2 * p2 - p1 * p1)
-        if f2 > 0.0:
-            estimates.append(math.sqrt(f2))
-    return estimates
+    num = np.stack([-(a1 * a2 + b1 * b2), a1 * a1 + b1 * b1 - a2 * a2 - b2 * b2], axis=-1)
+    den = np.stack([p1 * p2, p2 * p2 - p1 * p1], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f2 = num / den
+    usable = (np.abs(den) > FOCAL_DENOM_RTOL * (p1 * p1 + p2 * p2)[:, None]) & (f2 > 0.0)
+    return np.sqrt(f2[usable]).tolist()
 
 
 def _intrinsic_arrays(intrinsics: Sequence[Intrinsics]) -> tuple[np.ndarray, np.ndarray]:
     """Focal lengths (B,) and principal points (B, 2) of a sequence of intrinsics."""
-    return np.array([i.f for i in intrinsics]), np.array([(i.pp.u, i.pp.v) for i in intrinsics])
+    return np.array([i.f for i in intrinsics]), np.array([(i.pp.u, i.pp.v) for i in intrinsics]).reshape(-1, 2)
 
 
 def _decompose_homographies(
@@ -233,20 +266,16 @@ def _decompose_homographies(
     return rot, t, through_center
 
 
-def _decompose_views(
-    views: Sequence[CalibrationView], intr: Intrinsics
-) -> tuple[list[CalibrationView], np.ndarray, np.ndarray, list[str]]:
-    """Decompose every view's homography: the views with a usable pose,
-    their rotations (V, 3, 3) and translations (V, 3), and the ids of the
-    views whose board plane passes through the camera center. Raises
-    InsufficientViews when fewer than 2 views keep a pose."""
-    hs = np.array([v.h for v in views])
-    rot, t, through_center = _decompose_homographies(hs, *_intrinsic_arrays([intr] * len(views)))
-    kept = [view for view, bad in zip(views, through_center) if not bad]
-    flagged = [view.id for view, bad in zip(views, through_center) if bad]
+def _decompose_views(views: Cell, intr: Intrinsics) -> tuple[Cell, np.ndarray, np.ndarray, list[str]]:
+    """Decompose every view's homography: the cell of the views with a
+    usable pose, their rotations (V, 3, 3) and translations (V, 3), and the
+    ids of the views whose board plane passes through the camera center.
+    Raises InsufficientViews when fewer than 2 views keep a pose."""
+    rot, t, through_center = _decompose_homographies(views.h, *_intrinsic_arrays([intr] * len(views)))
+    kept = np.flatnonzero(~through_center)
     if len(kept) < 2:
         raise InsufficientViews("fewer than 2 views survived extrinsic decomposition")
-    return kept, rot[~through_center], t[~through_center], flagged
+    return views.take(kept), rot[kept], t[kept], [views.ids[i] for i in np.flatnonzero(through_center).tolist()]
 
 
 def _median(values: Sequence[float]) -> float:
@@ -257,7 +286,7 @@ def _median(values: Sequence[float]) -> float:
 
 
 def calibrate_geometric(
-    views: Sequence[CalibrationView],
+    cell: Cell,
     pl_outlier_px: float = DEFAULT_OUTLIER_THRESHOLD_PX,
 ) -> CalibrationResult:
     """Symmetry-axis calibration pipeline.
@@ -269,27 +298,27 @@ def calibrate_geometric(
     Screened-out or degenerate views are reported in flags and excluded
     from every later stage.
     """
-    flags = [view.id for view in views if view.line is None]
-    accepted = [view for view in views if view.line is not None]
-    lines = np.array([view.line for view in accepted]).reshape(-1, 3)
-    if len(accepted) >= 4:
+    has_line = ~np.isnan(cell.line[:, 0])
+    flags = [cell.ids[i] for i in np.flatnonzero(~has_line).tolist()]
+    rows = np.flatnonzero(has_line)
+    lines = cell.line[rows]
+    if len(rows) >= 4:
         inliers, outliers = flag_outlier_lines(lines, threshold_px=pl_outlier_px)
-        flags.extend(accepted[i].id for i in outliers)
-        accepted = [accepted[i] for i in inliers]
-        lines = lines[inliers]
+        flags.extend(cell.ids[rows[i]] for i in outliers)
+        rows, lines = rows[inliers], lines[inliers]
 
-    if len(accepted) < 2:
+    if len(rows) < 2:
         raise InsufficientViews(
-            f"geometric calibration needs at least 2 views with valid principal lines, got {len(accepted)}"
+            f"geometric calibration needs at least 2 views with valid principal lines, got {len(rows)}"
         )
 
     pp_est = estimate_pp(lines)
-    samples = [f for view in accepted for f in focal_from_homography(view.h, pp_est.pp)]
+    samples = focal_from_homographies(cell.h[rows], pp_est.pp)
     if not samples:
         raise NoFocalEstimate("all per-view focal constraints were degenerate")
 
     intr = Intrinsics(_median(samples), pp_est.pp)
-    kept, rot, t, flagged = _decompose_views(accepted, intr)
+    kept, rot, t, flagged = _decompose_views(cell.take(rows), intr)
     flags.extend(flagged)
 
     return CalibrationResult(
@@ -297,7 +326,7 @@ def calibrate_geometric(
         intrinsics=intr,
         rot=rot,
         t=t,
-        accepted_ids=tuple(v.id for v in kept),
+        views=kept,
         pp_estimate=pp_est,
         focal_samples=tuple(samples),
         rmse=_views_rmse(intr, rot, t, kept),
@@ -305,20 +334,14 @@ def calibrate_geometric(
     )
 
 
-def _conic_row(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            ha[0] * hb[0],
-            ha[0] * hb[1] + ha[1] * hb[0],
-            ha[1] * hb[1],
-            ha[2] * hb[0] + ha[0] * hb[2],
-            ha[2] * hb[1] + ha[1] * hb[2],
-            ha[2] * hb[2],
-        ]
-    )
+def _conic_rows(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Rows (V, 6) of the absolute-conic constraint h_a^T B h_b of each
+    pair of homography columns ha, hb (V, 3)."""
+    (a0, a1, a2), (b0, b1, b2) = ha.T, hb.T
+    return np.stack([a0 * b0, a0 * b1 + a1 * b0, a1 * b1, a2 * b0 + a0 * b2, a2 * b1 + a1 * b2, a2 * b2], axis=-1)
 
 
-def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
+def calibrate_algebraic(cell: Cell) -> CalibrationResult:
     """Conic-constraint calibration from all views jointly.
 
     Each homography contributes two linear constraints on the absolute
@@ -328,13 +351,12 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
     ratio are reported as diagnostics of that assumption. The system is
     solved in similarity-normalized image coordinates for conditioning.
     """
-    views = list(views)
-    if len(views) < 3:
+    if len(cell) < 3:
         raise InsufficientViews(
-            f"the conic system needs at least 3 views with distinct rotations, got {len(views)}"
+            f"the conic system needs at least 3 views with distinct rotations, got {len(cell)}"
         )
 
-    all_uv = np.vstack([v.image_uv for v in views])
+    all_uv = cell.image[cell.mask]
     center = all_uv.mean(axis=0)
     spread = float(np.sqrt(np.mean(np.sum((all_uv - center) ** 2, axis=1))))
     if spread <= 0.0:
@@ -343,11 +365,10 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
         [[1.0 / spread, 0.0, -center[0] / spread], [0.0, 1.0 / spread, -center[1] / spread], [0.0, 0.0, 1.0]]
     )
 
-    vmat = np.empty((2 * len(views), 6))
-    for i, view in enumerate(views):
-        h = tmat @ view.h
-        vmat[2 * i] = _conic_row(h[:, 0], h[:, 1])
-        vmat[2 * i + 1] = _conic_row(h[:, 0], h[:, 0]) - _conic_row(h[:, 1], h[:, 1])
+    hs = tmat @ cell.h
+    vmat = np.empty((2 * len(cell), 6))
+    vmat[0::2] = _conic_rows(hs[:, :, 0], hs[:, :, 1])
+    vmat[1::2] = _conic_rows(hs[:, :, 0], hs[:, :, 0]) - _conic_rows(hs[:, :, 1], hs[:, :, 1])
 
     _, sing, vt = np.linalg.svd(vmat)
     if sing[4] <= CONIC_RANK_RTOL * sing[0]:
@@ -375,15 +396,15 @@ def calibrate_algebraic(views: Sequence[CalibrationView]) -> CalibrationResult:
         pp=Point2(u0 * spread + center[0], v0 * spread + center[1]),
     )
 
-    kept, rot, t, flags = _decompose_views(views, intr)
-    samples = [f for view in kept for f in focal_from_homography(view.h, intr.pp)]
+    kept, rot, t, flags = _decompose_views(cell, intr)
+    samples = focal_from_homographies(kept.h, intr.pp)
 
     return CalibrationResult(
         method="algebraic",
         intrinsics=intr,
         rot=rot,
         t=t,
-        accepted_ids=tuple(v.id for v in kept),
+        views=kept,
         pp_estimate=None,
         focal_samples=tuple(samples),
         rmse=_views_rmse(intr, rot, t, kept),
@@ -595,55 +616,47 @@ class Refinement(NamedTuple):
         }
 
 
-def refine(cells: Sequence[tuple[CalibrationResult, Sequence[CalibrationView]]]) -> Refinement:
+def refine(starts: Sequence[CalibrationResult]) -> Refinement:
     """Levenberg-Marquardt refinement of (f, u0, v0) and all accepted
-    per-view poses of each cell, minimizing the cell's total squared
-    reprojection error. cells holds (result, views) pairs: a calibration
-    and the views it was computed from.
+    per-view poses of each calibration, minimizing its cell's total squared
+    reprojection error over the accepted views the result holds.
 
-    Cells with the same accepted-view count and per-view corner counts are
-    solved as one stacked LM, each with its own damping and stopping, so
-    every entry is what refining its cell alone gives. A refined cost
-    never exceeds the starting cost. If the iteration budget runs out
-    before the relative cost change drops below 1e-12, the best iterate is
-    returned with diagnostics["converged"] = False. A cell fails with
-    InsufficientViews below 2 accepted views, and with BehindCamera,
+    Calibrations with the same accepted-view count and per-view corner
+    counts are solved as one stacked LM, each with its own damping and
+    stopping, so every entry is what refining its cell alone gives. A
+    refined cost never exceeds the starting cost. If the iteration budget
+    runs out before the relative cost change drops below 1e-12, the best
+    iterate is returned with diagnostics["converged"] = False. A cell fails
+    with InsufficientViews below 2 accepted views, and with BehindCamera,
     naming the view, when a refined pose is not finite or puts the board
     behind the camera; a failed cell leaves the others untouched.
     """
-    count = len(cells)
+    count = len(starts)
     results: list[CalibrationResult | None] = [None] * count
     errors: list[CaliblabError | None] = [None] * count
-    accepted: list[list[CalibrationView]] = []
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (result, views) in enumerate(cells):
-        by_id = {v.id: v for v in views}
-        accepted.append([by_id[view_id] for view_id in result.accepted_ids])
-        if len(accepted[i]) < 2:
+    for i, start in enumerate(starts):
+        if len(start.views) < 2:
             errors[i] = InsufficientViews("refinement needs at least 2 accepted views")
             continue
-        groups.setdefault(tuple(len(v.board_xy) for v in accepted[i]), []).append(i)
+        groups.setdefault(tuple(start.views.count.tolist()), []).append(i)
 
     for layout, members in groups.items():
-        mask = np.arange(max(layout)) < np.array(layout)[:, None]
-        board = np.zeros((len(members),) + mask.shape + (2,))
-        image = np.zeros(board.shape)
-        for b, i in enumerate(members):
-            for v, view in enumerate(accepted[i]):
-                board[b, v, : layout[v]], image[b, v, : layout[v]] = view.board_xy, view.image_uv
-        starts = [cells[i][0] for i in members]
-        params0 = np.array([_pack(r.intrinsics.f, r.intrinsics.pp, r.rot, r.t) for r in starts])
+        group = [starts[i] for i in members]
+        params0 = np.array([_pack(r.intrinsics.f, r.intrinsics.pp, r.rot, r.t) for r in group])
+        board = np.stack([r.views.board for r in group])
+        image = np.stack([r.views.image for r in group])
         params, cost, converged, iters = _levenberg_marquardt(
-            params0, *_joint_problem(_board_points(board), image, mask)
+            params0, *_joint_problem(_board_points(board), image, group[0].views.mask)
         )
         poses = params[:, 3:].reshape(len(members), len(layout), 6)
         rot, t = rodrigues(poses[..., :3]), poses[..., 3:]
         usable = _usable_poses(rot, t)
-        for b, (i, start) in enumerate(zip(members, starts)):
+        for b, (i, start) in enumerate(zip(members, group)):
             bad = np.flatnonzero(~usable[b])
             if bad.size:
                 errors[i] = BehindCamera(
-                    f"view {accepted[i][bad[0]].id}: refined pose is not finite or lies behind the camera"
+                    f"view {start.views.ids[bad[0]]}: refined pose is not finite or lies behind the camera"
                 )
                 continue
             diagnostics = dict(start.diagnostics)
@@ -655,7 +668,7 @@ def refine(cells: Sequence[tuple[CalibrationResult, Sequence[CalibrationView]]])
                 intrinsics=Intrinsics(params[b, 0], Point2(params[b, 1], params[b, 2])),
                 rot=rot[b],
                 t=t[b],
-                accepted_ids=start.accepted_ids,
+                views=start.views,
                 pp_estimate=start.pp_estimate,
                 focal_samples=start.focal_samples,
                 rmse=math.sqrt(cost[b] / sum(layout)),
@@ -678,11 +691,11 @@ class PoseRefits:
     errors: tuple[CaliblabError | None, ...]
 
 
-def refit_view_poses(intrinsics: Sequence[Intrinsics], views: Sequence[CalibrationView]) -> PoseRefits:
-    """Best pose of each view under frozen intrinsics: closed-form
-    decomposition followed by pose-only refinement. intrinsics[i] is the
-    frozen camera of views[i]; a caller with one camera passes
-    [intr] * len(views).
+def refit_view_poses(intrinsics: Sequence[Intrinsics], cell: Cell) -> PoseRefits:
+    """Best pose of each view of the cell under frozen intrinsics:
+    closed-form decomposition followed by pose-only refinement.
+    intrinsics[i] is the frozen camera of the cell's row i; a caller with
+    one camera passes [intr] * len(cell).
 
     Views with the same corner count are solved as one stacked LM, whatever
     their intrinsics, each with its own damping and stopping, so every
@@ -692,23 +705,23 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], views: Sequence[Calibrati
     behind the camera. Raises ValueError unless there is one set of
     intrinsics per view.
     """
-    count = len(views)
+    count = len(cell)
     if len(intrinsics) != count:
         raise ValueError(f"got {len(intrinsics)} intrinsics for {count} views")
     rot = np.full((count, 3, 3), np.nan)
     t = np.full((count, 3), np.nan)
     rmse = np.full(count, np.nan)
-    if count == 0:
-        return PoseRefits(rot, t, rmse, ())
     f, pp = _intrinsic_arrays(intrinsics)
-    rot0, t0, through_center = _decompose_homographies(np.array([v.h for v in views]), f, pp)
-    corners = [0 if bad else len(v.board_xy) for v, bad in zip(views, through_center)]
-    for n in sorted(set(corners) - {0}):
-        rows = [i for i, k in enumerate(corners) if k == n]
-        pts = _board_points(np.array([views[i].board_xy for i in rows]))
-        image = np.array([views[i].image_uv for i in rows])
+    rot0, t0, through_center = _decompose_homographies(cell.h, f, pp)
+    for n, rows in cell.by_count():
+        rows = rows[~through_center[rows]]
+        if not rows.size:
+            continue
+        pts = _board_points(cell.board[rows, :n])
         params0 = np.concatenate([rvec_from_rotation(rot0[rows]), t0[rows]], axis=1)
-        params, cost, _, _ = _levenberg_marquardt(params0, *_pose_problem(f[rows], pp[rows], pts, image))
+        params, cost, _, _ = _levenberg_marquardt(
+            params0, *_pose_problem(f[rows], pp[rows], pts, cell.image[rows, :n])
+        )
         rot[rows], t[rows], rmse[rows] = rodrigues(params[:, :3]), params[:, 3:], np.sqrt(cost / n)
     usable = _usable_poses(rot, t) & np.isfinite(rmse)
     errors: list[CaliblabError | None] = [None] * count
@@ -716,7 +729,6 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], views: Sequence[Calibrati
         if through_center[i]:
             errors[i] = BehindCamera("board plane passes through the camera center (t_z ~ 0)")
         else:
-            errors[i] = BehindCamera(f"view {views[i].id}: refit pose is not finite or lies behind the camera")
+            errors[i] = BehindCamera(f"view {cell.ids[i]}: refit pose is not finite or lies behind the camera")
     rot[~usable], t[~usable], rmse[~usable] = np.nan, np.nan, np.nan
     return PoseRefits(rot, t, rmse, tuple(errors))
-

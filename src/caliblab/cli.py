@@ -41,7 +41,7 @@ def _load_scene(args) -> SceneConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # a JSON integer past the digit limit is a ValueError
             raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
     if getattr(args, "camera", None):
         raw.setdefault("camera", args.camera)
@@ -75,7 +75,7 @@ def _read_dataset(args) -> Dataset:
         raise ConfigError(f"cannot read dataset {path}: {err}") from None
     if args.max_views is None:
         return dataset
-    return replace(dataset, cells={key: views[: args.max_views] for key, views in dataset.cells.items()})
+    return replace(dataset, cells={key: cell.take(slice(args.max_views)) for key, cell in dataset.cells.items()})
 
 def _error_mark(err: CaliblabError) -> str:
     # InsufficientViews is a DegenerateSystem: below the minimum view
@@ -98,7 +98,7 @@ def _calibrate_cells(dataset: Dataset, args) -> tuple[list[list], dict[tuple[Pos
             fit = [_error_mark(result), len(dataset.cells[(pose, setting)]), None, None, None, None, ""]
         else:
             intr = result.intrinsics
-            fit = ["ok", len(result.accepted_ids), intr.pp.u, intr.pp.v, intr.f, result.rmse, ";".join(result.flags)]
+            fit = ["ok", len(result.views), intr.pp.u, intr.pp.v, intr.f, result.rmse, ";".join(result.flags)]
         rows.append([pose.value, setting.label_mm, args.method, *fit, *gt_cols])
     return rows, {key: result for key, result in cells.items() if isinstance(result, CalibrationResult)}
 

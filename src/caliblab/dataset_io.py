@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .calibrate import CalibrationView, Intrinsics, views_from_points
+from .calibrate import Cell, Intrinsics, views_from_points
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Point2
 from .synth import Dataset, FocalSetting, PoseLabel
@@ -78,35 +78,27 @@ def dumps_json(node: Any) -> str:
 _CORNER = '{"x_mm":%.9g,"y_mm":%.9g,"u_px":%.9g,"v_px":%.9g}'
 
 
-def _emit_view(view: CalibrationView, out: list[str]) -> None:
-    """Append a view's JSON object, its corners written through one
-    template filled from the (n, 4) rows of board and image coordinates."""
-    rows = np.concatenate([view.board_xy, view.image_uv], axis=1)
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        format_float(float(rows[bad][0]))  # raises, naming the value
-    out.append('{"id":')
-    _emit(view.id, out)
-    out.append(',"corners":[')
-    out.append(",".join([_CORNER] * len(rows)) % tuple(rows.ravel().tolist()))
-    out.append("]}")
-
-
 def dumps_dataset(dataset: Dataset) -> str:
     """The dataset file's text, in the layout of the module docstring."""
     out = ['{"camera_id":']
     _emit(dataset.camera_id, out)
     out.append(',"cells":[')
-    for i, ((pose, setting), views) in enumerate(dataset.cells.items()):
+    for i, ((pose, setting), cell) in enumerate(dataset.cells.items()):
         out.append(',{"pose":' if i else '{"pose":')
         _emit(pose.value, out)
         out.append(f',"focal_label_mm":{format_float(float(setting.label_mm))}')
         out.append(f',"focal_px":{format_float(float(setting.f_px))},"views":[')
-        for k, view in enumerate(views):
-            if k:
-                out.append(",")
-            _emit_view(view, out)
-        out.append("]")
+        # each view's corners go through one template, filled from the
+        # (n, 4) rows of its board and image coordinates (the padding is 0)
+        rows = np.concatenate([cell.board, cell.image], axis=2)
+        bad = ~np.isfinite(rows)
+        if bad.any():
+            format_float(float(rows[bad][0]))  # raises, naming the value
+        views = []
+        for k, (view_id, n) in enumerate(zip(cell.ids, cell.count.tolist())):
+            corners = ",".join([_CORNER] * n) % tuple(rows[k, :n].ravel().tolist())
+            views.append('{"id":%s,"corners":[%s]}' % (json.dumps(view_id), corners))
+        out.append(",".join(views) + "]")
         if dataset.ground_truth and (pose, setting) in dataset.ground_truth:
             intr, rvec, t = dataset.ground_truth[(pose, setting)]
             out.append(',"ground_truth":')
@@ -150,7 +142,7 @@ def _corner_rows(corners) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple, tuple | None]:
+def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, Cell, tuple | None]:
     """Parse one cell; any malformed field raises ConfigError naming the
     cell index and, inside a view, the view id. Every numeric field must
     be a JSON number: a string or a bool in its place is malformed."""
@@ -171,7 +163,7 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
             boards.append(rows[:, :2])
             images.append(rows[:, 2:])
             ids.append(view_id)
-        views, errors = views_from_points(ids, boards, images)
+        cell, errors = views_from_points(ids, boards, images)
         for view_id, err in zip(ids, errors):
             if err is not None:
                 where = f"cell {index}, view {view_id}"
@@ -195,20 +187,20 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, tuple,
             behind = np.flatnonzero(t[:, 2] <= 0.0)
             if behind.size:
                 raise ValueError(f"board must lie in front of the camera, got t_z = {t[behind[0], 2]}")
-            if len(t) != len(views):
+            if len(t) != len(cell):
                 raise ValueError("ground truth view count does not match the cell's views")
             truth = (intr, rvec, t)
     except KeyError as err:
         raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
     except (TypeError, ValueError, OverflowError, ConfigError, DegenerateConfiguration) as err:
         raise ConfigError(f"malformed dataset at {where}: {err}") from None
-    return pose, setting, tuple(views), truth
+    return pose, setting, cell, truth
 
 
 def loads_dataset(text: str) -> Dataset:
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"dataset file is not valid JSON: {err}") from None
     if not isinstance(root, dict) or not isinstance(root.get("cells"), list):
         raise ConfigError("dataset file must be an object with a 'cells' array")
@@ -217,11 +209,11 @@ def loads_dataset(text: str) -> Dataset:
     cells = {}
     truth = {}
     for index, node in enumerate(root["cells"]):
-        pose, setting, views, cell_truth = _parse_cell(index, node)
+        pose, setting, cell, cell_truth = _parse_cell(index, node)
         key = (pose, setting)
         if key in cells:
             raise ConfigError(f"duplicate cell for pose {pose.value}, setting {setting.label_mm} mm")
-        cells[key] = views
+        cells[key] = cell
         if cell_truth is not None:
             truth[key] = cell_truth
     return Dataset(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationView, Intrinsics, _board_points, _project, views_from_points
+from .calibrate import Cell, Intrinsics, _board_points, _project, views_from_points
 from .errors import BoardOutOfView, ConfigError
 from .geometry import Point2
 from .rotations import rot_x, rot_y, rot_z, rvec_from_rotation
@@ -54,7 +54,7 @@ def _require_finite(what: str, **values) -> None:
         for x in value if isinstance(value, (tuple, list)) else (value,):
             try:
                 finite = not isinstance(x, bool) and math.isfinite(x)
-            except TypeError:
+            except (TypeError, OverflowError):  # an int beyond float range overflows
                 finite = False
             if not finite:
                 raise ConfigError(f"{what} {name} must be a finite number, got {x!r}")
@@ -287,25 +287,19 @@ class Dataset:
     axis-angle rvec (V, 3) and translation t (V, 3), row i for view i."""
 
     camera_id: str
-    cells: dict[tuple[PoseLabel, FocalSetting], tuple[CalibrationView, ...]]
+    cells: dict[tuple[PoseLabel, FocalSetting], Cell]
     ground_truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] | None
 
     def poses(self) -> list[PoseLabel]:
-        seen = []
-        for pose, _ in self.cells:
-            if pose not in seen:
-                seen.append(pose)
-        return seen
+        """The poses of the cells, in order of first appearance."""
+        return list(dict.fromkeys(pose for pose, _ in self.cells))
 
     def settings(self) -> list[FocalSetting]:
-        seen = []
-        for _, setting in self.cells:
-            if setting not in seen:
-                seen.append(setting)
-        return sorted(seen, key=lambda s: s.label_mm)
+        """The focal settings of the cells, by focal label."""
+        return sorted(dict.fromkeys(setting for _, setting in self.cells), key=lambda s: s.label_mm)
 
     def n_views(self) -> int:
-        return sum(len(v) for v in self.cells.values())
+        return sum(len(cell) for cell in self.cells.values())
 
 
 # Extra camera rotation for the tipped poses: N pitches about the image
@@ -327,7 +321,7 @@ def generate_cell(
     setting: FocalSetting,
     rolls: Sequence[float],
     rngs: Sequence[np.random.Generator],
-) -> tuple[tuple[CalibrationView, ...], np.ndarray, np.ndarray]:
+) -> tuple[Cell, np.ndarray, np.ndarray]:
     """Synthetic views of one (pose, setting) cell, one per roll, plus
     their ground-truth rotations (V, 3, 3) and translations (V, 3);
     rngs[i] draws the noise of roll i.
@@ -404,18 +398,18 @@ def generate_cell(
         for i, rng in enumerate(rngs):
             uv[i] += rng.normal(0.0, config.noise_sigma_px, size=uv[i].shape)
     view_ids = [f"{pose.value}-s{setting_index}-r{roll:g}" for roll in rolls]
-    views, errors = views_from_points(view_ids, [board] * count, uv)
+    cell, errors = views_from_points(view_ids, [board] * count, uv)
     for err in errors:
         if err is not None:
             raise err
-    return tuple(views), rots, t
+    return cell, rots, t
 
 
 def generate_dataset(config: SceneConfig) -> Dataset:
     """Full dataset over poses x settings x rolls, reproducible from the
     configured seed. Each cell carries its ground-truth intrinsics and
     per-view axis-angle rvec and translation t."""
-    cells: dict[tuple[PoseLabel, FocalSetting], tuple[CalibrationView, ...]] = {}
+    cells: dict[tuple[PoseLabel, FocalSetting], Cell] = {}
     truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] = {}
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
@@ -424,7 +418,7 @@ def generate_dataset(config: SceneConfig) -> Dataset:
                 for roll_index in range(len(config.rolls))
             ]
             try:
-                views, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
+                cell, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
             except BoardOutOfView as err:
                 raise BoardOutOfView(
                     f"cell (pose {pose.value}, setting {setting.label_mm} mm): {err}"
@@ -433,7 +427,7 @@ def generate_dataset(config: SceneConfig) -> Dataset:
                 setting.f_px,
                 true_pp(config.drift, setting_index, len(config.focal_settings), pose),
             )
-            cells[(pose, setting)] = views
+            cells[(pose, setting)] = cell
             truth[(pose, setting)] = (intr, rvec_from_rotation(rot), t)
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth)
 
@@ -451,7 +445,7 @@ def _focal_setting(node) -> FocalSetting:
         return FocalSetting(float(node["label_mm"]), float(node["f_px"]))
     except KeyError as err:
         raise ConfigError(f"focal setting is missing {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"invalid focal setting: {err}") from None
 
 
@@ -491,7 +485,7 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
     if rolls_raw is not None:
         try:
             kwargs["rolls"] = tuple(float(r) for r in _json_list("rolls", rolls_raw))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"invalid scene rolls: {err}") from None
     if poses_raw is not None:
         try:
@@ -508,7 +502,7 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
             try:
                 u, v = drift_kwargs.pop("pp0")
                 drift_kwargs["pp0"] = Point2(float(u), float(v))
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"invalid drift model: pp0: {err}") from None
         else:
             drift_kwargs["pp0"] = base.drift.pp0
@@ -516,7 +510,7 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
             try:
                 u, v = drift_kwargs["drift_dir"]
                 drift_kwargs["drift_dir"] = (float(u), float(v))
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"invalid drift model: drift_dir: {err}") from None
         try:
             kwargs["drift"] = DriftModel(**drift_kwargs)

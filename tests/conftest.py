@@ -24,23 +24,42 @@ def only(stacked):
     return result
 
 
-def joint_stack(result, views):
+def build_cell(view_ids, boards, images):
+    """The cell of views_from_points, or the first view's error raised."""
+    cell, errors = views_from_points(view_ids, boards, images)
+    for error in errors:
+        if error is not None:
+            raise error
+    return cell
+
+
+def view_points(cell, row):
+    """The real (n, 2) board and image corners of the cell's view at row."""
+    n = cell.count[row]
+    return cell.board[row, :n], cell.image[row, :n]
+
+
+def short_view(cell, row, corners=27):
+    """A one-view cell, id "short", of the first corners of the cell's view at row."""
+    board, image = view_points(cell, row)
+    return build_cell(["short"], [board[:corners]], [image[:corners]])
+
+
+def with_image(cell, row, image_uv):
+    """The cell rebuilt with the image corners of its view at row replaced."""
+    boards, images = zip(*(view_points(cell, i) for i in range(len(cell))))
+    return build_cell(cell.ids, boards, [image_uv if i == row else uv for i, uv in enumerate(images)])
+
+
+def joint_stack(result):
     """One cell's joint-refine stack: board points (1, V, n, 3) and image
-    corners (1, V, n, 2) of the result's accepted views, padded to the
-    longest one, the (V, n) mask of real corners, and the packed
-    parameters (1, 3 + 6V)."""
+    corners (1, V, n, 2) of the result's accepted views, the (V, n) mask
+    of real corners, and the packed parameters (1, 3 + 6V)."""
     from caliblab.calibrate import _board_points, _pack
 
-    by_id = {v.id: v for v in views}
-    accepted = [by_id[i] for i in result.accepted_ids]
-    counts = np.array([len(v.board_xy) for v in accepted])
-    mask = np.arange(counts.max()) < counts[:, None]
-    board = np.zeros((1,) + mask.shape + (2,))
-    image = np.zeros(board.shape)
-    for v, view in enumerate(accepted):
-        board[0, v, : counts[v]], image[0, v, : counts[v]] = view.board_xy, view.image_uv
+    views = result.views
     params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)[None]
-    return _board_points(board), image, mask, params
+    return _board_points(views.board[None]), views.image[None], views.mask, params
 
 
 def dense_joint_jacobian(rows, mask) -> np.ndarray:
@@ -118,7 +137,7 @@ def line_close(line, expected, tol: float = 1e-9) -> bool:
     return min(np.abs(got - exp).max(), np.abs(got + exp).max()) <= tol
 
 
-def tilted_scene_views(
+def tilted_scene_cell(
     f=3000.0,
     pp=(3024.0, 2012.0),
     tilt_deg=45.0,
@@ -129,23 +148,23 @@ def tilted_scene_views(
     board=None,
 ):
     """Protocol views: board tilted by the dihedral angle, rolled about the
-    optical axis, centered in front of the camera. Returns the views plus
-    the ground-truth (rot, t) pairs."""
+    optical axis, centered in front of the camera. Returns the cell of
+    views v0, v1, ... plus the ground-truth (rot, t) pairs."""
     if rolls is None:
         rolls = [k * 45.0 for k in range(8)]
     if board is None:
         board = grid_board()
     center = board.mean(axis=0)
-    views, truth = [], []
-    for k, roll in enumerate(rolls):
+    images, truth = [], []
+    for roll in rolls:
         rot = oracle_rot_z(roll) @ oracle_rot_x(tilt_deg)
         t = distance * np.array([0.0, 0.0, 1.0]) - rot @ np.array([center[0], center[1], 0.0])
         uv = pinhole_project(f, pp, rot, t, board)
         if sigma > 0.0:
             uv = uv + rng.normal(0.0, sigma, uv.shape)
-        views.append(only(views_from_points([f"v{k}"], [board], [uv])))
+        images.append(uv)
         truth.append((rot, t))
-    return views, truth
+    return build_cell([f"v{k}" for k in range(len(rolls))], [board] * len(rolls), images), truth
 
 
 def bias_half_board(board_xy, image_uv, du=3.0, dv=3.0, split="x"):

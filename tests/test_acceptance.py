@@ -16,7 +16,6 @@ from caliblab.calibrate import (
     _joint_rows,
     calibrate_algebraic,
     calibrate_geometric,
-    views_from_points,
 )
 from caliblab.cli import main
 from caliblab.errors import DegenerateView
@@ -40,7 +39,9 @@ from conftest import (
     oracle_rot_z,
     protocol_distance,
     scene_homography,
-    tilted_scene_views,
+    tilted_scene_cell,
+    view_points,
+    with_image,
 )
 
 NNE_DEG = math.degrees(math.atan2(-math.cos(math.radians(22.5)), math.sin(math.radians(22.5)))) % 180.0
@@ -255,7 +256,7 @@ def test_numerical_hygiene(tmp_path):
     bit determinism."""
     rng = np.random.default_rng(77)
     for _ in range(10):
-        views, _ = tilted_scene_views(
+        cell, _ = tilted_scene_cell(
             f=float(rng.uniform(1500, 8000)),
             pp=(float(rng.uniform(1000, 4500)), float(rng.uniform(800, 3200))),
             tilt_deg=float(rng.uniform(25, 65)),
@@ -263,8 +264,8 @@ def test_numerical_hygiene(tmp_path):
             sigma=0.3,
             rng=rng,
         )
-        result = calibrate_geometric(views)
-        pts, image, mask, params = joint_stack(result, views)
+        result = calibrate_geometric(cell)
+        pts, image, mask, params = joint_stack(result)
         residuals, _ = _joint_problem(pts, image, mask)
         jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
         fd = np.empty_like(jac)
@@ -311,11 +312,9 @@ def test_numerical_hygiene(tmp_path):
 def _corrupted_views(rolls, sigma, rng, bad_index=0):
     # 3 px shift of the far board half along the image u axis: the same
     # one-sided corner-detection skew a lopsided light source produces
-    views, _ = tilted_scene_views(distance=protocol_distance(3000.0), rolls=rolls, sigma=sigma, rng=rng)
-    bad = views[bad_index]
-    uv = bias_half_board(bad.board_xy, bad.image_uv, du=3.0, dv=0.0, split="y")
-    views[bad_index] = only(views_from_points([bad.id], [np.array(bad.board_xy)], [uv]))
-    return views
+    cell, _ = tilted_scene_cell(distance=protocol_distance(3000.0), rolls=rolls, sigma=sigma, rng=rng)
+    uv = bias_half_board(*view_points(cell, bad_index), du=3.0, dv=0.0, split="y")
+    return with_image(cell, bad_index, uv)
 
 
 def test_outlier_screening():

@@ -25,13 +25,14 @@ from caliblab.analysis import (
     spearman,
 )
 from caliblab.calibrate import (
-    CalibrationView,
+    Cell,
     Intrinsics,
+    _board_points,
+    _project,
     _views_rmse,
     calibrate_algebraic,
     refine,
     refit_view_poses,
-    views_from_points,
 )
 from caliblab.dataset_io import dumps_dataset, loads_dataset
 from caliblab.errors import BehindCamera, CaliblabError, InsufficientViews, MissingPose, TooFewPoints
@@ -39,13 +40,16 @@ from caliblab.geometry import Point2
 from caliblab.synth import DriftModel, FocalSetting, PoseLabel, SceneConfig, generate_dataset
 
 from conftest import (
+    build_cell,
     canonical_homography,
     dense_joint_jacobian,
     joint_stack,
     only,
     oracle_rot_x,
     scene_homography,
-    tilted_scene_views,
+    short_view,
+    tilted_scene_cell,
+    view_points,
 )
 
 
@@ -61,13 +65,33 @@ def crossval_config(gravity_px, sigma, seed, n_settings=1):
 
 class TestReprojectionRmse:
     def test_zero_for_generating_parameters(self):
-        views, truth = tilted_scene_views()
+        cell, truth = tilted_scene_cell()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         rot = np.array([r for r, _ in truth])
         t = np.array([shift for _, shift in truth])
-        for i, view in enumerate(views):
-            assert _views_rmse(intr, rot[i : i + 1], t[i : i + 1], [view]) < 1e-9
-        assert _views_rmse(intr, rot, t, views) < 1e-9
+        for i in range(len(cell)):
+            assert _views_rmse(intr, rot[i : i + 1], t[i : i + 1], cell.take([i])) < 1e-9
+        assert _views_rmse(intr, rot, t, cell) < 1e-9
+
+    def test_ragged_cell_equals_per_view_sums(self, rng):
+        # each view's squared residuals summed alone over its real corners,
+        # the sums added in view order: padding changes no bit
+        source, truth = tilted_scene_cell(sigma=0.5, rng=rng)
+        kept = [54, 27, 54, 20, 27, 54, 12, 54]
+        cell = build_cell(
+            source.ids,
+            [source.board[i, :n] for i, n in enumerate(kept)],
+            [source.image[i, :n] for i, n in enumerate(kept)],
+        )
+        intr = Intrinsics(3005.0, Point2(3020.0, 2015.0))
+        rot = np.array([r for r, _ in truth])
+        t = np.array([shift for _, shift in truth]) + 0.5
+        sq = 0.0
+        for i in range(len(cell)):
+            board, image = view_points(cell, i)
+            _, uv = _project(intr.f, (intr.pp.u, intr.pp.v), rot[i], t[i], _board_points(board))
+            sq += float(np.sum((uv - image) ** 2))
+        assert _views_rmse(intr, rot, t, cell) == math.sqrt(sq / sum(kept))
 
     def test_noise_floor_matches_sigma(self):
         # with the true parameters each residual axis is N(0, sigma), so
@@ -77,9 +101,9 @@ class TestReprojectionRmse:
         values = []
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            views, truth = tilted_scene_views(rolls=[30.0], sigma=sigma, rng=rng)
+            cell, truth = tilted_scene_cell(rolls=[30.0], sigma=sigma, rng=rng)
             rot, t = truth[0]
-            values.append(_views_rmse(intr, rot[None], t[None], views))
+            values.append(_views_rmse(intr, rot[None], t[None], cell))
         mean = float(np.mean(values))
         assert 0.8 * sigma * math.sqrt(2.0) <= mean <= 1.2 * sigma * math.sqrt(2.0)
 
@@ -254,8 +278,8 @@ class TestCalibrateCells:
         dataset = generate_dataset(crossval_config(gravity_px=15.0, sigma=0.2, seed=2, n_settings=2))
         first, second = dataset.settings()
         cells = dict(dataset.cells)
-        cells[(PoseLabel.N, first)] = cells[(PoseLabel.N, first)][:2]
-        cells[(PoseLabel.W, second)] = ()
+        cells[(PoseLabel.N, first)] = cells[(PoseLabel.N, first)].take(slice(2))
+        cells[(PoseLabel.W, second)] = cells[(PoseLabel.W, second)].take(slice(0))
         del cells[(PoseLabel.E, first)]
         broken = replace(dataset, cells=cells)
         results = calibrate_cells(broken, "algebraic", 5.0)
@@ -398,10 +422,10 @@ def per_view_crossval(dataset, method="geometric"):
         matrix = np.full((len(poses), len(poses)), np.nan)
         for a, pose_a in enumerate(poses):
             for b, pose_b in enumerate(poses):
-                views = dataset.cells.get((pose_b, setting))
-                if pose_a not in intrinsics or not views:
+                cell = dataset.cells.get((pose_b, setting))
+                if pose_a not in intrinsics or not cell:
                     continue
-                refits = [refit_view_poses([intrinsics[pose_a]], [view]) for view in views]
+                refits = [refit_view_poses([intrinsics[pose_a]], cell.take([i])) for i in range(len(cell))]
                 err = next((r.errors[0] for r in refits if r.errors[0] is not None), None)
                 if err is not None:
                     notices.append(
@@ -438,7 +462,7 @@ class TestBatchedCrossval:
                 if (c + v) % 3 == 1:
                     view["corners"] = view["corners"][: 18 + 9 * ((c + v) % 2)]
         dataset = loads_dataset(json.dumps(data))
-        counts = {len(v.board_xy) for views in dataset.cells.values() for v in views}
+        counts = {n for cell in dataset.cells.values() for n in cell.count.tolist()}
         assert counts == {18, 27, 54}
         report = self.assert_matches_reference(dataset)
         assert all(np.all(np.isfinite(entry.matrix)) for entry in report.settings)
@@ -466,27 +490,22 @@ class TestBatchedCrossval:
 
     def test_permuted_views(self, rng):
         dataset = self.dataset()
-        cells = {key: tuple(views[i] for i in rng.permutation(len(views))) for key, views in dataset.cells.items()}
+        cells = {key: cell.take(rng.permutation(len(cell))) for key, cell in dataset.cells.items()}
         self.assert_matches_reference(replace(dataset, cells=cells))
 
     def test_failing_cell(self):
         dataset = self.dataset()
         key = (PoseLabel.N, dataset.settings()[0])
-        views = list(dataset.cells[key])
+        cell = dataset.cells[key]
         # a view whose board plane passes through the camera center under
         # any intrinsics: its pose decomposition fails
-        through_center = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
-        views.insert(
-            2,
-            CalibrationView(
-                id="through-center",
-                h=canonical_homography(through_center),
-                line=None,
-                board_xy=views[2].board_xy,
-                image_uv=views[2].image_uv,
-            ),
+        h = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
+        through_center = Cell(
+            ("through-center",), cell.board[2:3], cell.image[2:3], cell.count[2:3],
+            canonical_homography(h)[None], np.full((1, 3), np.nan),
         )
-        report = self.assert_matches_reference(replace(dataset, cells={**dataset.cells, key: tuple(views)}))
+        cell = Cell.concat([cell.take(slice(2)), through_center, cell.take(slice(2, None))])
+        report = self.assert_matches_reference(replace(dataset, cells={**dataset.cells, key: cell}))
         entry = report.settings[0]
         n = entry.poses.index(PoseLabel.N)
         assert np.all(np.isnan(entry.matrix[:, n]))
@@ -512,7 +531,7 @@ class TestBatchedCrossval:
         entry = report.settings[0]
         assert np.all(np.isnan(entry.matrix[:, 0]))
         assert np.isfinite(entry.matrix[:, 1:]).all()
-        view_id = dataset.cells[(entry.poses[0], dataset.settings()[0])][1].id
+        view_id = dataset.cells[(entry.poses[0], dataset.settings()[0])].ids[1]
         refit_notices = [n for n in report.notices if "pose refit" in n]
         assert len(refit_notices) == 4
         assert all(f"failed: view {view_id}: " in n for n in refit_notices)
@@ -574,7 +593,7 @@ def assert_same_refinement(a, b):
     np.testing.assert_array_equal(a.rot, b.rot)
     np.testing.assert_array_equal(a.t, b.t)
     assert a.diagnostics == b.diagnostics
-    assert (a.accepted_ids, a.flags) == (b.accepted_ids, b.flags)
+    assert (a.views.ids, a.flags) == (b.views.ids, b.flags)
 
 
 class TestRefineStacks:
@@ -582,8 +601,8 @@ class TestRefineStacks:
     cell gets, bit for bit, what refining it alone gives."""
 
     @staticmethod
-    def algebraic_pairs(dataset, count):
-        return [(calibrate_algebraic(views), views) for views in list(dataset.cells.values())[:count]]
+    def algebraic_starts(dataset, count):
+        return [calibrate_algebraic(cell) for cell in list(dataset.cells.values())[:count]]
 
     def test_stack_equals_stacks_of_one(self, cam1_dataset):
         cells = calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)
@@ -596,10 +615,10 @@ class TestRefineStacks:
     def test_matches_dense_reference(self, cam1_dataset):
         # the same kernel on the dense J^T J and J^T r: summation order
         # differs, so f and pp agree to 1e-8 relative, iterations exactly
-        pairs = self.algebraic_pairs(cam1_dataset, 28)[::3]
-        results, _ = refine(pairs)
-        for (start, views), result in zip(pairs, results):
-            pts, image, mask, params0 = joint_stack(start, views)
+        starts = self.algebraic_starts(cam1_dataset, 28)[::3]
+        results, _ = refine(starts)
+        for start, result in zip(starts, results):
+            pts, image, mask, params0 = joint_stack(start)
             residuals, _ = calibrate._joint_problem(pts, image, mask)
 
             def dense(params, rows, res):
@@ -620,24 +639,30 @@ class TestRefineStacks:
     def test_layouts_share_one_call(self, cam1_dataset, monkeypatch):
         # 8-view cells, 4-view cells and a cell with a 27-corner view each
         # form their own LM stack inside one refine call
-        views = list(cam1_dataset.cells.values())
-        short = only(views_from_points(["short"], [views[2][0].board_xy[:27]], [views[2][0].image_uv[:27]]))
-        cells = [views[0], views[1][:4], (short, *views[2][1:]), views[3], views[4][:4]]
-        pairs = [(calibrate_algebraic(c), c) for c in cells]
+        cells = list(cam1_dataset.cells.values())
+        short = short_view(cells[2], 0)
+        chosen = [
+            cells[0],
+            cells[1].take(slice(4)),
+            Cell.concat([short, cells[2].take(slice(1, None))]),
+            cells[3],
+            cells[4].take(slice(4)),
+        ]
+        starts = [calibrate_algebraic(c) for c in chosen]
         stacks = counting_kernel(monkeypatch)
-        results, errors = refine(pairs)
-        assert errors == [None] * len(cells)
+        results, errors = refine(starts)
+        assert errors == [None] * len(chosen)
         assert sorted(stacks) == [1, 2, 2]
-        for result, pair in zip(results, pairs):
-            assert_same_refinement(result, only(refine([pair])))
+        for result, start in zip(results, starts):
+            assert_same_refinement(result, only(refine([start])))
 
     def test_failure_isolation(self, cam1_dataset, monkeypatch):
-        pairs = self.algebraic_pairs(cam1_dataset, 6)
-        reference, _ = refine(pairs)
+        starts = self.algebraic_starts(cam1_dataset, 6)
+        reference, _ = refine(starts)
         # cell 0 keeps one accepted view; the kernel puts view 1 of cell 3
         # (problem 2 of the stack, as cell 0 never enters it) behind the camera
-        start, views = pairs[0]
-        pairs[0] = (replace(start, accepted_ids=start.accepted_ids[:1], rot=start.rot[:1], t=start.t[:1]), views)
+        start = starts[0]
+        starts[0] = replace(start, views=start.views.take(slice(1)), rot=start.rot[:1], t=start.t[:1])
         kernel = calibrate._levenberg_marquardt
 
         def broken(params0, *callbacks, **kwargs):
@@ -647,12 +672,12 @@ class TestRefineStacks:
             return (params, *rest)
 
         monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
-        results, errors = refine(pairs)
+        results, errors = refine(starts)
         assert results[0] is None and results[3] is None
         assert isinstance(errors[0], InsufficientViews)
         assert str(errors[0]) == "refinement needs at least 2 accepted views"
         assert isinstance(errors[3], BehindCamera)
-        view_id = pairs[3][0].accepted_ids[1]
+        view_id = starts[3].views.ids[1]
         assert str(errors[3]) == f"view {view_id}: refined pose is not finite or lies behind the camera"
         for i in (1, 2, 4, 5):
             assert errors[i] is None

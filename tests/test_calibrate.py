@@ -9,7 +9,7 @@ import pytest
 from caliblab import calibrate
 from caliblab.calibrate import (
     CalibrationResult,
-    CalibrationView,
+    Cell,
     Intrinsics,
     _board_points,
     _damped_steps,
@@ -24,11 +24,12 @@ from caliblab.calibrate import (
     _views_rmse,
     calibrate_algebraic,
     calibrate_geometric,
-    focal_from_homography,
+    focal_from_homographies,
     refine,
     refit_view_poses,
     views_from_points,
 )
+from caliblab.analysis import calibrate_views
 from caliblab.dataset_io import dumps_dataset, dumps_json, loads_dataset
 from caliblab.errors import (
     AmbiguousDirection,
@@ -46,6 +47,7 @@ from caliblab.rotations import rodrigues, rvec_from_rotation
 
 from conftest import (
     bias_half_board,
+    build_cell,
     canonical_homography,
     dense_joint_jacobian,
     grid_board,
@@ -55,7 +57,10 @@ from conftest import (
     oracle_rot_z,
     pinhole_project,
     scene_homography,
-    tilted_scene_views,
+    short_view,
+    tilted_scene_cell,
+    view_points,
+    with_image,
 )
 
 
@@ -67,23 +72,38 @@ class TestFocalFromHomography:
     def test_pure_x_tilt_single_constraint(self):
         # h7 = 0 kills the orthogonality constraint; the equal-norm one
         # yields f^2 = (1e6 - (1000 cos 45)^2) / sin^2 45 = 1e6 exactly.
-        estimates = focal_from_homography(tilt45_homography(), Point2(500.0, 400.0))
+        estimates = focal_from_homographies(tilt45_homography()[None], Point2(500.0, 400.0))
         assert len(estimates) == 1
         assert estimates[0] == pytest.approx(1000.0, rel=1e-9)
 
     def test_fronto_parallel_empty(self):
         h = canonical_homography(scene_homography(1000.0, (500.0, 400.0), np.eye(3), [0.0, 0.0, 1000.0]))
-        assert focal_from_homography(h, Point2(500.0, 400.0)) == []
+        assert focal_from_homographies(h[None], Point2(500.0, 400.0)) == []
 
     def test_general_pose_both_constraints(self):
         # in-plane pattern rotation after the tilt makes both rotation
         # columns dip out of the image plane, so both closed forms apply
         rot = oracle_rot_x(45.0) @ oracle_rot_z(30.0)
         h = canonical_homography(scene_homography(3000.0, (2000.0, 1500.0), rot, [0.0, 0.0, 900.0]))
-        estimates = focal_from_homography(h, Point2(2000.0, 1500.0))
+        estimates = focal_from_homographies(h[None], Point2(2000.0, 1500.0))
         assert len(estimates) == 2
         for f in estimates:
             assert f == pytest.approx(3000.0, abs=1e-6)
+
+    def test_stack_equals_one_view_calls(self):
+        # the three cases above in one stack give their estimates view by
+        # view, bit for bit
+        rot = oracle_rot_x(45.0) @ oracle_rot_z(30.0)
+        hs = np.array(
+            [
+                tilt45_homography(),
+                canonical_homography(scene_homography(1000.0, (500.0, 400.0), np.eye(3), [0.0, 0.0, 1000.0])),
+                canonical_homography(scene_homography(3000.0, (2000.0, 1500.0), rot, [0.0, 0.0, 900.0])),
+            ]
+        )
+        pp = Point2(700.0, 600.0)
+        alone = [f for h in hs for f in focal_from_homographies(h[None], pp)]
+        assert focal_from_homographies(hs, pp) == alone
 
 
 class TestExtrinsicsFromHomography:
@@ -108,16 +128,16 @@ class TestExtrinsicsFromHomography:
     def test_noisy_views_still_give_exact_rotations(self, board, rng):
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         for _ in range(20):
-            views, _ = tilted_scene_views(rolls=[float(rng.uniform(0, 360))], sigma=0.5, rng=rng)
-            (rot,), _, _ = _decompose_homographies(views[0].h[None], *_intrinsic_arrays([intr]))
+            cell, _ = tilted_scene_cell(rolls=[float(rng.uniform(0, 360))], sigma=0.5, rng=rng)
+            (rot,), _, _ = _decompose_homographies(cell.h, *_intrinsic_arrays([intr]))
             assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCalibrateGeometric:
     def test_recovers_ground_truth_noise_free(self):
-        views, _ = tilted_scene_views()
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell()
+        result = calibrate_geometric(cell)
         assert math.hypot(result.intrinsics.pp.u - 3024.0, result.intrinsics.pp.v - 2012.0) < 0.01
         assert abs(result.intrinsics.f - 3000.0) / 3000.0 < 1e-4
         assert result.rmse < 1e-6
@@ -126,38 +146,35 @@ class TestCalibrateGeometric:
         assert min(result.focal_samples) <= result.intrinsics.f <= max(result.focal_samples)
 
     def test_flags_biased_view(self, board):
-        views, _ = tilted_scene_views()
-        bad = views[3]
-        uv = bias_half_board(bad.board_xy, bad.image_uv)
-        views[3] = only(views_from_points([bad.id], [np.array(bad.board_xy)], [uv]))
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell()
+        cell = with_image(cell, 3, bias_half_board(*view_points(cell, 3)))
+        result = calibrate_geometric(cell)
         assert "v3" in result.flags
         assert math.hypot(result.intrinsics.pp.u - 3024.0, result.intrinsics.pp.v - 2012.0) < 0.1
         assert abs(result.intrinsics.f - 3000.0) / 3000.0 < 1e-3
 
     def test_one_view_insufficient(self):
-        views, _ = tilted_scene_views(rolls=[0.0])
+        cell, _ = tilted_scene_cell(rolls=[0.0])
         with pytest.raises(InsufficientViews):
-            calibrate_geometric(views)
+            calibrate_geometric(cell)
 
     def test_two_views_suffice(self):
-        views, _ = tilted_scene_views(rolls=[0.0, 45.0])
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell(rolls=[0.0, 45.0])
+        result = calibrate_geometric(cell)
         assert abs(result.intrinsics.f - 3000.0) / 3000.0 < 1e-6
 
     def test_rotations_stay_orthonormal_under_noise(self, rng):
-        views, _ = tilted_scene_views(sigma=1.0, rng=rng)
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell(sigma=1.0, rng=rng)
+        result = calibrate_geometric(cell)
         for rot in result.rot:
             assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
 
     def test_median_aggregation_robust(self):
-        views, _ = tilted_scene_views()
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell()
+        result = calibrate_geometric(cell)
         pp = result.pp_estimate.pp
-        per_view = [focal_from_homography(v.h, pp) for v in views]
-        samples = [f for fs in per_view for f in fs]
-        corrupted = [f * 2.0 for f in per_view[0]] + [f for fs in per_view[1:] for f in fs]
+        samples = focal_from_homographies(cell.h, pp)
+        corrupted = [f * 2.0 for f in focal_from_homographies(cell.h[:1], pp)] + focal_from_homographies(cell.h[1:], pp)
         assert abs(np.median(corrupted) - np.median(samples)) / np.median(samples) < 0.01
 
 
@@ -176,34 +193,75 @@ class TestGeometricEquivariance:
         assert abs(a.intrinsics.f - b.intrinsics.f) <= 1e-12 * b.intrinsics.f
 
     def test_board_units_scale_translations_only(self, cells):
-        for views in cells:
-            base = calibrate_geometric(views)
-            rebuilt, errors = views_from_points(
-                [v.id for v in views], [2.5 * v.board_xy for v in views], [v.image_uv for v in views]
-            )
-            assert errors == [None] * len(views)
+        for cell in cells:
+            base = calibrate_geometric(cell)
+            boards, images = zip(*(view_points(cell, i) for i in range(len(cell))))
+            rebuilt, errors = views_from_points(cell.ids, [2.5 * b for b in boards], images)
+            assert errors == [None] * len(cell)
             scaled = calibrate_geometric(rebuilt)
             self.assert_same_intrinsics(scaled, base)
-            assert scaled.accepted_ids == base.accepted_ids
+            assert scaled.views.ids == base.views.ids
             np.testing.assert_allclose(scaled.rot, base.rot, rtol=0.0, atol=1e-12)
             assert np.abs(scaled.t - 2.5 * base.t).max() <= 1e-12 * np.abs(2.5 * base.t).max()
 
     def test_view_order_only_reorders_poses(self, cells):
         rng = np.random.default_rng(0)
-        for views in cells:
-            base = calibrate_geometric(views)
-            permuted = calibrate_geometric([views[i] for i in rng.permutation(len(views))])
+        for cell in cells:
+            base = calibrate_geometric(cell)
+            permuted = calibrate_geometric(cell.take(rng.permutation(len(cell))))
             self.assert_same_intrinsics(permuted, base)
-            assert sorted(permuted.accepted_ids) == sorted(base.accepted_ids)
-            rows = [base.accepted_ids.index(view_id) for view_id in permuted.accepted_ids]
+            assert sorted(permuted.views.ids) == sorted(base.views.ids)
+            rows = [base.views.ids.index(view_id) for view_id in permuted.views.ids]
             np.testing.assert_allclose(permuted.rot, base.rot[rows], rtol=0.0, atol=1e-12)
             assert np.abs(permuted.t - base.t[rows]).max() <= 1e-12 * np.abs(base.t).max()
 
 
+class TestImageShift:
+    """Translating every image point by (du, dv) moves the principal point
+    by (du, dv) and leaves f and the accepted views unchanged, on every
+    route, over the 28 cells of a noisy cam1 dataset.
+
+    Measured worst deviations for the shift (37.5, -21.25) px on cam1 seed
+    256 at sigma 0.5 px (numpy 2.4.6, OpenBLAS, x86-64):
+    - geometric: pp 3.7e-11 px, f 4.4e-15 relative (exact up to roundoff);
+    - algebraic: pp 0.42 px, f 2.5e-5 relative. The conic rows of a view are
+      weighted by its homography's Frobenius norm, which the shift changes,
+      so the least-squares conic moves; the deviation grows with the shift
+      (7.4 px at (1000, 1000));
+    - algebraic-refined: pp 8.5e-6 px, f 3.9e-11 relative, where LM stops
+      on a relative cost change of 1e-12.
+    Each tolerance is a few times its measurement."""
+
+    SHIFT = (37.5, -21.25)
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        dataset = generate_dataset(SceneConfig.for_camera("cam1", rng_seed=256, noise_sigma_px=0.5))
+        shifted = []
+        for cell in dataset.cells.values():
+            boards, images = zip(*(view_points(cell, i) for i in range(len(cell))))
+            shifted.append((cell, build_cell(cell.ids, boards, [uv + self.SHIFT for uv in images])))
+        return shifted
+
+    @pytest.mark.parametrize(
+        "method, pp_tol_px, f_rtol",
+        [("geometric", 1e-9, 1e-13), ("algebraic", 1.0, 1e-4), ("algebraic-refined", 1e-4, 1e-9)],
+    )
+    def test_shift_moves_pp_only(self, cells, method, pp_tol_px, f_rtol):
+        du, dv = self.SHIFT
+        for cell, moved in cells:
+            base = calibrate_views(method, cell, 5.0)
+            shifted = calibrate_views(method, moved, 5.0)
+            pp, pp0 = shifted.intrinsics.pp, base.intrinsics.pp
+            assert math.hypot(pp.u - pp0.u - du, pp.v - pp0.v - dv) <= pp_tol_px
+            assert abs(shifted.intrinsics.f - base.intrinsics.f) <= f_rtol * base.intrinsics.f
+            assert shifted.views.ids == base.views.ids
+
+
 class TestCalibrateAlgebraic:
     def test_recovers_ground_truth_noise_free(self):
-        views, _ = tilted_scene_views()
-        result = calibrate_algebraic(views)
+        cell, _ = tilted_scene_cell()
+        result = calibrate_algebraic(cell)
         assert abs(result.intrinsics.f - 3000.0) / 3000.0 < 1e-6
         assert abs(result.intrinsics.pp.u - 3024.0) / 3024.0 < 1e-6
         assert abs(result.intrinsics.pp.v - 2012.0) / 2012.0 < 1e-6
@@ -213,66 +271,65 @@ class TestCalibrateAlgebraic:
     def test_identical_rotations_degenerate(self, board):
         rot = oracle_rot_x(45.0)
         center = board.mean(axis=0)
-        views = []
-        for k, shift in enumerate([(0.0, 0.0), (40.0, 10.0), (-30.0, 25.0)]):
+        images = []
+        for shift in [(0.0, 0.0), (40.0, 10.0), (-30.0, 25.0)]:
             t = np.array([shift[0], shift[1], 800.0]) - rot @ np.array([center[0], center[1], 0.0])
-            uv = pinhole_project(3000.0, (3024.0, 2012.0), rot, t, board)
-            views.append(only(views_from_points([f"v{k}"], [board], [uv])))
+            images.append(pinhole_project(3000.0, (3024.0, 2012.0), rot, t, board))
         with pytest.raises(DegenerateSystem):
-            calibrate_algebraic(views)
+            calibrate_algebraic(build_cell(["v0", "v1", "v2"], [board] * 3, images))
 
     def test_two_views_insufficient(self):
-        views, _ = tilted_scene_views(rolls=[0.0, 45.0])
+        cell, _ = tilted_scene_cell(rolls=[0.0, 45.0])
         with pytest.raises(InsufficientViews):
-            calibrate_algebraic(views)
+            calibrate_algebraic(cell)
 
     def test_insufficient_views_is_a_degenerate_system(self):
         # below three views the conic system is underdetermined, so the
         # error doubles as a DegenerateSystem
-        views, _ = tilted_scene_views(rolls=[0.0, 45.0])
+        cell, _ = tilted_scene_cell(rolls=[0.0, 45.0])
         with pytest.raises(DegenerateSystem):
-            calibrate_algebraic(views)
+            calibrate_algebraic(cell)
 
 
 class TestRefine:
     def test_converges_from_perturbed_focal(self):
-        views, _ = tilted_scene_views()
-        result = calibrate_geometric(views)
+        cell, _ = tilted_scene_cell()
+        result = calibrate_geometric(cell)
         start = CalibrationResult(
             method=result.method,
             intrinsics=Intrinsics(result.intrinsics.f * 1.05, result.intrinsics.pp),
             rot=result.rot,
             t=result.t,
-            accepted_ids=result.accepted_ids,
+            views=result.views,
             pp_estimate=result.pp_estimate,
             focal_samples=result.focal_samples,
             rmse=_views_rmse(
                 Intrinsics(result.intrinsics.f * 1.05, result.intrinsics.pp),
                 result.rot[:1],
                 result.t[:1],
-                views[:1],
+                cell.take([0]),
             ),
             flags=result.flags,
         )
-        refined = only(refine([(start, views)]))
+        refined = only(refine([start]))
         assert abs(refined.intrinsics.f - 3000.0) / 3000.0 < 1e-8
         assert refined.method == "refined"
         assert refined.diagnostics["converged"]
 
     def test_fixed_point_at_optimum(self):
-        views, _ = tilted_scene_views()
-        result = calibrate_geometric(views)
-        refined = only(refine([(result, views)]))
-        n = sum(len(v.board_xy) for v in views)
+        cell, _ = tilted_scene_cell()
+        result = calibrate_geometric(cell)
+        refined = only(refine([result]))
+        n = int(cell.count.sum())
         cost_before = result.rmse**2 * n
         cost_after = refined.rmse**2 * n
         assert cost_before - cost_after < 1e-15
         assert abs(refined.intrinsics.f - result.intrinsics.f) < 1e-9
 
     def test_noisy_refinement_improves_rmse(self, rng):
-        views, _ = tilted_scene_views(sigma=0.5, rng=rng)
-        result = calibrate_geometric(views)
-        refined = only(refine([(result, views)]))
+        cell, _ = tilted_scene_cell(sigma=0.5, rng=rng)
+        result = calibrate_geometric(cell)
+        refined = only(refine([result]))
         assert refined.rmse <= result.rmse + 1e-12
 
     @staticmethod
@@ -280,7 +337,7 @@ class TestRefine:
         """Ten noisy cells of random geometry, the last one with a view cut
         to 27 corners so that its stack carries padding."""
         for k in range(10):
-            views, _ = tilted_scene_views(
+            cell, _ = tilted_scene_cell(
                 f=float(rng.uniform(1500, 6000)),
                 pp=(float(rng.uniform(1000, 4000)), float(rng.uniform(800, 3000))),
                 tilt_deg=float(rng.uniform(25, 65)),
@@ -289,15 +346,16 @@ class TestRefine:
                 rng=rng,
             )
             if k == 9:
-                views[1] = only(views_from_points(["short"], [views[1].board_xy[:27]], [views[1].image_uv[:27]]))
-            yield calibrate_geometric(views), views
+                short = short_view(cell, 1)
+                cell = Cell.concat([cell.take([0]), short, cell.take([2])])
+            yield calibrate_geometric(cell)
 
     def test_jacobian_matches_central_differences(self, rng):
         # the dense Jacobian built from the per-view (2n x 9) rows, checked
         # relative to the column scale: each column is one parameter's
         # sensitivity, so entries within it share units
-        for result, views in self.jacobian_cases(rng):
-            pts, image, mask, params = joint_stack(result, views)
+        for result in self.jacobian_cases(rng):
+            pts, image, mask, params = joint_stack(result)
             residuals, _ = _joint_problem(pts, image, mask)
             jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
             rows = np.arange(1)
@@ -314,8 +372,8 @@ class TestRefine:
     def test_normal_equations_equal_dense_products(self, rng):
         # the assembled block-arrow system is J^T J and J^T r of the dense
         # Jacobian, up to summation order
-        for result, views in self.jacobian_cases(rng):
-            pts, image, mask, params = joint_stack(result, views)
+        for result in self.jacobian_cases(rng):
+            pts, image, mask, params = joint_stack(result)
             residuals, normal_equations = _joint_problem(pts, image, mask)
             rows = np.arange(1)
             res = residuals(params, rows)
@@ -328,9 +386,9 @@ class TestRefine:
             np.testing.assert_array_equal(hess[0] == 0.0, dense_hess == 0.0)
 
     def test_pose_only_refit(self):
-        views, truth = tilted_scene_views()
+        cell, truth = tilted_scene_cell()
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        refits = refit_view_poses([intr], views[:1])
+        refits = refit_view_poses([intr], cell.take([0]))
         np.testing.assert_allclose(refits.rot[0], truth[0][0], atol=1e-7)
         assert refits.rmse[0] < 1e-7
 
@@ -339,17 +397,16 @@ class TestBatchedPoseRefit:
     def test_pose_jacobian_matches_central_differences(self, rng):
         # one stacked pose-only problem per view; view 0 sits at rvec = 0
         # exactly, so the small-angle limit runs inside the batch
-        views, truth = tilted_scene_views(rolls=[0.0, 45.0, 200.0], sigma=0.5, rng=rng)
+        cell, truth = tilted_scene_cell(rolls=[0.0, 45.0, 200.0], sigma=0.5, rng=rng)
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        pts = _board_points(np.array([v.board_xy for v in views]))
-        image = np.array([v.image_uv for v in views])
+        pts = _board_points(cell.board)
         params = np.array([np.concatenate([rng.normal(0.0, 0.5, 3), t]) for _, t in truth])
         params[0, :3] = 0.0
-        f, pp = _intrinsic_arrays([intr] * len(views))
-        residuals, normal_equations = _pose_problem(f, pp, pts, image)
-        rows = np.arange(len(views))
+        f, pp = _intrinsic_arrays([intr] * len(cell))
+        residuals, normal_equations = _pose_problem(f, pp, pts, cell.image)
+        rows = np.arange(len(cell))
         cam, _ = _project(f, pp, rodrigues(params[:, :3]), params[:, 3:], pts)
-        jac = _pose_jacobian(f[:, None], params[:, :3], pts, cam).reshape(len(views), -1, 6)
+        jac = _pose_jacobian(f[:, None], params[:, :3], pts, cam).reshape(len(cell), -1, 6)
         fd = np.empty_like(jac)
         for j in range(6):
             dp = np.zeros_like(params)
@@ -372,15 +429,14 @@ class TestBatchedPoseRefit:
         # starts at different distances from the optimum take different
         # numbers of iterations; each problem must stop and damp as if solved
         # alone, so iteration counts and results match one-problem calls
-        views, truth = tilted_scene_views(sigma=0.5, rng=rng)
+        cell, truth = tilted_scene_cell(sigma=0.5, rng=rng)
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        pts = _board_points(np.array([v.board_xy for v in views]))
-        image = np.array([v.image_uv for v in views])
+        pts, image = _board_points(cell.board), cell.image
         params0 = np.array([np.concatenate([rvec_from_rotation(rot), t]) for rot, t in truth])
-        params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(views))[:, None]
-        stacked = _levenberg_marquardt(params0, *_pose_problem(*_intrinsic_arrays([intr] * len(views)), pts, image))
+        params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(cell))[:, None]
+        stacked = _levenberg_marquardt(params0, *_pose_problem(*_intrinsic_arrays([intr] * len(cell)), pts, image))
         assert len(set(stacked[3].tolist())) > 1
-        for i in range(len(views)):
+        for i in range(len(cell)):
             alone = _levenberg_marquardt(
                 params0[i : i + 1],
                 *_pose_problem(*_intrinsic_arrays([intr]), pts[i : i + 1], image[i : i + 1]),
@@ -390,15 +446,15 @@ class TestBatchedPoseRefit:
             assert (stacked[2][i], stacked[3][i]) == (alone[2][0], alone[3][0])
 
     def test_batch_equals_single_refits(self, rng):
-        views, _ = tilted_scene_views(sigma=0.5, rng=rng)
+        cell, _ = tilted_scene_cell(sigma=0.5, rng=rng)
         # a view with fewer corners is solved in a stack of its own
-        short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
-        views = [views[5], short, *views[:3]]
+        short = short_view(cell, 3)
+        views = Cell.concat([cell.take([5]), short, cell.take([0, 1, 2])])
         intr = Intrinsics(3010.0, Point2(3030.0, 2000.0))
         refits = refit_view_poses([intr] * len(views), views)
         assert refits.errors == (None,) * len(views)
-        for i, view in enumerate(views):
-            alone = refit_view_poses([intr], [view])
+        for i in range(len(views)):
+            alone = refit_view_poses([intr], views.take([i]))
             np.testing.assert_allclose(refits.rot[i], alone.rot[0], rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(refits.t[i], alone.t[0], rtol=0.0, atol=1e-9)
             assert abs(refits.rmse[i] - alone.rmse[0]) <= 1e-12
@@ -407,31 +463,36 @@ class TestBatchedPoseRefit:
         # three cameras interleaved in one stack, with a short view solved in
         # a stack of its own and a view whose board plane passes through the
         # camera center under any intrinsics
-        views, _ = tilted_scene_views(sigma=0.5, rng=rng)
-        short = only(views_from_points(["short"], [views[3].board_xy[:27]], [views[3].image_uv[:27]]))
+        cell, _ = tilted_scene_cell(sigma=0.5, rng=rng)
+        short = short_view(cell, 3)
         h = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
-        through = CalibrationView("through-center", canonical_homography(h), None, views[2].board_xy, views[2].image_uv)
+        through = Cell(
+            ("through-center",), cell.board[2:3], cell.image[2:3], cell.count[2:3],
+            canonical_homography(h)[None], np.full((1, 3), np.nan),
+        )
         cameras = [
             Intrinsics(3000.0, Point2(3024.0, 2012.0)),
             Intrinsics(3100.0, Point2(3000.0, 2050.0)),
             Intrinsics(2950.0, Point2(3060.0, 1990.0)),
         ]
-        mixed = [views[0], short, views[1], through, views[2], views[5], short, views[0], views[4]]
+        one = [cell.take([i]) for i in range(len(cell))]
+        mixed = Cell.concat([one[0], short, one[1], through, one[2], one[5], short, one[0], one[4]])
         owner = [i % len(cameras) for i in range(len(mixed))]
         refits = refit_view_poses([cameras[k] for k in owner], mixed)
-        assert [type(e) for e in refits.errors] == [BehindCamera if v is through else type(None) for v in mixed]
+        expected = [BehindCamera if view_id == "through-center" else type(None) for view_id in mixed.ids]
+        assert [type(e) for e in refits.errors] == expected
         for k, camera in enumerate(cameras):
             rows = [i for i, o in enumerate(owner) if o == k]
-            alone = refit_view_poses([camera] * len(rows), [mixed[i] for i in rows])
+            alone = refit_view_poses([camera] * len(rows), mixed.take(rows))
             np.testing.assert_array_equal(refits.rot[rows], alone.rot)
             np.testing.assert_array_equal(refits.t[rows], alone.t)
             np.testing.assert_array_equal(refits.rmse[rows], alone.rmse)
             assert [str(refits.errors[i]) for i in rows] == [str(e) for e in alone.errors]
 
     def test_intrinsics_must_match_views(self):
-        views, _ = tilted_scene_views(rolls=[0.0, 45.0])
+        cell, _ = tilted_scene_cell(rolls=[0.0, 45.0])
         with pytest.raises(ValueError, match="1 intrinsics for 2 views"):
-            refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], views)
+            refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], cell)
 
     def test_singular_system_falls_back_per_problem(self, rng):
         # a zero row and column with zero damping make problem 2 exactly
@@ -466,20 +527,20 @@ class TestBatchedPoseRefit:
         monkeypatch.setattr(calibrate, "_levenberg_marquardt", broken)
 
     def test_failed_refit_names_its_view(self, monkeypatch):
-        views, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0])
+        cell, _ = tilted_scene_cell(rolls=[0.0, 45.0, 90.0])
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         self.break_kernel(monkeypatch, behind=[1], non_finite=[2])
-        refits = refit_view_poses([intr] * len(views), views)
+        refits = refit_view_poses([intr] * len(cell), cell)
         assert refits.errors[0] is None and np.isfinite(refits.rmse[0])
         for i in (1, 2):
             assert isinstance(refits.errors[i], BehindCamera)
-            assert str(refits.errors[i]).startswith(f"view {views[i].id}: ")
+            assert str(refits.errors[i]).startswith(f"view {cell.ids[i]}: ")
             assert np.isnan(refits.rmse[i]) and np.all(np.isnan(refits.t[i]))
 
     def test_single_failed_refit_raises_behind_camera(self, monkeypatch):
-        views, _ = tilted_scene_views(rolls=[45.0])
+        cell, _ = tilted_scene_cell(rolls=[45.0])
         self.break_kernel(monkeypatch, behind=[0], non_finite=[])
-        (error,) = refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], views).errors
+        (error,) = refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], cell).errors
         assert isinstance(error, BehindCamera) and str(error).startswith("view v0: ")
 
 
@@ -491,15 +552,16 @@ class TestExtrinsicEdgeCases:
         intr = Intrinsics(1000.0, Point2(500.0, 400.0))
         _, _, through_center = _decompose_homographies(h[None], *_intrinsic_arrays([intr]))
         assert through_center[0]
-        view = CalibrationView("v", h, None, grid_board(), grid_board())
-        assert isinstance(refit_view_poses([intr], [view]).errors[0], BehindCamera)
+        board = grid_board()[None]
+        cell = Cell(("v",), board, board.copy(), np.array([54]), h[None], np.full((1, 3), np.nan))
+        assert isinstance(refit_view_poses([intr], cell).errors[0], BehindCamera)
 
 
 class TestViewRmse:
     def test_positive_after_pp_shift_with_frozen_refit(self):
-        views, _ = tilted_scene_views()
+        cell, _ = tilted_scene_cell()
         shifted = Intrinsics(3000.0, Point2(3024.0 + 50.0, 2012.0))
-        assert refit_view_poses([shifted], views[:1]).rmse[0] > 0.05
+        assert refit_view_poses([shifted], cell.take([0])).rmse[0] > 0.05
 
 
 def reference_homography(board, image):
@@ -548,15 +610,15 @@ def reference_line(h):
     return (a, b, c)
 
 
-def assert_matches_reference(view):
-    expected = canonical_homography(reference_homography(view.board_xy, view.image_uv))
-    assert view.h.tobytes() == expected.tobytes()
+def assert_matches_reference(cell, row):
+    expected = canonical_homography(reference_homography(*view_points(cell, row)))
+    assert cell.h[row].tobytes() == expected.tobytes()
     try:
         line = reference_line(expected)
     except (DegenerateView, AmbiguousDirection):
-        assert view.line is None
+        assert np.isnan(cell.line[row]).all()
         return
-    assert view.line.tobytes() == np.array(line).tobytes()
+    assert cell.line[row].tobytes() == np.array(line).tobytes()
 
 
 def fronto_parallel_uv(board):
@@ -582,58 +644,59 @@ class TestStackedViewBuild:
             for (pose, setting), views in loaded.cells.items()
             if pose.value == cell["pose"] and setting.label_mm == cell["focal_label_mm"]
         ]
-        assert [len(v.board_xy) for v in built] == [54, 4, 27, 20, 54, 4, 54, 54]
-        assert built[4].line is None
-        for view in built:
-            assert_matches_reference(view)
+        assert built.count.tolist() == [54, 4, 27, 20, 54, 4, 54, 54]
+        assert np.isnan(built.line[4]).all()
+        assert np.all(built.board[~built.mask] == 0.0) and np.all(built.image[~built.mask] == 0.0)
         for views in loaded.cells.values():
-            for view in views:
-                assert_matches_reference(view)
+            for row in range(len(views)):
+                assert_matches_reference(views, row)
 
     def test_stack_equals_one_view_calls(self, rng):
         board = grid_board()
-        stack_views, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0, 200.0], sigma=0.5, rng=rng)
+        source, _ = tilted_scene_cell(rolls=[0.0, 45.0, 90.0, 200.0], sigma=0.5, rng=rng)
         ids = ["a", "b", "flat", "c", "d"]
         boards = [board, board[[0, 8, 45, 53]], board, board[:30], board]
         images = [
-            stack_views[0].image_uv,
-            stack_views[1].image_uv[[0, 8, 45, 53]],
+            source.image[0],
+            source.image[1][[0, 8, 45, 53]],
             fronto_parallel_uv(board),
-            stack_views[2].image_uv[:30],
-            stack_views[3].image_uv,
+            source.image[2][:30],
+            source.image[3],
         ]
-        views, errors = views_from_points(ids, boards, images)
+        cell, errors = views_from_points(ids, boards, images)
         assert errors == [None] * 5
-        assert views[2].line is None
-        for view_id, view, b, i in zip(ids, views, boards, images):
-            single = only(views_from_points([view_id], [b], [i]))
-            assert view.id == view_id
-            assert view.h.tobytes() == single.h.tobytes()
-            assert view.board_xy.tobytes() == single.board_xy.tobytes()
-            assert not view.board_xy.flags.writeable and not view.image_uv.flags.writeable
-            assert not view.h.flags.writeable
-            assert view.line is None or not view.line.flags.writeable
-            assert_matches_reference(view)
+        assert cell.ids == tuple(ids)
+        assert cell.count.tolist() == [54, 4, 54, 30, 54]
+        assert np.isnan(cell.line[2]).all()
+        assert all(not array.flags.writeable for array in (cell.board, cell.image, cell.count, cell.h, cell.line))
+        for row, (view_id, b, i) in enumerate(zip(ids, boards, images)):
+            single = build_cell([view_id], [b], [i])
+            assert cell.h[row].tobytes() == single.h[0].tobytes()
+            assert cell.line[row].tobytes() == single.line[0].tobytes()
+            assert view_points(cell, row)[0].tobytes() == b.tobytes()
+            assert view_points(cell, row)[1].tobytes() == i.tobytes()
+            assert_matches_reference(cell, row)
 
     def test_bad_views_fail_alone(self):
         board = grid_board()
-        good, _ = tilted_scene_views(rolls=[0.0, 45.0, 90.0])
+        good, _ = tilted_scene_cell(rolls=[0.0, 45.0, 90.0])
         collinear = board.copy()
         collinear[:, 1] = 0.0
-        with_nan = good[2].image_uv.copy()
+        with_nan = good.image[2].copy()
         with_nan[5, 1] = np.nan
         ids = ["g0", "line", "g1", "nan", "same", "three"]
         boards = [board, collinear, board, board, board, board[:3]]
         coincident = np.full((54, 2), 7.0)
-        images = [good[0].image_uv, good[1].image_uv, good[1].image_uv, with_nan, coincident, good[0].image_uv[:3]]
-        views, errors = views_from_points(ids, boards, images)
-        assert [v is not None for v in views] == [True, False, True, False, False, False]
+        images = [good.image[0], good.image[1], good.image[1], with_nan, coincident, good.image[0][:3]]
+        cell, errors = views_from_points(ids, boards, images)
+        assert [e is None for e in errors] == [True, False, True, False, False, False]
+        assert cell.ids == ("g0", "g1")
         assert "rank deficient" in str(errors[1]) and isinstance(errors[1], DegenerateConfiguration)
         assert str(errors[3]) == "view nan: corner coordinates must be finite"
         assert str(errors[4]) == "all points coincide"
         assert "at least 4 corners" in str(errors[5])
-        alone = only(views_from_points(["g1"], [board], [good[1].image_uv]))
-        assert views[2].h.tobytes() == alone.h.tobytes()
+        alone = build_cell(["g1"], [board], [good.image[1]])
+        assert cell.h[1].tobytes() == alone.h[0].tobytes()
 
     @pytest.mark.parametrize(
         "corrupt, detail",

@@ -123,6 +123,11 @@ class TestSimulate:
             ({"drift": {"flip_gravity": "no"}}, "flip_gravity must be true or false, got 'no'"),
             ({"camera_id": 5}, "camera_id must be a string, got 5"),
             ({"camera_id": ["x"]}, "camera_id must be a string, got ['x']"),
+            # JSON integers beyond float range
+            ({"noise_sigma_px": 10**400}, "scene noise_sigma_px must be a finite number"),
+            ({"focal_settings": [{"label_mm": 12.0, "f_px": 10**400}]}, "invalid focal setting: int too large"),
+            ({"drift": {"pp0": [10**400, 0.0]}}, "invalid drift model: pp0: int too large"),
+            ({"rolls": [0.0, 10**400]}, "invalid scene rolls: int too large"),
         ],
         ids=[
             "square",
@@ -144,6 +149,10 @@ class TestSimulate:
             "text-flip-gravity",
             "camera-id-number",
             "camera-id-list",
+            "huge-int-noise",
+            "huge-int-focal",
+            "huge-int-pp0",
+            "huge-int-roll",
         ],
     )
     def test_bad_scene_number_exits_2(self, tmp_path, capsys, overrides, message):
@@ -153,6 +162,15 @@ class TestSimulate:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python refuses to parse a JSON integer of more than 4300 digits
+        config = tmp_path / "scene.json"
+        config.write_text('{"noise_sigma_px": 1' + "0" * 5000 + "}")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: cannot read configuration {config}: ") and len(err.splitlines()) == 1
 
     def test_generation_failure_exits_3(self, tmp_path, capsys):
         # a 400 px noise margin cannot fit any corner inside the frame
@@ -350,6 +368,14 @@ class TestRunOptions:
         assert err.startswith(f"error: malformed dataset at {location}")
         assert detail in err
         assert len(err.splitlines()) == 1
+
+    def test_dataset_integer_past_digit_limit_exits_2(self, dataset_path, tmp_path, capsys):
+        text = dataset_path.read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"focal_px":', '"focal_px":1' + "0" * 5000 + ',"x":', 1))
+        assert main(["calibrate", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: dataset file is not valid JSON: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["calibrate", "crossval", "analyze"])
     def test_empty_dataset_exits_2(self, tmp_path, capsys, command):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from caliblab.calibrate import views_from_points
 from caliblab.errors import DegenerateConfiguration
 from caliblab.geometry import Point2, estimate_homographies
 from caliblab.principal_line import principal_lines
 
 from conftest import (
+    build_cell,
     canonical_homography,
     grid_board,
     only,
@@ -41,9 +41,9 @@ class TestTypes:
         bad = board.copy()
         bad[2, 1] = float("inf")
         with pytest.raises(ValueError):
-            only(views_from_points(["v"], [bad], [board]))
+            build_cell(["v"], [bad], [board])
         with pytest.raises(ValueError):
-            only(views_from_points(["v"], [board], [bad]))
+            build_cell(["v"], [board], [bad])
 
     def test_line_unit_normal_and_sign(self):
         # rolls every 30 degrees turn the axis normal through every

@@ -53,9 +53,9 @@ class TestDatasetRoundTrip:
         assert loaded.camera_id == dataset.camera_id
         assert set(loaded.cells) == set(dataset.cells)
         for key in dataset.cells:
-            for va, vb in zip(dataset.cells[key], loaded.cells[key]):
-                assert va.id == vb.id
-                np.testing.assert_allclose(vb.image_uv, va.image_uv, rtol=1e-8)
+            assert loaded.cells[key].ids == dataset.cells[key].ids
+            np.testing.assert_array_equal(loaded.cells[key].count, dataset.cells[key].count)
+            np.testing.assert_allclose(loaded.cells[key].image, dataset.cells[key].image, rtol=1e-8)
             intr_a, rvec_a, t_a = dataset.ground_truth[key]
             intr_b, rvec_b, t_b = loaded.ground_truth[key]
             assert intr_b.f == pytest.approx(intr_a.f, rel=1e-8)
@@ -64,8 +64,7 @@ class TestDatasetRoundTrip:
 
     def test_corner_order_row_major(self, dataset):
         key = next(iter(dataset.cells))
-        view = dataset.cells[key][0]
-        board = view.board_xy
+        board = dataset.cells[key].board[0]
         # row major from the origin: y varies slowest, x fastest
         assert board[0][0] == 0.0 and board[0][1] == 0.0
         assert board[1][0] > board[0][0] and board[1][1] == board[0][1]
@@ -107,7 +106,7 @@ class TestDatasetWriter:
     def test_template_matches_generic_emitter(self, dataset):
         # the corner template writes what the generic JSON emitter writes
         cells = []
-        for (pose, setting), views in dataset.cells.items():
+        for (pose, setting), cell in dataset.cells.items():
             intr, rvec, t = dataset.ground_truth[(pose, setting)]
             cells.append(
                 {
@@ -116,13 +115,13 @@ class TestDatasetWriter:
                     "focal_px": float(setting.f_px),
                     "views": [
                         {
-                            "id": view.id,
+                            "id": view_id,
                             "corners": [
                                 {"x_mm": x, "y_mm": y, "u_px": u, "v_px": v}
-                                for (x, y), (u, v) in zip(view.board_xy.tolist(), view.image_uv.tolist())
+                                for (x, y), (u, v) in zip(cell.board[k, :n].tolist(), cell.image[k, :n].tolist())
                             ],
                         }
-                        for view in views
+                        for k, (view_id, n) in enumerate(zip(cell.ids, cell.count.tolist()))
                     ],
                     "ground_truth": {
                         "f_px": intr.f,
@@ -143,11 +142,9 @@ class TestDatasetWriter:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_corner_rejected(self, dataset, bad):
         key = next(iter(dataset.cells))
-        view = dataset.cells[key][1]
-        image = view.image_uv.copy()
-        image[4, 1] = bad
-        broken = replace(view, image_uv=image)
-        cells = {**dataset.cells, key: (dataset.cells[key][0], broken, *dataset.cells[key][2:])}
+        image = dataset.cells[key].image.copy()
+        image[1, 4, 1] = bad
+        cells = {**dataset.cells, key: replace(dataset.cells[key], image=image)}
         with pytest.raises(ValueError, match="cannot serialize non-finite float"):
             dumps_dataset(replace(dataset, cells=cells))
 
@@ -199,7 +196,7 @@ class TestStrictNumbers:
         node["cells"][0]["focal_label_mm"] = 12
         node["cells"][0]["views"][0]["corners"][0]["u_px"] = 1800
         loaded = loads_dataset(json.dumps(node))
-        assert loaded.cells[(PoseLabel.DOWN, FocalSetting(12.0, 3000.0))][0].image_uv[0, 0] == 1800.0
+        assert loaded.cells[(PoseLabel.DOWN, FocalSetting(12.0, 3000.0))].image[0, 0, 0] == 1800.0
 
 
 class TestCsv:

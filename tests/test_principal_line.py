@@ -223,8 +223,8 @@ class TestStackedLeaveOneOut:
     def test_outlier_bundle_matches_per_subset_loop(self):
         dataset = generate_dataset(SceneConfig.for_camera("cam2", rng_seed=54016, noise_sigma_px=0.5))
         checked = 0
-        for views in dataset.cells.values():
-            lines = np.array([v.line for v in views])
+        for cell in dataset.cells.values():
+            lines = np.array(cell.line)
             # push one line 40 px off, as a corrupted view would
             lines[3, 2] += 40.0
             while len(lines) >= 4:

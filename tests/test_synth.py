@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caliblab.calibrate import Intrinsics, views_from_points
+from caliblab.calibrate import Cell, Intrinsics
 from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
@@ -25,7 +25,7 @@ from caliblab.synth import (
     true_pp,
 )
 
-from conftest import line_distance, only, pinhole_project
+from conftest import build_cell, line_distance, pinhole_project
 
 
 def small_config(**overrides):
@@ -110,10 +110,10 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        (view,), (rot,), (t,) = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
+        cell, (rot,), (t,) = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
-        uv = pinhole_project(setting.f_px, (pp.u, pp.v), rot, t, view.board_xy)
-        assert np.abs(uv - view.image_uv).max() < 1e-9
+        uv = pinhole_project(setting.f_px, (pp.u, pp.v), rot, t, cell.board[0])
+        assert np.abs(uv - cell.image[0]).max() < 1e-9
 
     def test_rolls_differ_by_optical_axis_rotation(self):
         config = small_config()
@@ -128,21 +128,21 @@ class TestGenerateView:
         config = small_config()
         rng = np.random.default_rng(0)
         setting = config.focal_settings[0]
-        (view,), _, _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
+        cell, _, _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
-        assert line_distance(view.line, (pp.u, pp.v)) < 1e-6
+        assert line_distance(cell.line[0], (pp.u, pp.v)) < 1e-6
 
     def test_corners_in_bounds(self):
         config = small_config(noise_sigma_px=0.5)
         rng = np.random.default_rng(1)
         for setting in config.focal_settings:
-            views, _, _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls, [rng] * len(config.rolls))
-            for view in views:
-                assert np.all(view.image_uv[:, 0] >= 0)
-                assert np.all(view.image_uv[:, 0] <= config.image_width)
-                assert np.all(view.image_uv[:, 1] >= 0)
-                assert np.all(view.image_uv[:, 1] <= config.image_height)
-                assert np.all(np.isfinite(view.image_uv))
+            cell, _, _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls, [rng] * len(config.rolls))
+            assert cell.mask.all()
+            assert np.all(cell.image[..., 0] >= 0)
+            assert np.all(cell.image[..., 0] <= config.image_width)
+            assert np.all(cell.image[..., 1] >= 0)
+            assert np.all(cell.image[..., 1] <= config.image_height)
+            assert np.all(np.isfinite(cell.image))
 
     def test_board_out_of_view(self):
         # an absurd noise level demands an impossible in-bounds margin
@@ -165,8 +165,7 @@ class TestGenerateDataset:
         a = generate_dataset(config)
         b = generate_dataset(config)
         for key in a.cells:
-            for va, vb in zip(a.cells[key], b.cells[key]):
-                np.testing.assert_array_equal(va.image_uv, vb.image_uv)
+            np.testing.assert_array_equal(a.cells[key].image, b.cells[key].image)
 
     def test_minimal_case(self):
         config = small_config(
@@ -188,8 +187,7 @@ class TestGenerateDataset:
         clean = generate_dataset(replace(config, noise_sigma_px=0.0))
         deltas = []
         for key in noisy.cells:
-            for vn, vc in zip(noisy.cells[key], clean.cells[key]):
-                deltas.append(vn.image_uv - vc.image_uv)
+            deltas.append((noisy.cells[key].image - clean.cells[key].image)[noisy.cells[key].mask])
         deltas = np.vstack(deltas)
         assert len(deltas) >= 10_000
         bound = 3 * 0.5 / math.sqrt(len(deltas))
@@ -254,7 +252,7 @@ def reference_view(config, pose, setting, roll_deg, rng):
     if config.noise_sigma_px > 0.0:
         uv = uv + rng.normal(0.0, config.noise_sigma_px, size=uv.shape)
     view_id = f"{pose.value}-s{setting_index}-r{roll_deg:g}"
-    return only(views_from_points([view_id], [board], [uv])), rot, t, retries
+    return build_cell([view_id], [board], [uv]), rot, t, retries
 
 
 def reference_dataset(config):
@@ -272,7 +270,7 @@ def reference_dataset(config):
                 ts.append(t)
                 retries.append(grown)
             pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
-            cells[(pose, setting)] = tuple(views)
+            cells[(pose, setting)] = Cell.concat(views)
             truth[(pose, setting)] = (Intrinsics(setting.f_px, pp), rvec_from_rotation(np.array(rots)), np.array(ts))
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth), retries
 
@@ -301,10 +299,9 @@ class TestStackedSynthesis:
         assert min(retries) == 0 and max(retries) >= 1
         dataset = generate_dataset(config)
         assert dumps_dataset(dataset) == dumps_dataset(reference)
-        for key, views in dataset.cells.items():
-            for view, ref in zip(views, reference.cells[key]):
-                assert view.h.tobytes() == ref.h.tobytes()
-                assert (view.line is None) == (ref.line is None)
+        for key, cell in dataset.cells.items():
+            assert cell.h.tobytes() == reference.cells[key].h.tobytes()
+            assert cell.line.tobytes() == reference.cells[key].line.tobytes()
 
     def test_first_failing_roll_is_reported(self):
         # at 400 px of noise no roll fits; the error names the first one
@@ -322,12 +319,12 @@ class TestStackedSynthesis:
         # at f = 700 px the first placements put board corners behind the
         # camera; growing the distance brings the whole board in front
         config = small_config(focal_settings=(FocalSetting(1.0, 700.0),))
-        (view,), (rot,), (t,) = generate_cell(
+        cell, (rot,), (t,) = generate_cell(
             config, PoseLabel.DOWN, config.focal_settings[0], [30.0], [np.random.default_rng(0)]
         )
-        cam_z = (np.column_stack([view.board_xy, np.zeros(len(view.board_xy))]) @ rot.T + t)[:, 2]
+        cam_z = (np.column_stack([cell.board[0], np.zeros(len(cell.board[0]))]) @ rot.T + t)[:, 2]
         assert cam_z.min() > 0.0
-        assert view.image_uv.min() >= 1.0
+        assert cell.image.min() >= 1.0
         # at f = 10 px five retries do not suffice
         config = small_config(focal_settings=(FocalSetting(1.0, 10.0),))
         with pytest.raises(BoardOutOfView, match="roll 0.0"):
