@@ -33,7 +33,7 @@ from .principal_line import (
     flag_outlier_lines,
     principal_lines,
 )
-from .rotations import nearest_rotation, rodrigues, rotate_point_jacobian, rvec_from_rotation, vector_norm
+from .rotations import nearest_rotation, rodrigues, vector_norm
 
 # Focal-length constraints are skipped when their denominator is this small
 # relative to the perspective terms h7^2 + h8^2 (scale free in H).
@@ -167,7 +167,9 @@ def views_from_points(
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Intrinsics of a cell and the pose of each accepted view: row i of
-    rot (V, 3, 3) and t (V, 3) belongs to row i of views, the accepted views."""
+    rot (V, 3, 3) and t (V, 3) belongs to row i of views, the accepted views.
+    focal_samples holds the per-view closed-form focal estimates whose
+    median the geometric route takes; the algebraic route leaves it empty."""
 
     method: str
     intrinsics: Intrinsics
@@ -397,7 +399,6 @@ def calibrate_algebraic(cell: Cell) -> CalibrationResult:
     )
 
     kept, rot, t, flags = _decompose_views(cell, intr)
-    samples = focal_from_homographies(kept.h, intr.pp)
 
     return CalibrationResult(
         method="algebraic",
@@ -406,97 +407,124 @@ def calibrate_algebraic(cell: Cell) -> CalibrationResult:
         t=t,
         views=kept,
         pp_estimate=None,
-        focal_samples=tuple(samples),
+        focal_samples=(),
         rmse=_views_rmse(intr, rot, t, kept),
         flags=tuple(flags),
         diagnostics={"skew_px": gamma * spread, "aspect_ratio": beta / alpha},
     )
 
 
+def _join_poses(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """LM pose parameters (..., 12): rotations rot (..., 3, 3) row-major,
+    then translations t (..., 3)."""
+    return np.concatenate([rot.reshape(rot.shape[:-2] + (9,)), t], axis=-1)
+
+
+def _split_poses(poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (..., 3, 3) and translations (..., 3) of LM pose parameters (..., 12)."""
+    return poses[..., :9].reshape(poses.shape[:-1] + (3, 3)), poses[..., 9:]
+
+
 def _pack(f: float, pp: Point2, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    body = np.concatenate([rvec_from_rotation(rot), t], axis=1).ravel()
-    return np.concatenate([[f, pp.u, pp.v], body])
+    return np.concatenate([[f, pp.u, pp.v], _join_poses(rot, t).ravel()])
 
 
-def _pose_jacobian(f, rvec: np.ndarray, pts: np.ndarray, cam: np.ndarray, out=None) -> np.ndarray:
-    """d(u, v)/d(rvec, t) of every projected corner, shape (..., n, 2, 6),
-    for poses rvec (..., 3), board points pts (..., n, 3), their
-    camera-frame positions cam (..., n, 3) and focal lengths f that
-    broadcast against (..., n). Written into out, a zeroed (..., n, 2, 6)
-    array or view, when given."""
-    x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
-    # d(u, v)/d(cam point) is [[a00, 0, a02], [0, a11, a12]]: it fills the
-    # t columns, and the rvec columns are its rows times d(cam)/d(rvec),
-    # summed in place so that one (..., n, 3) temporary is alive at a time
-    rot_jac = rotate_point_jacobian(rvec, pts)
-    jac = np.zeros(cam.shape[:-1] + (2, 6)) if out is None else out
-    jac[..., 0, 3] = a00 = f / z
-    jac[..., 0, 5] = a02 = -f * x / (z * z)
-    jac[..., 1, 4] = a11 = a00
-    jac[..., 1, 5] = a12 = -f * y / (z * z)
-    jac[..., 0, :3] = a00[..., None] * rot_jac[..., 0, :]
-    jac[..., 0, :3] += a02[..., None] * rot_jac[..., 2, :]
-    jac[..., 1, :3] = a11[..., None] * rot_jac[..., 1, :]
-    jac[..., 1, :3] += a12[..., None] * rot_jac[..., 2, :]
-    return jac
+def _retract_poses(poses: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Poses (..., 12) moved by steps (..., 6), (delta, dt), as
+    R <- exp([delta]x) R and t <- t + dt."""
+    rot, t = _split_poses(poses)
+    return _join_poses(rodrigues(steps[..., :3]) @ rot, t + steps[..., 3:])
+
+
+def _pose_rows(f, rot: np.ndarray, t: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out (..., n, 2, 6) the derivatives d(u, v)/d(delta, dt)
+    of every projected corner under the step of `_retract_poses`, for poses
+    rot (..., 3, 3), t (..., 3), board points pts (..., n, 3) and focal
+    lengths f that broadcast against (..., n). The entries out[..., 0, 4]
+    and out[..., 1, 3] are zero and are left as they are. Returns the normalized camera
+    coordinates (x/z, y/z) of the corners, (..., n, 2).
+
+    With q = R p and cam = q + t, d(cam)/d(delta) = -[q]x (Triggs et al.,
+    "Bundle Adjustment - A Modern Synthesis", 2000, sec. 2.2), so each row
+    a of d(u, v)/d(cam) gives the rotation columns a @ -[q]x = q x a."""
+    q = pts @ np.swapaxes(rot, -1, -2)
+    cam = q + t[..., None, :]
+    xy = cam[..., :2] / cam[..., 2:3]
+    qx, qy, qz = q[..., 0], q[..., 1], q[..., 2]
+    # d(u, v)/d(cam) is [[w, 0, a02], [0, w, a12]]: the dt columns
+    out[..., 0, 3] = out[..., 1, 4] = w = f / cam[..., 2]
+    out[..., 0, 5] = a02 = -w * xy[..., 0]
+    out[..., 1, 5] = a12 = -w * xy[..., 1]
+    out[..., 0, 0] = a02 * qy
+    out[..., 0, 1] = w * qz - a02 * qx
+    out[..., 0, 2] = -w * qy
+    out[..., 1, 0] = a12 * qy - w * qz
+    out[..., 1, 1] = -a12 * qx
+    out[..., 1, 2] = w * qx
+    return xy
 
 
 def _pose_problem(f: np.ndarray, pp: np.ndarray, pts: np.ndarray, image: np.ndarray):
-    """Residual and normal-equation callbacks of independent pose-only
-    refits: problem i is the view with board points pts[i] (n, 3) and
-    image corners image[i] (n, 2) under focal length f[i] and principal
-    point pp[i], its parameters (rvec, t)."""
+    """Residual, normal-equation and retraction callbacks of independent
+    pose-only refits: problem i is the view with board points pts[i] (n, 3)
+    and image corners image[i] (n, 2) under focal length f[i] and principal
+    point pp[i], its parameters (R row-major, t) and its steps (delta, dt)."""
+    # one Jacobian buffer per stack: fresh arrays every iteration would
+    # fault in new pages or not depending on the process's heap history
+    jac_buffer = np.zeros(pts.shape[:-1] + (2, 6))
 
     def residuals(params, rows):
-        _, uv = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])
+        _, uv = _project(f[rows], pp[rows], *_split_poses(params), pts[rows])
         return (uv - image[rows]).reshape(len(rows), -1)
 
     def normal_equations(params, rows, res):
-        # keep only cam: the pixels would stay alive while the Jacobian is built
-        cam = _project(f[rows], pp[rows], rodrigues(params[:, :3]), params[:, 3:], pts[rows])[0]
-        jac = _pose_jacobian(f[rows, None], params[:, :3], pts[rows], cam).reshape(len(rows), -1, 6)
+        jac = jac_buffer[: len(rows)]
+        _pose_rows(f[rows, None], *_split_poses(params), pts[rows], jac)
+        jac = jac.reshape(len(rows), -1, 6)
         jac_t = np.swapaxes(jac, -1, -2)
         return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
 
-    return residuals, normal_equations
+    return residuals, normal_equations, _retract_poses
 
 
-def _joint_rows(params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _joint_rows(params: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-view Jacobian rows of joint refines, shape (B, V, n, 2, 9):
-    d(u, v)/d(f, u0, v0, rvec, t) of every corner of problem b's view v,
-    for parameters params (B, 3 + 6V) laid out as (f, u0, v0) then
-    (rvec, t) per view, and board points pts (B, V, n, 3)."""
-    poses = params[:, 3:].reshape(len(params), -1, 6)
-    cam = _project(params[:, :1], params[:, None, 1:3], rodrigues(poses[..., :3]), poses[..., 3:], pts)[0]
-    rows = np.zeros(cam.shape[:-1] + (2, 9))
-    rows[..., 0] = cam[..., :2] / cam[..., 2:3]
+    d(u, v)/d(f, u0, v0, delta, dt) of every corner of problem b's view v,
+    for parameters params (B, 3 + 12V) laid out as (f, u0, v0) then
+    (R row-major, t) per view, and board points pts (B, V, n, 3). Written
+    into out when given, a (B, V, n, 2, 9) array that already holds zeros
+    where no call writes: d(u)/d(v0), d(v)/d(u0) and what `_pose_rows` leaves."""
+    rot, t = _split_poses(params[:, 3:].reshape(len(params), -1, 12))
+    rows = np.zeros(pts.shape[:-1] + (2, 9)) if out is None else out
+    rows[..., 0] = _pose_rows(params[:, :1, None], rot, t, pts, rows[..., 3:])
     rows[..., 0, 1] = rows[..., 1, 2] = 1.0
-    _pose_jacobian(params[:, :1, None], poses[..., :3], pts, cam, out=rows[..., 3:])
     return rows
 
 
 def _joint_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray):
-    """Residual and normal-equation callbacks of independent joint refines
-    of (f, u0, v0) and every pose: problem i is a cell whose views have
-    board points pts[i] (V, n, 3) and image corners image[i] (V, n, 2),
-    of which the corners where mask (V, n) is set are real and the rest
-    padding. Its parameters are (f, u0, v0) then (rvec, t) per view, and
-    its residuals run over views, then corners, then (u, v).
+    """Residual, normal-equation and retraction callbacks of independent
+    joint refines of (f, u0, v0) and every pose: problem i is a cell whose
+    views have board points pts[i] (V, n, 3) and image corners image[i]
+    (V, n, 2), of which the corners where mask (V, n) is set are real and
+    the rest padding. Its parameters are (f, u0, v0) then (R row-major, t)
+    per view, its steps (df, du0, dv0) then (delta, dt) per view, and its
+    residuals run over views, then corners, then (u, v).
 
     The normal equations are assembled from per-view (2n x 9) Jacobian
     rows without forming the dense Jacobian: J^T J is block-arrow, with a
     3x3 intrinsic block, a 6x6 block per pose and 3x6 blocks coupling the
     two (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000)."""
     n_views = mask.shape[0]
-    poses = 3 + 6 * np.arange(n_views)[:, None] + np.arange(6)  # (V, 6) parameter columns
+    poses = 3 + 6 * np.arange(n_views)[:, None] + np.arange(6)  # (V, 6) step columns
+    jac_buffer = np.zeros(pts.shape[:-1] + (2, 9))  # reused, as in _pose_problem
 
     def residuals(params, rows):
-        pose = params[:, 3:].reshape(len(rows), n_views, 6)
-        _, uv = _project(params[:, :1], params[:, None, 1:3], rodrigues(pose[..., :3]), pose[..., 3:], pts[rows])
+        rot, t = _split_poses(params[:, 3:].reshape(len(rows), n_views, 12))
+        _, uv = _project(params[:, :1], params[:, None, 1:3], rot, t, pts[rows])
         return (uv - image[rows])[:, mask].reshape(len(rows), -1)
 
     def normal_equations(params, rows, res):
-        jac = _joint_rows(params, pts[rows])
+        jac = _joint_rows(params, pts[rows], out=jac_buffer[: len(rows)])
         per_view = np.zeros(jac.shape[:-1])
         per_view[:, mask] = res.reshape(len(rows), -1, 2)
         jac[:, ~mask] = 0.0
@@ -512,7 +540,13 @@ def _joint_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray):
         grad = np.concatenate([grads[:, :, :3].sum(axis=1), grads[:, :, 3:].reshape(len(rows), -1)], axis=1)
         return hess, grad
 
-    return residuals, normal_equations
+    def retract(params, steps):
+        moved = _retract_poses(
+            params[:, 3:].reshape(len(params), n_views, 12), steps[:, 3:].reshape(len(steps), n_views, 6)
+        )
+        return np.concatenate([params[:, :3] + steps[:, :3], moved.reshape(len(params), -1)], axis=1)
+
+    return residuals, normal_equations, retract
 
 
 def _sum_squares(res: np.ndarray) -> np.ndarray:
@@ -539,14 +573,16 @@ def _damped_steps(hess, damping, lam, grad):
         return steps, solved
 
 
-def _levenberg_marquardt(params0, residuals, normal_equations):
+def _levenberg_marquardt(params0, residuals, normal_equations, retract):
     """Damped Gauss-Newton on a stack of independent least-squares problems.
 
     params0 is (B, P). residuals(params, rows) evaluates the problems
     `rows` at params (len(rows), P) and returns their (len(rows), m)
     residuals r; normal_equations(params, rows, res) returns their
-    Gauss-Newton systems J^T J (len(rows), P, P) and J^T r (len(rows), P)
-    at residuals res. Every problem follows its own multiplicative lambda
+    Gauss-Newton systems J^T J (len(rows), S, S) and J^T r (len(rows), S)
+    at residuals res, with J the derivative of r along the S step
+    coordinates; retract(params, steps) returns the parameters moved by
+    steps (len(rows), S). Every problem follows its own multiplicative lambda
     schedule, as if it were solved alone: x10 on reject (a singular damped
     system is a reject), x0.1 on accept, give up once lambda exceeds 1e12,
     stop on relative cost change < 1e-12 or after LM_MAX_ITERS systems.
@@ -571,7 +607,7 @@ def _levenberg_marquardt(params0, residuals, normal_equations):
             steps, solved = _damped_steps(hess[search], damping[search], lam[rows], grad[search])
             tried, tried_rows = search[solved], rows[solved]
             if tried.size:
-                trial = params[tried_rows] + steps[solved]
+                trial = retract(params[tried_rows], steps[solved])
                 trial_res = residuals(trial, tried_rows)
                 trial_cost = _sum_squares(trial_res)
                 ok = trial_cost <= cost[tried_rows]
@@ -649,8 +685,7 @@ def refine(starts: Sequence[CalibrationResult]) -> Refinement:
         params, cost, converged, iters = _levenberg_marquardt(
             params0, *_joint_problem(_board_points(board), image, group[0].views.mask)
         )
-        poses = params[:, 3:].reshape(len(members), len(layout), 6)
-        rot, t = rodrigues(poses[..., :3]), poses[..., 3:]
+        rot, t = _split_poses(params[:, 3:].reshape(len(members), len(layout), 12))
         usable = _usable_poses(rot, t)
         for b, (i, start) in enumerate(zip(members, group)):
             bad = np.flatnonzero(~usable[b])
@@ -718,11 +753,11 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], cell: Cell) -> PoseRefits
         if not rows.size:
             continue
         pts = _board_points(cell.board[rows, :n])
-        params0 = np.concatenate([rvec_from_rotation(rot0[rows]), t0[rows]], axis=1)
+        params0 = _join_poses(rot0[rows], t0[rows])
         params, cost, _, _ = _levenberg_marquardt(
             params0, *_pose_problem(f[rows], pp[rows], pts, cell.image[rows, :n])
         )
-        rot[rows], t[rows], rmse[rows] = rodrigues(params[:, :3]), params[:, 3:], np.sqrt(cost / n)
+        (rot[rows], t[rows]), rmse[rows] = _split_poses(params), np.sqrt(cost / n)
     usable = _usable_poses(rot, t) & np.isfinite(rmse)
     errors: list[CaliblabError | None] = [None] * count
     for i in np.flatnonzero(~usable):

@@ -1,4 +1,4 @@
-"""Rotation helpers: axis-angle maps, nearest rotation, exact derivatives."""
+"""Rotation helpers: axis-angle maps and the nearest rotation."""
 
 from __future__ import annotations
 
@@ -106,29 +106,3 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray:
     if np.any(flip):
         r = np.where(flip[..., None, None], (u * [1.0, 1.0, -1.0]) @ vt, r)
     return r
-
-
-def rotate_point_jacobian(rvec, points) -> np.ndarray:
-    """d(R(rvec) @ p) / d(rvec) for each point p: shape (n, 3, 3) for one
-    rotation vector and (n, 3) points, (..., n, 3, 3) for a (..., 3) stack
-    of rotation vectors and (..., n, 3) points.
-
-    Exact derivative of the exponential map; at rvec = 0 the limit is
-    -skew(p).
-    """
-    rvec = np.asarray(rvec, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    theta2 = (rvec[..., None, :] @ rvec[..., :, None])[..., 0, 0]  # a BLAS dot, as rvec @ rvec
-    small = theta2 < 1e-24
-    r = rodrigues(rvec)
-    rotated = pts @ np.swapaxes(r, -1, -2)
-    eye_minus_r = np.eye(3) - r
-    rvec_skew = skew(rvec)
-    scale = np.where(small, 1.0, theta2)[..., None, None]
-    jac = np.empty(np.broadcast_shapes(pts.shape, rotated.shape) + (3,))
-    for i in range(3):
-        mi = (rvec[..., i, None, None] * rvec_skew + skew(np.cross(rvec, eye_minus_r[..., :, i]))) / scale
-        jac[..., i] = rotated @ np.swapaxes(mi, -1, -2)
-    if np.any(small):
-        jac[...] = np.where(small[..., None, None, None], -skew(pts), jac)
-    return jac

@@ -54,12 +54,31 @@ def with_image(cell, row, image_uv):
 def joint_stack(result):
     """One cell's joint-refine stack: board points (1, V, n, 3) and image
     corners (1, V, n, 2) of the result's accepted views, the (V, n) mask
-    of real corners, and the packed parameters (1, 3 + 6V)."""
+    of real corners, and the packed parameters (1, 3 + 12V)."""
     from caliblab.calibrate import _board_points, _pack
 
     views = result.views
     params = _pack(result.intrinsics.f, result.intrinsics.pp, result.rot, result.t)[None]
     return _board_points(views.board[None]), views.image[None], views.mask, params
+
+
+def retraction_differences(residuals, retract, params, head) -> np.ndarray:
+    """Central differences (B, m, S) of the residuals of problems params
+    (B, head + 12V) along each step coordinate k of the retraction:
+    (r(retract(x, h e_k)) - r(retract(x, -h e_k))) / 2h. The steps are
+    the head parameters, then (delta, dt) per pose, and h is 1e-6 times
+    max(1, |x|) for a head parameter or a translation, 1e-6 for a rotation."""
+    poses = params[:, head:].reshape(len(params), -1, 12)
+    magnitude = np.concatenate([np.zeros(poses.shape[:-1] + (3,)), poses[..., 9:]], axis=-1)
+    h = 1e-6 * np.maximum(1.0, np.abs(np.concatenate([params[:, :head], magnitude.reshape(len(params), -1)], axis=1)))
+    rows = np.arange(len(params))
+    columns = []
+    for k in range(h.shape[1]):
+        step = np.zeros_like(h)
+        step[:, k] = h[:, k]
+        diff = residuals(retract(params, step), rows) - residuals(retract(params, -step), rows)
+        columns.append(diff / (2 * h[:, k, None]))
+    return np.stack(columns, axis=-1)
 
 
 def dense_joint_jacobian(rows, mask) -> np.ndarray:

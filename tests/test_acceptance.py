@@ -38,6 +38,7 @@ from conftest import (
     oracle_rot_x,
     oracle_rot_z,
     protocol_distance,
+    retraction_differences,
     scene_homography,
     tilted_scene_cell,
     view_points,
@@ -266,14 +267,9 @@ def test_numerical_hygiene(tmp_path):
         )
         result = calibrate_geometric(cell)
         pts, image, mask, params = joint_stack(result)
-        residuals, _ = _joint_problem(pts, image, mask)
+        residuals, _, retract = _joint_problem(pts, image, mask)
         jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
-        fd = np.empty_like(jac)
-        for j in range(params.shape[1]):
-            h = 1e-6 * max(1.0, abs(params[0, j]))
-            dp = np.zeros_like(params)
-            dp[0, j] = h
-            fd[:, j] = (residuals(params + dp, [0])[0] - residuals(params - dp, [0])[0]) / (2 * h)
+        fd = retraction_differences(residuals, retract, params, head=3)[0]
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4
         for rot in result.rot:

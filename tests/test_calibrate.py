@@ -8,6 +8,7 @@ import pytest
 
 from caliblab import calibrate
 from caliblab.calibrate import (
+    FOCAL_DENOM_RTOL,
     CalibrationResult,
     Cell,
     Intrinsics,
@@ -18,9 +19,8 @@ from caliblab.calibrate import (
     _joint_problem,
     _joint_rows,
     _levenberg_marquardt,
-    _pose_jacobian,
     _pose_problem,
-    _project,
+    _pose_rows,
     _views_rmse,
     calibrate_algebraic,
     calibrate_geometric,
@@ -43,7 +43,7 @@ from caliblab.errors import (
 from caliblab.geometry import DLT_RANK_RTOL, Point2
 from caliblab.principal_line import DIRECTION_EPS, PERSPECTIVE_EPS
 from caliblab.synth import SceneConfig, generate_dataset
-from caliblab.rotations import rodrigues, rvec_from_rotation
+from caliblab.rotations import rodrigues
 
 from conftest import (
     bias_half_board,
@@ -56,6 +56,7 @@ from conftest import (
     oracle_rot_x,
     oracle_rot_z,
     pinhole_project,
+    retraction_differences,
     scene_homography,
     short_view,
     tilted_scene_cell,
@@ -89,6 +90,16 @@ class TestFocalFromHomography:
         assert len(estimates) == 2
         for f in estimates:
             assert f == pytest.approx(3000.0, abs=1e-6)
+
+    @pytest.mark.parametrize("ratio, expected", [(0.99, [2000.0]), (1.01, [1000.0, 2000.0])])
+    def test_denominator_gate(self, ratio, expected):
+        # one percent either side of FOCAL_DENOM_RTOL: with the principal
+        # point at the origin, the orthogonality constraint (denominator
+        # h7 h8) gives f = 1000 and the equal-norm one (h8^2 - h7^2) f = 2000
+        h7, h8 = ratio * FOCAL_DENOM_RTOL, 1.0
+        h = np.array([[2000.0, -500.0 * h7, 0.0], [0.0, 0.0, 500.0], [h7, h8, 1.0]])
+        assert h7 * h8 / (FOCAL_DENOM_RTOL * (h7 * h7 + h8 * h8)) == pytest.approx(ratio, rel=1e-6)
+        assert focal_from_homographies(h[None], Point2(0.0, 0.0)) == pytest.approx(expected, rel=1e-9)
 
     def test_stack_equals_one_view_calls(self):
         # the three cases above in one stack give their estimates view by
@@ -351,20 +362,15 @@ class TestRefine:
             yield calibrate_geometric(cell)
 
     def test_jacobian_matches_central_differences(self, rng):
-        # the dense Jacobian built from the per-view (2n x 9) rows, checked
-        # relative to the column scale: each column is one parameter's
-        # sensitivity, so entries within it share units
+        # the dense Jacobian built from the per-view (2n x 9) rows against
+        # central differences of the retraction along each step coordinate,
+        # checked relative to the column scale: each column is one step
+        # coordinate's sensitivity, so entries within it share units
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            residuals, _ = _joint_problem(pts, image, mask)
+            residuals, _, retract = _joint_problem(pts, image, mask)
             jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
-            rows = np.arange(1)
-            fd = np.empty_like(jac)
-            for j in range(params.shape[1]):
-                h = 1e-6 * max(1.0, abs(params[0, j]))
-                dp = np.zeros_like(params)
-                dp[0, j] = h
-                fd[:, j] = (residuals(params + dp, rows)[0] - residuals(params - dp, rows)[0]) / (2 * h)
+            fd = retraction_differences(residuals, retract, params, head=3)[0]
             col_scale = np.abs(fd).max(axis=0)
             rel = np.abs(jac - fd).max(axis=0) / col_scale
             assert rel.max() < 1e-4
@@ -374,7 +380,7 @@ class TestRefine:
         # Jacobian, up to summation order
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            residuals, normal_equations = _joint_problem(pts, image, mask)
+            residuals, normal_equations, _ = _joint_problem(pts, image, mask)
             rows = np.arange(1)
             res = residuals(params, rows)
             hess, grad = normal_equations(params, rows, res)
@@ -395,23 +401,21 @@ class TestRefine:
 
 class TestBatchedPoseRefit:
     def test_pose_jacobian_matches_central_differences(self, rng):
-        # one stacked pose-only problem per view; view 0 sits at rvec = 0
-        # exactly, so the small-angle limit runs inside the batch
+        # one stacked pose-only problem per view, at random rotations; view
+        # 0 sits at the identity rotation
         cell, truth = tilted_scene_cell(rolls=[0.0, 45.0, 200.0], sigma=0.5, rng=rng)
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         pts = _board_points(cell.board)
-        params = np.array([np.concatenate([rng.normal(0.0, 0.5, 3), t]) for _, t in truth])
-        params[0, :3] = 0.0
+        rot = rodrigues(rng.normal(0.0, 0.5, (len(cell), 3)))
+        rot[0] = np.eye(3)
+        params = np.concatenate([rot.reshape(-1, 9), [t for _, t in truth]], axis=1)
         f, pp = _intrinsic_arrays([intr] * len(cell))
-        residuals, normal_equations = _pose_problem(f, pp, pts, cell.image)
+        residuals, normal_equations, retract = _pose_problem(f, pp, pts, cell.image)
         rows = np.arange(len(cell))
-        cam, _ = _project(f, pp, rodrigues(params[:, :3]), params[:, 3:], pts)
-        jac = _pose_jacobian(f[:, None], params[:, :3], pts, cam).reshape(len(cell), -1, 6)
-        fd = np.empty_like(jac)
-        for j in range(6):
-            dp = np.zeros_like(params)
-            dp[:, j] = 1e-6 * np.maximum(1.0, np.abs(params[:, j]))
-            fd[..., j] = (residuals(params + dp, rows) - residuals(params - dp, rows)) / (2 * dp[:, None, j])
+        jac = np.zeros(pts.shape[:-1] + (2, 6))
+        _pose_rows(f[:, None], rot, params[:, 9:], pts, jac)
+        jac = jac.reshape(len(cell), -1, 6)
+        fd = retraction_differences(residuals, retract, params, head=0)
         col_scale = np.abs(fd).max(axis=1)
         assert (np.abs(jac - fd).max(axis=1) / col_scale).max() < 1e-4
         # the callback's systems are J^T J and J^T r of that Jacobian, and a
@@ -432,9 +436,11 @@ class TestBatchedPoseRefit:
         cell, truth = tilted_scene_cell(sigma=0.5, rng=rng)
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         pts, image = _board_points(cell.board), cell.image
-        params0 = np.array([np.concatenate([rvec_from_rotation(rot), t]) for rot, t in truth])
-        params0 += rng.normal(0.0, 1.0, params0.shape) * np.geomspace(1e-6, 0.3, len(cell))[:, None]
-        stacked = _levenberg_marquardt(params0, *_pose_problem(*_intrinsic_arrays([intr] * len(cell)), pts, image))
+        problem = _pose_problem(*_intrinsic_arrays([intr] * len(cell)), pts, image)
+        params0 = np.array([np.concatenate([rot.ravel(), t]) for rot, t in truth])
+        steps = rng.normal(0.0, 1.0, (len(cell), 6)) * np.geomspace(1e-6, 0.3, len(cell))[:, None]
+        params0 = problem[2](params0, steps)
+        stacked = _levenberg_marquardt(params0, *problem)
         assert len(set(stacked[3].tolist())) > 1
         for i in range(len(cell)):
             alone = _levenberg_marquardt(
@@ -520,7 +526,7 @@ class TestBatchedPoseRefit:
         def broken(params0, *callbacks, **kwargs):
             params, *rest = kernel(params0, *callbacks, **kwargs)
             params = params.copy()
-            params[behind, 3:] *= -1.0
+            params[behind, 9:] *= -1.0  # t
             params[non_finite, 0] = np.nan
             return (params, *rest)
 

@@ -9,8 +9,8 @@ from caliblab.rotations import (
     rot_x,
     rot_y,
     rot_z,
-    rotate_point_jacobian,
     rvec_from_rotation,
+    skew,
 )
 
 
@@ -59,22 +59,18 @@ class TestNearestRotation:
         assert np.linalg.det(proj) == pytest.approx(1.0)
 
 
-class TestJacobian:
+class TestLeftPerturbation:
     def test_matches_central_differences(self):
+        # the pose refits step a rotation as R <- rodrigues(delta) @ R, so
+        # d(R p)/d(delta) at delta = 0 is -skew(R p) for every R
         rng = np.random.default_rng(11)
         for _ in range(10):
-            rvec = rng.normal(0.0, 1.0, 3)
+            rot = random_rotation(rng)
             pts = rng.normal(0.0, 100.0, (5, 3))
-            jac = rotate_point_jacobian(rvec, pts)
             h = 1e-6
             for i in range(3):
                 dp = np.zeros(3)
                 dp[i] = h
-                fd = (pts @ rodrigues(rvec + dp).T - pts @ rodrigues(rvec - dp).T) / (2 * h)
-                np.testing.assert_allclose(jac[:, :, i], fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
-
-    def test_zero_rotation_limit(self):
-        pts = np.array([[1.0, 2.0, 3.0]])
-        jac = rotate_point_jacobian(np.zeros(3), pts)
-        expected = -np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
-        np.testing.assert_allclose(jac[0], expected, atol=1e-12)
+                fd = (pts @ (rodrigues(dp) @ rot).T - pts @ (rodrigues(-dp) @ rot).T) / (2 * h)
+                expected = -skew(pts @ rot.T)[:, :, i]
+                np.testing.assert_allclose(expected, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
