@@ -230,8 +230,8 @@ def analyze_trajectory(pps: list[Point2]) -> TrajectoryReport:
     series and rank-correlate progress along it with the series order.
 
     Raises TooFewPoints below three points. If all points coincide within
-    1e-9 px the direction is undefined and the report comes back flagged
-    degenerate with a NaN direction.
+    1e-9 px, or their spread overflows, the direction is undefined and the
+    report comes back flagged degenerate with a NaN direction.
     """
     if len(pps) < 3:
         raise TooFewPoints(f"trajectory analysis needs at least 3 points, got {len(pps)}")
@@ -239,7 +239,7 @@ def analyze_trajectory(pps: list[Point2]) -> TrajectoryReport:
     steps = tuple((float(du), float(dv)) for du, dv in np.diff(pts, axis=0))
     total = float(np.linalg.norm(pts[-1] - pts[0]))
     centered = pts - pts.mean(axis=0)
-    if np.max(np.linalg.norm(centered, axis=1)) < 1e-9:
+    if not np.all(np.isfinite(centered)) or np.max(np.linalg.norm(centered, axis=1)) < 1e-9:
         return TrajectoryReport(
             direction_deg=float("nan"),
             monotonicity=0.0,

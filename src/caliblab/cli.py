@@ -54,10 +54,7 @@ def _load_scene(args) -> SceneConfig:
     return scene_config_from_dict(raw)
 
 def cmd_simulate(args) -> int:
-    try:
-        scene = _load_scene(args)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_CONFIG)
+    scene = _load_scene(args)
     try:
         dataset = generate_dataset(scene)
     except BoardOutOfView as err:
@@ -107,10 +104,7 @@ def _write_results(out_dir: Path, rows: list[list], pps: dict[tuple[PoseLabel, i
     reports.atomic_write(out_dir / "pp_scatter.svg", reports.render_pp_scatter_svg(pps))
 
 def cmd_calibrate(args) -> int:
-    try:
-        dataset = _read_dataset(args)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_CONFIG)
+    dataset = _read_dataset(args)
     out_dir = Path(args.out_dir)
     rows, results = _calibrate_cells(dataset, args)
     failures = len(rows) - len(results)
@@ -140,11 +134,13 @@ def cmd_calibrate(args) -> int:
     print(f"calibrated {len(rows)} cells -> {out_dir / 'results.csv'}")
     return EXIT_OK
 
+def _finite_or_none(x: float) -> float | None:
+    """A number as summary.json writes it: strict JSON has no NaN or
+    infinity, so a non-finite value is null."""
+    return x if math.isfinite(x) else None
+
 def cmd_crossval(args) -> int:
-    try:
-        dataset = _read_dataset(args)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_CONFIG)
+    dataset = _read_dataset(args)
     out_dir = Path(args.out_dir)
     if len(dataset.poses()) < 2:
         return _fail("cross-validation needs at least 2 camera poses in the dataset", EXIT_MISSING)
@@ -153,8 +149,7 @@ def cmd_crossval(args) -> int:
     for entry in report.settings:
         for a, pose_a in enumerate(entry.poses):
             for b, pose_b in enumerate(entry.poses):
-                value = float(entry.matrix[a, b])
-                rmse = value if math.isfinite(value) else None
+                rmse = _finite_or_none(float(entry.matrix[a, b]))
                 rows.append([entry.setting_index, entry.focal_label_mm, pose_a.value, pose_b.value, rmse])
     reports.write_csv(out_dir / "crossval.csv", reports.CROSSVAL_CSV_HEADER, rows)
     summary = {
@@ -166,7 +161,7 @@ def cmd_crossval(args) -> int:
                 "setting_index": e.setting_index,
                 "focal_label_mm": e.focal_label_mm,
                 "poses": [p.value for p in e.poses],
-                "matrix": [[x if math.isfinite(x) else None for x in row] for row in e.matrix.tolist()],
+                "matrix": [[_finite_or_none(x) for x in row] for row in e.matrix.tolist()],
                 "self_rmse": {p.value: r for p, r in e.self_rmse.items()},
             }
             for e in report.settings
@@ -182,11 +177,24 @@ def cmd_crossval(args) -> int:
     print(f"cross-validated {len(report.settings)} settings -> {out_dir / 'crossval.csv'}")
     return EXIT_OK
 
+def _drift_summary(drift: analysis.DriftReport) -> dict:
+    """The notices, trajectory and gravity fields of a drift report in
+    summary.json. The direction of a degenerate trajectory is NaN, so it
+    is written as null."""
+    summary: dict = {"notices": list(drift.notices)}
+    if drift.trajectory is not None:
+        fields = ("direction_deg", "monotonicity", "total_shift_px", "degenerate")
+        summary["trajectory"] = {name: _finite_or_none(getattr(drift.trajectory, name)) for name in fields}
+    if drift.gravity is not None:
+        ratio = drift.gravity.sideway_ratio
+        summary["gravity"] = {
+            "mean_offset_px": {p.value: _finite_or_none(m) for p, m in drift.gravity.mean_offset_px.items()},
+            "sideway_ratio": ratio if math.isfinite(ratio) else "inf",
+        }
+    return summary
+
 def cmd_analyze(args) -> int:
-    try:
-        dataset = _read_dataset(args)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_CONFIG)
+    dataset = _read_dataset(args)
     out_dir = Path(args.out_dir)
     rows, results = _calibrate_cells(dataset, args)
     failures = len(rows) - len(results)
@@ -199,7 +207,13 @@ def cmd_analyze(args) -> int:
     settings = dataset.settings()
     pps = {key: result.intrinsics.pp for key, result in results.items()}
     drift = analysis.analyze_drift(pps, len(dataset.poses()))
-    summary: dict = {"command": "analyze", "method": args.method, "notices": list(drift.notices)}
+    summary: dict = {"command": "analyze", "method": args.method, **_drift_summary(drift)}
+    if dataset.ground_truth:
+        setting_index = {setting: k for k, setting in enumerate(settings)}
+        truth = {
+            (pose, setting_index[setting]): intr.pp for (pose, setting), (intr, _, _) in dataset.ground_truth.items()
+        }
+        summary["truth"] = _drift_summary(analysis.analyze_drift(truth, len(dataset.poses())))
 
     trajectory_rows: list[list] = []
     if drift.trajectory is not None:
@@ -207,8 +221,6 @@ def cmd_analyze(args) -> int:
         for index, (du, dv) in zip(drift.down_indices, steps):
             pp = pps[(PoseLabel.DOWN, index)]
             trajectory_rows.append([index, settings[index].label_mm, pp.u, pp.v, du, dv])
-        fields = ("direction_deg", "monotonicity", "total_shift_px", "degenerate")
-        summary["trajectory"] = {name: getattr(drift.trajectory, name) for name in fields}
     reports.write_csv(out_dir / "trajectory.csv", reports.TRAJECTORY_CSV_HEADER, trajectory_rows)
 
     gravity_rows: list[list] = []
@@ -216,11 +228,6 @@ def cmd_analyze(args) -> int:
         for index in sorted(drift.gravity.offsets):
             for pose, (du, dv) in drift.gravity.offsets[index].items():
                 gravity_rows.append([index, settings[index].label_mm, pose.value, du, dv, math.hypot(du, dv)])
-        ratio = drift.gravity.sideway_ratio
-        summary["gravity"] = {
-            "mean_offset_px": {p.value: m for p, m in drift.gravity.mean_offset_px.items()},
-            "sideway_ratio": ratio if math.isfinite(ratio) else "inf",
-        }
     reports.write_csv(out_dir / "gravity.csv", reports.GRAVITY_CSV_HEADER, gravity_rows)
 
     _write_results(out_dir, rows, pps)

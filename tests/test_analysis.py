@@ -335,6 +335,19 @@ class TestAnalyzeDrift:
         assert report.gravity is None
         assert report.notices == (self.GRAVITY,)
 
+    def test_overflowing_trajectory_is_degenerate(self):
+        # a dataset file may hold any finite ground truth; a series whose
+        # spread overflows has no drift axis, and the gravity analysis is
+        # skipped rather than given a NaN direction
+        pps = {(PoseLabel.DOWN, i): Point2(u, 0.0) for i, u in enumerate([-1.7e308, 1.7e308, 1.7e308])}
+        pps[(PoseLabel.N, 0)] = Point2(0.0, 0.0)
+        with np.errstate(over="ignore"):
+            report = analyze_drift(pps, 2)
+        assert report.trajectory.degenerate
+        assert math.isnan(report.trajectory.direction_deg)
+        assert report.gravity is None
+        assert report.notices == (self.GRAVITY,)
+
     def test_single_pose(self):
         report = analyze_drift(self.down_line(range(4)), 1)
         assert report.trajectory.monotonicity == pytest.approx(1.0)

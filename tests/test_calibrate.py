@@ -13,6 +13,7 @@ from caliblab.calibrate import (
     Cell,
     Intrinsics,
     _board_points,
+    _conic_rows,
     _damped_steps,
     _decompose_homographies,
     _intrinsic_arrays,
@@ -40,7 +41,7 @@ from caliblab.errors import (
     DegenerateView,
     InsufficientViews,
 )
-from caliblab.geometry import DLT_RANK_RTOL, Point2
+from caliblab.geometry import DLT_RANK_RTOL, Point2, estimate_homographies
 from caliblab.principal_line import DIRECTION_EPS, PERSPECTIVE_EPS
 from caliblab.synth import SceneConfig, generate_dataset
 from caliblab.rotations import rodrigues
@@ -570,9 +571,9 @@ class TestViewRmse:
         assert refit_view_poses([shifted], cell.take([0])).rmse[0] > 0.05
 
 
-def reference_homography(board, image):
-    """One view's normalized DLT, as a loop over views computes it: the
-    raw matrix before scaling and sign, or the error."""
+def normalized_design(board, image):
+    """One view's 2n x 9 DLT design matrix in normalized coordinates, as a
+    loop over views builds it, with the board and image normalizations."""
 
     def normalize(pts):
         centroid = pts.mean(axis=0)
@@ -592,6 +593,13 @@ def reference_homography(board, image):
     design = np.empty((2 * n, 9))
     design[0::2] = np.column_stack([-x, -y, -ones, zeros, zeros, zeros, u * x, u * y, u])
     design[1::2] = np.column_stack([zeros, zeros, zeros, -x, -y, -ones, v * x, v * y, v])
+    return design, tb, tq
+
+
+def reference_homography(board, image):
+    """One view's normalized DLT, as a loop over views computes it: the
+    raw matrix before scaling and sign, or the error."""
+    design, tb, tq = normalized_design(board, image)
     _, sing, vt = np.linalg.svd(design)
     if sing[7] <= DLT_RANK_RTOL * sing[0]:
         raise DegenerateConfiguration("design matrix is rank deficient (collinear or duplicated board points)")
@@ -625,6 +633,61 @@ def assert_matches_reference(cell, row):
         assert np.isnan(cell.line[row]).all()
         return
     assert cell.line[row].tobytes() == np.array(line).tobytes()
+
+
+def conic_system(cell):
+    """The 2V x 6 absolute-conic system of a cell in similarity-normalized
+    image coordinates, as calibrate_algebraic builds it."""
+    uv = cell.image[cell.mask]
+    center = uv.mean(axis=0)
+    spread = float(np.sqrt(np.mean(np.sum((uv - center) ** 2, axis=1))))
+    tmat = np.array(
+        [[1.0 / spread, 0.0, -center[0] / spread], [0.0, 1.0 / spread, -center[1] / spread], [0.0, 0.0, 1.0]]
+    )
+    hs = tmat @ cell.h
+    vmat = np.empty((2 * len(cell), 6))
+    vmat[0::2] = _conic_rows(hs[:, :, 0], hs[:, :, 1])
+    vmat[1::2] = _conic_rows(hs[:, :, 0], hs[:, :, 0]) - _conic_rows(hs[:, :, 1], hs[:, :, 1])
+    return vmat
+
+
+class TestRankBoundaries:
+    """One percent either side of DLT_RANK_RTOL and CONIC_RANK_RTOL. Each
+    test measures the singular-value ratio of a near-degenerate system and
+    sets the tolerance to the ratio / 0.99 (the system is rejected) and to
+    the ratio / 1.01 (it is accepted and solved)."""
+
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_dlt_rank_tolerance(self, monkeypatch, ratio):
+        # a 9 x 6 grid whose rows are 2.5e-3 mm apart: nearly collinear
+        board = grid_board() * np.array([1.0, 1e-4])
+        rot, t = oracle_rot_x(45.0), np.array([-100.0, 0.0, 1000.0])
+        image = pinhole_project(1000.0, (500.0, 400.0), rot, t, board)
+        sing = np.linalg.svd(normalized_design(board, image)[0], compute_uv=False)
+        monkeypatch.setattr("caliblab.geometry.DLT_RANK_RTOL", sing[7] / sing[0] / ratio)
+        (h,), (error,) = estimate_homographies(board[None], image[None])
+        if ratio < 1.0:
+            assert isinstance(error, DegenerateConfiguration) and "rank deficient" in str(error)
+            assert np.all(np.isnan(h))
+        else:
+            assert error is None
+            expected = canonical_homography(scene_homography(1000.0, (500.0, 400.0), rot, t))
+            np.testing.assert_allclose(h, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_conic_rank_tolerance(self, monkeypatch, ratio):
+        # three views whose rolls differ by 0.1 degree exercise nearly one rotation
+        cell, _ = tilted_scene_cell(rolls=[0.0, 0.1, 0.2])
+        sing = np.linalg.svd(conic_system(cell), compute_uv=False)
+        monkeypatch.setattr(calibrate, "CONIC_RANK_RTOL", sing[4] / sing[0] / ratio)
+        if ratio < 1.0:
+            with pytest.raises(DegenerateSystem, match="rank deficient"):
+                calibrate_algebraic(cell)
+        else:
+            # the ratio is 1.1e-7, so the null vector keeps about 9 digits
+            intr = calibrate_algebraic(cell).intrinsics
+            assert math.hypot(intr.pp.u - 3024.0, intr.pp.v - 2012.0) < 1e-4
+            assert intr.f == pytest.approx(3000.0, rel=1e-8)
 
 
 def fronto_parallel_uv(board):

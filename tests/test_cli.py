@@ -4,7 +4,6 @@ import contextlib
 import copy
 import csv
 import functools
-import importlib.util
 import io
 import json
 import math
@@ -21,10 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import caliblab
 from caliblab.cli import main
 from caliblab.dataset_io import dumps_dataset
-from caliblab.errors import NoFocalEstimate
 from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
-
-DRIFT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_drift_experiment.py"
 
 
 def write_config(tmp_path, **overrides):
@@ -44,6 +40,15 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def strict_json(path):
+    """A summary file parsed as strict JSON: NaN and Infinity are errors."""
+
+    def reject(token):
+        raise ValueError(f"{path} holds the non-JSON constant {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def read_csv(path):
@@ -515,6 +520,68 @@ class TestAnalyze:
         for pose in ("N", "W", "E"):
             assert offsets[pose] == pytest.approx(15.0, abs=1.0)
 
+    def test_truth_block_reports_injected_drift(self, tmp_path):
+        ds = tmp_path / "ds.json"
+        assert main(["simulate", "--camera", "cam1", "--out", str(ds)]) == 0
+        out = tmp_path / "an"
+        assert main(["analyze", "--dataset", str(ds), "--out-dir", str(out)]) == 0
+        truth = strict_json(out / "summary.json")["truth"]
+        # cam1 injects a linear 120 px drift along 112.5 degrees and a 15 px
+        # gravity offset; the file stores the true points at 9 significant
+        # digits, which moves the direction by about 1.4e-6 degrees
+        assert truth["notices"] == []
+        assert truth["trajectory"]["direction_deg"] == pytest.approx(112.5, abs=1e-4)
+        assert truth["trajectory"]["total_shift_px"] == pytest.approx(120.0, abs=1e-4)
+        assert truth["trajectory"]["monotonicity"] in (-1.0, 1.0)
+        assert truth["gravity"]["mean_offset_px"] == pytest.approx({"N": 15.0, "W": 15.0, "E": 15.0}, abs=1e-4)
+
+    def test_truth_block_follows_the_dataset_not_the_views(self, dataset_path, tmp_path):
+        summaries = []
+        for extra in ([], ["--max-views", "3"]):
+            out = tmp_path / f"an{len(summaries)}"
+            assert main(["analyze", "--dataset", str(dataset_path), "--out-dir", str(out), *extra]) == 0
+            summaries.append(strict_json(out / "summary.json"))
+        assert summaries[0]["truth"] == summaries[1]["truth"]
+
+        data = json.loads(dataset_path.read_text())
+        for cell in data["cells"]:
+            del cell["ground_truth"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(data))
+        out = tmp_path / "bare"
+        assert main(["analyze", "--dataset", str(bare), "--out-dir", str(out)]) == 0
+        summary = strict_json(out / "summary.json")
+        assert "truth" not in summary
+        assert {key: summary[key] for key in ("trajectory", "gravity")} == {
+            key: summaries[0][key] for key in ("trajectory", "gravity")
+        }
+
+    def test_degenerate_recovered_direction_is_null(self, dataset_path, tmp_path):
+        # three DOWN cells holding the same views recover one point three times
+        data = json.loads(dataset_path.read_text())
+        down = [cell for cell in data["cells"] if cell["pose"] == "DOWN"]
+        for cell in down[1:]:
+            cell["views"] = down[0]["views"]
+        data["cells"] = down
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps(data))
+        out = tmp_path / "an"
+        assert main(["analyze", "--dataset", str(dup), "--out-dir", str(out)]) == 0
+        trajectory = strict_json(out / "summary.json")["trajectory"]
+        assert trajectory["degenerate"] is True
+        assert trajectory["direction_deg"] is None
+
+    def test_degenerate_truth_direction_is_null(self, tmp_path):
+        config = write_config(tmp_path, drift={"drift_total": 0.0, "gravity_px": 0.0})
+        ds = tmp_path / "ds.json"
+        assert main(["simulate", "--config", str(config), "--out", str(ds)]) == 0
+        out = tmp_path / "an"
+        assert main(["analyze", "--dataset", str(ds), "--out-dir", str(out)]) == 0
+        truth = strict_json(out / "summary.json")["truth"]
+        assert truth["trajectory"]["degenerate"] is True
+        assert truth["trajectory"]["direction_deg"] is None
+        assert "gravity" not in truth
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -528,10 +595,13 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    def test_drift_script_generation_failure_exits_3(self, tmp_path):
-        # a board that cannot fit the image is the CLI's exit 3, not a traceback
+    def test_module_generation_failure_exits_3(self, tmp_path):
+        # a board that cannot fit the image is exit 3 with one line, not a traceback
         proc = subprocess.run(
-            [sys.executable, str(DRIFT_SCRIPT), "--noise", "400", "--out-dir", str(tmp_path / "drift")],
+            [
+                sys.executable, "-m", "caliblab", "simulate", "--camera", "cam1", "--seed", "0",
+                "--noise-sigma", "400", "--out", str(tmp_path / "ds.json"),
+            ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(Path(caliblab.__file__).resolve().parents[1])},
@@ -541,30 +611,6 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "board does not fit" in line
-
-    @staticmethod
-    def drift_script():
-        spec = importlib.util.spec_from_file_location("run_drift_experiment", DRIFT_SCRIPT)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        return script
-
-    def test_drift_script_calibration_failure_exits_4(self, tmp_path, monkeypatch, capsys):
-        script = self.drift_script()
-
-        def failing(*args):
-            raise NoFocalEstimate("all per-view focal constraints were degenerate")
-
-        monkeypatch.setattr(caliblab.analysis, "calibrate_views", failing)
-        assert script.run("cam1", 0, 0.5, tmp_path / "drift") == 4
-        err = capsys.readouterr().err
-        assert err == "error: all per-view focal constraints were degenerate\n"
-
-    def test_drift_script_unwritable_output_exits_2(self, tmp_path, capsys):
-        (tmp_path / "a-file").write_text("")
-        assert self.drift_script().run("cam1", 0, 0.5, tmp_path / "a-file") == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: cannot write ")
 
 
 @functools.lru_cache(maxsize=1)

@@ -156,6 +156,22 @@ class TestEstimatePP:
         with pytest.raises(ParallelLines):
             estimate_pp(lines)
 
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_condition_limit(self, ratio):
+        # unit normals (1, 0) and (c, s) give the normal matrix eigenvalues
+        # 1 +- |c|, so a condition (1 + c) / (1 - c) of ratio * the limit
+        cond = ratio * DEFAULT_CONDITION_LIMIT
+        c = (cond - 1.0) / (cond + 1.0)
+        lines = np.array([[1.0, 0.0, -2000.0], [c, math.sqrt((1.0 - c) * (1.0 + c)), -1500.0]])
+        assert np.linalg.cond(lines[:, :2].T @ lines[:, :2]) == pytest.approx(cond, rel=1e-6)
+        if ratio > 1.0:
+            with pytest.raises(ParallelLines):
+                estimate_pp(lines)
+        else:
+            est = estimate_pp(lines)
+            assert est.condition == pytest.approx(cond, rel=1e-6)
+            assert est.rms_residual == pytest.approx(0.0, abs=1e-6)
+
     def test_too_few(self):
         with pytest.raises(TooFewLines):
             estimate_pp(star_lines()[:1])
