@@ -18,6 +18,10 @@ exercised end to end. That is 38 commands and 2 ragged copies writing
 one `sha256  path` line per file written, with paths relative to the
 output directory.
 
+Each command must keep the CLI's error contract: at most one line on
+stderr, with no traceback and no warning. Exits 1, naming each command
+that broke it on stderr, after the digests are printed.
+
 The commands run as `python -m caliblab` children inside the output
 directory. They inherit the environment, with PYTHONPATH made absolute,
 so the package on PYTHONPATH is the one measured: two trees compare by
@@ -87,21 +91,27 @@ def main(argv=None) -> int:
     if env.get("PYTHONPATH"):
         env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
 
+    broken = []
     for sigma_dir, sigma in (("sigma0", "0"), ("sigma0.5", "0.5")):
         (out_dir / sigma_dir).mkdir(exist_ok=True)
         for name, argv in commands(sigma_dir, sigma):
             if argv[0] != "simulate":
                 argv = argv + ["--out-dir", f"{sigma_dir}/{name}"]
-            code = subprocess.run(
+            child = subprocess.run(
                 [sys.executable, "-m", "caliblab", *argv], cwd=out_dir, env=env, capture_output=True
-            ).returncode
-            print(f"exit {code}  {sigma_dir}/{name}")
+            )
+            print(f"exit {child.returncode}  {sigma_dir}/{name}")
+            err = child.stderr.decode("utf-8", "replace")
+            if len(err.splitlines()) > 1 or "Traceback" in err or "Warning" in err:
+                broken.append(f"{sigma_dir}/{name}: caliblab {' '.join(argv)}")
             if name == "simulate":
                 write_ragged(out_dir / sigma_dir / "dataset.json", out_dir / sigma_dir / "ragged.json")
 
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out_dir).as_posix()}")
-    return 0
+    for command in broken:
+        print(f"stderr holds a traceback, a warning or more than one line: {command}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -464,87 +464,59 @@ def _pose_rows(f, rot: np.ndarray, t: np.ndarray, pts: np.ndarray, out: np.ndarr
     return xy
 
 
-def _pose_problem(f: np.ndarray, pp: np.ndarray, pts: np.ndarray, image: np.ndarray):
+def _views_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray, frozen=None):
     """Residual, normal-equation and retraction callbacks of independent
-    pose-only refits: problem i is the view with board points pts[i] (n, 3)
-    and image corners image[i] (n, 2) under focal length f[i] and principal
-    point pp[i], its parameters (R row-major, t) and its steps (delta, dt)."""
+    problems over views: problem i's views have board points pts[i]
+    (V, n, 3) and image corners image[i] (V, n, 2), real where mask (V, n)
+    is set and padding elsewhere, and each its own pose, with parameters
+    (R row-major, t) and steps (delta, dt). With frozen None the views
+    share a camera whose (f, u0, v0) lead the parameters and steps (S = 3);
+    with frozen = (f, pp) problem i's camera is fixed at f[i], pp[i]
+    (S = 0). Residuals run over views, then real corners, then (u, v).
+
+    The normal equations come per view in block-arrow form, view v's
+    J_v^T J_v and J_v^T r_v over the S shared and its 6 pose coordinates
+    (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000). Only
+    a padded stack gathers residuals and zeroes padded Jacobian rows."""
+    n_views, shared, padded = len(mask), 3 if frozen is None else 0, not mask.all()
     # one Jacobian buffer per stack: fresh arrays every iteration would
     # fault in new pages or not depending on the process's heap history
-    jac_buffer = np.zeros(pts.shape[:-1] + (2, 6))
+    jac_buffer = np.zeros(pts.shape[:-1] + (2, shared + 6))
+
+    def camera(params, rows):
+        if frozen is None:
+            return params[:, :1], params[:, None, 1:3]
+        return frozen[0][rows, None], frozen[1][rows, None]
+
+    def poses(params):
+        return _split_poses(params[:, shared:].reshape(len(params), n_views, 12))
 
     def residuals(params, rows):
-        _, uv = _project(f[rows], pp[rows], *_split_poses(params), pts[rows])
-        return (uv - image[rows]).reshape(len(rows), -1)
+        _, uv = _project(*camera(params, rows), *poses(params), pts[rows])
+        d = uv - image[rows]
+        return (d[:, mask] if padded else d).reshape(len(rows), -1)
 
     def normal_equations(params, rows, res):
         jac = jac_buffer[: len(rows)]
-        _pose_rows(f[rows, None], *_split_poses(params), pts[rows], jac)
-        jac = jac.reshape(len(rows), -1, 6)
+        f, _ = camera(params, rows)
+        xy = _pose_rows(f[..., None], *poses(params), pts[rows], jac[..., shared:])
+        if shared:  # d(u, v)/d(f, u0, v0)
+            jac[..., 0] = xy
+            jac[..., 0, 1] = jac[..., 1, 2] = 1.0
+        if padded:
+            jac[:, ~mask] = 0.0
+            per_corner = np.zeros(jac.shape[:-1])
+            per_corner[:, mask] = res.reshape(len(rows), -1, 2)
+            res = per_corner
+        jac = jac.reshape(len(rows), n_views, -1, shared + 6)
         jac_t = np.swapaxes(jac, -1, -2)
-        return jac_t @ jac, (jac_t @ res[..., None])[..., 0]
-
-    return residuals, normal_equations, _retract_poses
-
-
-def _joint_rows(params: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-view Jacobian rows of joint refines, shape (B, V, n, 2, 9):
-    d(u, v)/d(f, u0, v0, delta, dt) of every corner of problem b's view v,
-    for parameters params (B, 3 + 12V) laid out as (f, u0, v0) then
-    (R row-major, t) per view, and board points pts (B, V, n, 3). Written
-    into out when given, a (B, V, n, 2, 9) array that already holds zeros
-    where no call writes: d(u)/d(v0), d(v)/d(u0) and what `_pose_rows` leaves."""
-    rot, t = _split_poses(params[:, 3:].reshape(len(params), -1, 12))
-    rows = np.zeros(pts.shape[:-1] + (2, 9)) if out is None else out
-    rows[..., 0] = _pose_rows(params[:, :1, None], rot, t, pts, rows[..., 3:])
-    rows[..., 0, 1] = rows[..., 1, 2] = 1.0
-    return rows
-
-
-def _joint_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray):
-    """Residual, normal-equation and retraction callbacks of independent
-    joint refines of (f, u0, v0) and every pose: problem i is a cell whose
-    views have board points pts[i] (V, n, 3) and image corners image[i]
-    (V, n, 2), of which the corners where mask (V, n) is set are real and
-    the rest padding. Its parameters are (f, u0, v0) then (R row-major, t)
-    per view, its steps (df, du0, dv0) then (delta, dt) per view, and its
-    residuals run over views, then corners, then (u, v).
-
-    The normal equations are assembled from per-view (2n x 9) Jacobian
-    rows without forming the dense Jacobian: J^T J is block-arrow, with a
-    3x3 intrinsic block, a 6x6 block per pose and 3x6 blocks coupling the
-    two (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000)."""
-    n_views = mask.shape[0]
-    poses = 3 + 6 * np.arange(n_views)[:, None] + np.arange(6)  # (V, 6) step columns
-    jac_buffer = np.zeros(pts.shape[:-1] + (2, 9))  # reused, as in _pose_problem
-
-    def residuals(params, rows):
-        rot, t = _split_poses(params[:, 3:].reshape(len(rows), n_views, 12))
-        _, uv = _project(params[:, :1], params[:, None, 1:3], rot, t, pts[rows])
-        return (uv - image[rows])[:, mask].reshape(len(rows), -1)
-
-    def normal_equations(params, rows, res):
-        jac = _joint_rows(params, pts[rows], out=jac_buffer[: len(rows)])
-        per_view = np.zeros(jac.shape[:-1])
-        per_view[:, mask] = res.reshape(len(rows), -1, 2)
-        jac[:, ~mask] = 0.0
-        jac = jac.reshape(len(rows), n_views, -1, 9)
-        jac_t = np.swapaxes(jac, -1, -2)
-        blocks = jac_t @ jac  # (B, V, 9, 9)
-        grads = (jac_t @ per_view.reshape(len(rows), n_views, -1, 1))[..., 0]  # (B, V, 9)
-        hess = np.zeros((len(rows), 3 + 6 * n_views, 3 + 6 * n_views))
-        hess[:, :3, :3] = blocks[:, :, :3, :3].sum(axis=1)
-        hess[:, poses[:, :, None], poses[:, None, :]] = blocks[:, :, 3:, 3:]
-        hess[:, :3, 3:] = np.swapaxes(blocks[:, :, :3, 3:], 1, 2).reshape(len(rows), 3, -1)
-        hess[:, 3:, :3] = np.swapaxes(hess[:, :3, 3:], 1, 2)
-        grad = np.concatenate([grads[:, :, :3].sum(axis=1), grads[:, :, 3:].reshape(len(rows), -1)], axis=1)
-        return hess, grad
+        return jac_t @ jac, (jac_t @ res.reshape(len(rows), n_views, -1, 1))[..., 0]
 
     def retract(params, steps):
-        moved = _retract_poses(
-            params[:, 3:].reshape(len(params), n_views, 12), steps[:, 3:].reshape(len(steps), n_views, 6)
-        )
-        return np.concatenate([params[:, :3] + steps[:, :3], moved.reshape(len(params), -1)], axis=1)
+        # poses as rows of one (B * V, 12) stack: small numpy calls cost more per axis
+        moved = _retract_poses(params[:, shared:].reshape(-1, 12), steps[:, shared:].reshape(-1, 6))
+        moved = moved.reshape(len(params), -1)
+        return np.concatenate([params[:, :shared] + steps[:, :shared], moved], axis=1) if shared else moved
 
     return residuals, normal_equations, retract
 
@@ -554,23 +526,53 @@ def _sum_squares(res: np.ndarray) -> np.ndarray:
     return (res[:, None, :] @ res[:, :, None])[:, 0, 0]
 
 
-def _damped_steps(hess, damping, lam, grad):
-    """Solve (H + lam diag(d)) step = -g for every problem of the stack.
-    Returns the steps and a mask of the problems whose system was not
-    singular; a singular system affects only its own problem."""
-    systems = hess + (lam[:, None] * damping)[..., None] * np.eye(hess.shape[-1])
-    rhs = -grad[..., None]
-    solved = np.ones(len(systems), dtype=bool)
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a x = b for every problem of a stack, a (B, ..., k, k) and b
+    (B, ..., k, m): x and the mask of the problems with no singular system.
+    A singular system affects only its own problem, whose x stays zero."""
+    solved = np.ones(len(a), dtype=bool)
     try:
-        return np.linalg.solve(systems, rhs)[..., 0], solved
+        return np.linalg.solve(a, b), solved
     except np.linalg.LinAlgError:
-        steps = np.zeros(grad.shape)
-        for i, (system, b) in enumerate(zip(systems, rhs)):
+        x = np.zeros(b.shape)
+        for i in range(len(a)):
             try:
-                steps[i] = np.linalg.solve(system, b)[:, 0]
+                x[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 solved[i] = False
-        return steps, solved
+        return x, solved
+
+
+def _damped_steps(blocks: np.ndarray, grads: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (J^T J + lam diag(d)) step = -J^T r for every problem of a
+    stack, from its block-arrow normal equations per view: blocks
+    (B, V, S + 6, S + 6) and gradients (B, V, S + 6), whose first S
+    coordinates the problem's views share. d is the diagonal of J^T J
+    floored at 1e-12; the shared diagonal sums the views' shared diagonals.
+
+    Each view's damped 6x6 pose block P_v is eliminated: the shared step
+    solves the reduced S x S system (the Schur complement), and each pose
+    step follows from it (Hartley & Zisserman, "Multiple View Geometry",
+    2nd ed., App. 6); with S = 0 there is nothing to reduce. Returns the
+    steps (B, S + 6V), shared first, then per view, and the mask of the
+    problems whose damped systems were not singular."""
+    shared, lam = blocks.shape[-1] - 6, lam[:, None, None]
+    diag = np.diagonal(blocks, axis1=-2, axis2=-1)
+    pose_blocks = blocks[..., shared:, shared:] + (lam * np.maximum(diag[..., shared:], 1e-12))[..., None] * np.eye(6)
+    if not shared:
+        steps, solved = _solve_each(pose_blocks, -grads[..., None])
+        return steps.reshape(len(blocks), -1), solved
+    coupling = blocks[..., :shared, shared:]  # W_v, (B, V, S, 6)
+    rhs = np.concatenate([np.swapaxes(coupling, -1, -2), -grads[..., shared:, None]], axis=-1)
+    y, solved = _solve_each(pose_blocks, rhs)  # P_v^-1 [W_v^T, -g_v]
+    reduced = (blocks[..., :shared, :shared] - coupling @ y[..., :shared]).sum(axis=1)
+    reduced = reduced + (lam[:, 0] * np.maximum(diag[..., :shared].sum(axis=1), 1e-12))[..., None] * np.eye(shared)
+    shared_steps, reduced_solved = _solve_each(
+        reduced, -(grads[..., :shared, None] + coupling @ y[..., shared:]).sum(axis=1)
+    )
+    pose_steps = y[..., shared] - (y[..., :shared] @ shared_steps[:, None])[..., 0]
+    steps = np.concatenate([shared_steps[..., 0], pose_steps.reshape(len(blocks), -1)], axis=1)
+    return steps, solved & reduced_solved
 
 
 def _levenberg_marquardt(params0, residuals, normal_equations, retract):
@@ -579,13 +581,13 @@ def _levenberg_marquardt(params0, residuals, normal_equations, retract):
     params0 is (B, P). residuals(params, rows) evaluates the problems
     `rows` at params (len(rows), P) and returns their (len(rows), m)
     residuals r; normal_equations(params, rows, res) returns their
-    Gauss-Newton systems J^T J (len(rows), S, S) and J^T r (len(rows), S)
-    at residuals res, with J the derivative of r along the S step
+    Gauss-Newton systems at residuals res in the block-arrow form that
+    `_damped_steps` solves, with J the derivative of r along the step
     coordinates; retract(params, steps) returns the parameters moved by
-    steps (len(rows), S). Every problem follows its own multiplicative lambda
-    schedule, as if it were solved alone: x10 on reject (a singular damped
-    system is a reject), x0.1 on accept, give up once lambda exceeds 1e12,
-    stop on relative cost change < 1e-12 or after LM_MAX_ITERS systems.
+    steps (len(rows), S + 6V). Every problem follows its own multiplicative
+    lambda schedule, as if it were solved alone: x10 on reject (a singular
+    damped system is a reject), x0.1 on accept, give up once lambda exceeds
+    1e12, stop on relative cost change < 1e-12 or after LM_MAX_ITERS systems.
     Returns params, cost, converged and iteration counts, each per problem.
     """
     params = np.array(params0, dtype=float)
@@ -597,14 +599,13 @@ def _levenberg_marquardt(params0, residuals, normal_equations, retract):
     iters = np.zeros(len(params), dtype=int)
     while live.size:
         iters[live] += 1
-        hess, grad = normal_equations(params[live], live, res[live])
-        damping = np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
+        blocks, grads = normal_equations(params[live], live, res[live])
         accepted = np.zeros(len(live), dtype=bool)
         rel = np.zeros(len(live))
         search = np.flatnonzero(lam[live] <= 1e12)  # positions in live
         while search.size:
             rows = live[search]
-            steps, solved = _damped_steps(hess[search], damping[search], lam[rows], grad[search])
+            steps, solved = _damped_steps(blocks[search], grads[search], lam[rows])
             tried, tried_rows = search[solved], rows[solved]
             if tried.size:
                 trial = retract(params[tried_rows], steps[solved])
@@ -683,7 +684,7 @@ def refine(starts: Sequence[CalibrationResult]) -> Refinement:
         board = np.stack([r.views.board for r in group])
         image = np.stack([r.views.image for r in group])
         params, cost, converged, iters = _levenberg_marquardt(
-            params0, *_joint_problem(_board_points(board), image, group[0].views.mask)
+            params0, *_views_problem(_board_points(board), image, group[0].views.mask)
         )
         rot, t = _split_poses(params[:, 3:].reshape(len(members), len(layout), 12))
         usable = _usable_poses(rot, t)
@@ -752,11 +753,9 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], cell: Cell) -> PoseRefits
         rows = rows[~through_center[rows]]
         if not rows.size:
             continue
-        pts = _board_points(cell.board[rows, :n])
-        params0 = _join_poses(rot0[rows], t0[rows])
-        params, cost, _, _ = _levenberg_marquardt(
-            params0, *_pose_problem(f[rows], pp[rows], pts, cell.image[rows, :n])
-        )
+        pts = _board_points(cell.board[rows, None, :n])
+        problem = _views_problem(pts, cell.image[rows, None, :n], np.ones((1, n), dtype=bool), (f[rows], pp[rows]))
+        params, cost, _, _ = _levenberg_marquardt(_join_poses(rot0[rows], t0[rows]), *problem)
         (rot[rows], t[rows]), rmse[rows] = _split_poses(params), np.sqrt(cost / n)
     usable = _usable_poses(rot, t) & np.isfinite(rmse)
     errors: list[CaliblabError | None] = [None] * count

@@ -31,6 +31,11 @@ from .synth import Dataset, FocalSetting, PoseLabel
 
 _FALLBACK_PITCH_UM = 4.0
 
+# Ground-truth f_px, pp_u_px and pp_v_px must not exceed this magnitude: the
+# drift analysis of the true principal points takes their differences,
+# hypots and means, and below it every one of those stays finite.
+TRUTH_MAX_ABS_PX = 1e150
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -172,9 +177,10 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, Cell, 
         truth = None
         if "ground_truth" in node:
             g = node["ground_truth"]
-            intr = Intrinsics(
-                _number(g["f_px"], "f_px"), Point2(_number(g["pp_u_px"], "pp_u_px"), _number(g["pp_v_px"], "pp_v_px"))
-            )
+            f, u, v = (_number(g[name], name) for name in ("f_px", "pp_u_px", "pp_v_px"))
+            if not all(abs(x) <= TRUTH_MAX_ABS_PX for x in (f, u, v)):  # NaN fails too
+                raise ValueError(f"f_px, pp_u_px and pp_v_px must be finite and at most {TRUTH_MAX_ABS_PX:g} in size")
+            intr = Intrinsics(f, Point2(u, v))
             rvec = [_vector(e["rvec"], f"rvec of view {k}") for k, e in enumerate(g["views"])]
             t = [_vector(e["t_mm"], f"t_mm of view {k}") for k, e in enumerate(g["views"])]
             if any(r.shape != (3,) for r in rvec):

@@ -81,16 +81,27 @@ def retraction_differences(residuals, retract, params, head) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def dense_joint_jacobian(rows, mask) -> np.ndarray:
-    """The dense (m, 3 + 6V) Jacobian of one cell's residuals, built from
-    its per-view rows (V, n, 2, 9) and corner mask (V, n): the intrinsic
-    columns of every view side by side, each view's pose columns in its
-    own block, the padded corners dropped."""
-    n_views = len(rows)
-    jac = np.zeros(rows.shape[:-1] + (3 + 6 * n_views,))
-    jac[..., :3] = rows[..., :3]
+def dense_joint_jacobian(params, pts, mask, frozen_f=None) -> np.ndarray:
+    """The dense (m, S + 6V) Jacobian of the residuals of one problem of
+    `_views_problem`: views with board points pts (V, n, 3) and corner
+    mask (V, n) at parameters params (S + 12V,), built from the per-view
+    pose rows of `_pose_rows`. With frozen_f None the camera is refined
+    (S = 3) and every view's d(u, v)/d(f, u0, v0) fills the first three
+    columns side by side; with a frozen focal length frozen_f, S = 0.
+    Each view's pose columns form their own block, and the rows of padded
+    corners are dropped."""
+    from caliblab.calibrate import _pose_rows
+
+    shared, n_views = 3 if frozen_f is None else 0, len(mask)
+    poses = params[shared:].reshape(n_views, 12)
+    pose_rows = np.zeros(pts.shape[:-1] + (2, 6))
+    xy = _pose_rows(params[0] if shared else frozen_f, poses[:, :9].reshape(-1, 3, 3), poses[:, 9:], pts, pose_rows)
+    jac = np.zeros(pts.shape[:-1] + (2, shared + 6 * n_views))
+    if shared:
+        jac[..., 0] = xy
+        jac[..., 0, 1] = jac[..., 1, 2] = 1.0
     for v in range(n_views):
-        jac[v, ..., 3 + 6 * v : 9 + 6 * v] = rows[v, ..., 3:]
+        jac[v, ..., shared + 6 * v : shared + 6 * v + 6] = pose_rows[v]
     return jac[mask].reshape(-1, jac.shape[-1])
 
 

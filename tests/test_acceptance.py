@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from caliblab.analysis import analyze_gravity, analyze_trajectory, cross_validate
-from caliblab.calibrate import (
-    _joint_problem,
-    _joint_rows,
-    calibrate_algebraic,
-    calibrate_geometric,
-)
+from caliblab.calibrate import _views_problem, calibrate_algebraic, calibrate_geometric
 from caliblab.cli import main
 from caliblab.errors import DegenerateView
 from caliblab.principal_line import principal_lines
@@ -267,8 +262,8 @@ def test_numerical_hygiene(tmp_path):
         )
         result = calibrate_geometric(cell)
         pts, image, mask, params = joint_stack(result)
-        residuals, _, retract = _joint_problem(pts, image, mask)
-        jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
+        residuals, _, retract = _views_problem(pts, image, mask)
+        jac = dense_joint_jacobian(params[0], pts[0], mask)
         fd = retraction_differences(residuals, retract, params, head=3)[0]
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4

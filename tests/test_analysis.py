@@ -621,6 +621,15 @@ def assert_same_refinement(a, b):
     assert (a.views.ids, a.flags) == (b.views.ids, b.flags)
 
 
+def dense_damped_steps(hess, grad, lam):
+    """Steps of dense damped systems (hess + lam diag(d)) step = -grad, for
+    hess (B, P, P), grad (B, P) and lam (B,), with d the diagonal of hess
+    floored at 1e-12, and a mask of the solved problems (all of them)."""
+    damping = lam[:, None] * np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
+    systems = hess + damping[..., None] * np.eye(hess.shape[-1])
+    return np.linalg.solve(systems, -grad[..., None])[..., 0], np.ones(len(hess), dtype=bool)
+
+
 class TestRefineStacks:
     """refine solves every cell of the same layout as one LM stack; each
     cell gets, bit for bit, what refining it alone gives."""
@@ -637,17 +646,36 @@ class TestRefineStacks:
             alone = calibrate_views("algebraic-refined", cam1_dataset.cells[(pose, settings[index])], 5.0)
             assert_same_refinement(result, alone)
 
-    def test_matches_dense_reference(self, cam1_dataset):
-        # the same kernel on the dense J^T J and J^T r: summation order
-        # differs, so f and pp agree to 1e-8 relative, iterations exactly
-        starts = self.algebraic_starts(cam1_dataset, 28)[::3]
-        results, _ = refine(starts)
-        for start, result in zip(starts, results):
+    def test_matches_dense_reference(self, cam1_dataset, monkeypatch):
+        # the Schur step against np.linalg.solve of the dense damped system
+        # built from each cell's dense Jacobian, on all 28 cells at lam from
+        # 1e-6 to 1e3: they agree to 1e-10 of the step's largest entry
+        starts = self.algebraic_starts(cam1_dataset, 28)
+        stacks = [joint_stack(start) for start in starts]
+        pts, image, params = (np.concatenate([stack[k] for stack in stacks]) for k in (0, 1, 3))
+        mask = stacks[0][2]
+        residuals, normal_equations, _ = calibrate._views_problem(pts, image, mask)
+        rows = np.arange(len(starts))
+        res = residuals(params, rows)
+        blocks, grads = normal_equations(params, rows, res)
+        for lam in (1e-6, 1e-3, 1.0, 1e3):
+            steps, solved = calibrate._damped_steps(blocks, grads, np.full(len(starts), lam))
+            assert solved.all()
+            for b in rows:
+                jac = dense_joint_jacobian(params[b], pts[b], mask)
+                (dense,), _ = dense_damped_steps((jac.T @ jac)[None], (jac.T @ res[b])[None], np.array([lam]))
+                assert np.abs(steps[b] - dense).max() <= 1e-10 * np.abs(dense).max()
+        # the same kernel on the dense J^T J and J^T r with the dense damped
+        # solve: summation order differs, so f and pp agree to 1e-8
+        # relative, iterations exactly
+        results, _ = refine(starts[::3])
+        monkeypatch.setattr(calibrate, "_damped_steps", dense_damped_steps)
+        for start, result in zip(starts[::3], results):
             pts, image, mask, params0 = joint_stack(start)
-            residuals, _, retract = calibrate._joint_problem(pts, image, mask)
+            residuals, _, retract = calibrate._views_problem(pts, image, mask)
 
             def dense(params, rows, res):
-                jac = dense_joint_jacobian(calibrate._joint_rows(params, pts[rows])[0], mask)
+                jac = dense_joint_jacobian(params[0], pts[0], mask)
                 return (jac.T @ jac)[None], (jac.T @ res[0])[None]
 
             params, _, converged, iters = calibrate._levenberg_marquardt(params0, residuals, dense, retract)
@@ -716,7 +744,8 @@ class TestRefineStacks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 28-cell stack peaks near 5.4 MB (per-view Jacobian rows of
-        # 1.7 MB, then the (28, 51, 51) systems and their damped copies);
-        # a dense (864 x 51) Jacobian per cell would need 9.9 MB for the rows alone
+        # the 28-cell stack peaks near 5.0 MB (per-view Jacobian rows of
+        # 1.7 MB and (28, 8, 9, 9) per-view normal equations, which the
+        # Schur step solves without assembling a (28, 51, 51) system); a
+        # dense (864 x 51) Jacobian per cell would need 9.9 MB for the rows alone
         assert peak < 8e6

@@ -17,11 +17,9 @@ from caliblab.calibrate import (
     _damped_steps,
     _decompose_homographies,
     _intrinsic_arrays,
-    _joint_problem,
-    _joint_rows,
     _levenberg_marquardt,
-    _pose_problem,
     _pose_rows,
+    _views_problem,
     _views_rmse,
     calibrate_algebraic,
     calibrate_geometric,
@@ -363,34 +361,45 @@ class TestRefine:
             yield calibrate_geometric(cell)
 
     def test_jacobian_matches_central_differences(self, rng):
-        # the dense Jacobian built from the per-view (2n x 9) rows against
+        # the dense Jacobian built from the per-view pose rows against
         # central differences of the retraction along each step coordinate,
         # checked relative to the column scale: each column is one step
         # coordinate's sensitivity, so entries within it share units
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            residuals, _, retract = _joint_problem(pts, image, mask)
-            jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
+            residuals, _, retract = _views_problem(pts, image, mask)
+            jac = dense_joint_jacobian(params[0], pts[0], mask)
             fd = retraction_differences(residuals, retract, params, head=3)[0]
             col_scale = np.abs(fd).max(axis=0)
             rel = np.abs(jac - fd).max(axis=0) / col_scale
             assert rel.max() < 1e-4
 
     def test_normal_equations_equal_dense_products(self, rng):
-        # the assembled block-arrow system is J^T J and J^T r of the dense
-        # Jacobian, up to summation order
+        # each view's block-arrow block and gradient are that view's part of
+        # J^T J and J^T r of the dense Jacobian, up to summation order: the
+        # shared (f, u0, v0) block, its coupling and the pose block with the
+        # camera refined (S = 3), the pose block alone under frozen
+        # intrinsics (S = 0); the dense J^T J couples no two views' poses
+        rows = np.arange(1)
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            residuals, normal_equations, _ = _joint_problem(pts, image, mask)
-            rows = np.arange(1)
-            res = residuals(params, rows)
-            hess, grad = normal_equations(params, rows, res)
-            jac = dense_joint_jacobian(_joint_rows(params, pts)[0], mask)
-            dense_hess, dense_grad = jac.T @ jac, jac.T @ res[0]
-            assert np.abs(hess[0] - dense_hess).max() <= 1e-12 * np.abs(dense_hess).max()
-            assert np.abs(grad[0] - dense_grad).max() <= 1e-12 * np.abs(dense_grad).max()
-            # the pose blocks of different views are not coupled
-            np.testing.assert_array_equal(hess[0] == 0.0, dense_hess == 0.0)
+            f, pp = _intrinsic_arrays([result.intrinsics])
+            for shared, frozen in ((3, None), (0, (f, pp))):
+                x = params[:, 3 - shared :]
+                residuals, normal_equations, _ = _views_problem(pts, image, mask, frozen)
+                res = residuals(x, rows)
+                blocks, grads = normal_equations(x, rows, res)
+                jac = dense_joint_jacobian(x[0], pts[0], mask, None if frozen is None else f[0])
+                owner = np.repeat(np.arange(len(mask)), 2 * mask.sum(axis=1))  # view of each residual
+                for v in range(len(mask)):
+                    cols = np.r_[:shared, shared + 6 * v : shared + 6 * v + 6]
+                    jac_v = jac[owner == v][:, cols]
+                    dense_block, dense_grad = jac_v.T @ jac_v, jac_v.T @ res[0, owner == v]
+                    assert np.abs(blocks[0, v] - dense_block).max() <= 1e-12 * np.abs(dense_block).max()
+                    assert np.abs(grads[0, v] - dense_grad).max() <= 1e-12 * np.abs(dense_grad).max()
+                poses = (jac.T @ jac)[shared:, shared:].reshape(len(mask), 6, len(mask), 6)
+                off_diagonal = ~np.eye(len(mask), dtype=bool)
+                assert not np.any(np.swapaxes(poses, 1, 2)[off_diagonal])
 
     def test_pose_only_refit(self):
         cell, truth = tilted_scene_cell()
@@ -411,7 +420,8 @@ class TestBatchedPoseRefit:
         rot[0] = np.eye(3)
         params = np.concatenate([rot.reshape(-1, 9), [t for _, t in truth]], axis=1)
         f, pp = _intrinsic_arrays([intr] * len(cell))
-        residuals, normal_equations, retract = _pose_problem(f, pp, pts, cell.image)
+        mask = np.ones((1, cell.board.shape[1]), dtype=bool)
+        residuals, normal_equations, retract = _views_problem(pts[:, None], cell.image[:, None], mask, (f, pp))
         rows = np.arange(len(cell))
         jac = np.zeros(pts.shape[:-1] + (2, 6))
         _pose_rows(f[:, None], rot, params[:, 9:], pts, jac)
@@ -419,16 +429,18 @@ class TestBatchedPoseRefit:
         fd = retraction_differences(residuals, retract, params, head=0)
         col_scale = np.abs(fd).max(axis=1)
         assert (np.abs(jac - fd).max(axis=1) / col_scale).max() < 1e-4
-        # the callback's systems are J^T J and J^T r of that Jacobian, and a
-        # problem's system does not depend on the batch around it
+        # the callback's one block per problem is J^T J and J^T r of that
+        # Jacobian, and a problem's system does not depend on the batch
+        # around it
         res = residuals(params, rows)
-        hess, grad = normal_equations(params, rows, res)
+        blocks, grads = normal_equations(params, rows, res)
+        assert blocks.shape == (len(cell), 1, 6, 6) and grads.shape == (len(cell), 1, 6)
         jac_t = np.swapaxes(jac, -1, -2)
-        np.testing.assert_array_equal(hess, jac_t @ jac)
-        np.testing.assert_array_equal(grad, (jac_t @ res[..., None])[..., 0])
+        np.testing.assert_array_equal(blocks[:, 0], jac_t @ jac)
+        np.testing.assert_array_equal(grads[:, 0], (jac_t @ res[..., None])[..., 0])
         alone = normal_equations(params[:1], rows[:1], res[:1])
-        np.testing.assert_array_equal(alone[0][0], hess[0])
-        np.testing.assert_array_equal(alone[1][0], grad[0])
+        np.testing.assert_array_equal(alone[0][0], blocks[0])
+        np.testing.assert_array_equal(alone[1][0], grads[0])
 
     def test_kernel_keeps_per_problem_schedule(self, rng):
         # starts at different distances from the optimum take different
@@ -436,8 +448,9 @@ class TestBatchedPoseRefit:
         # alone, so iteration counts and results match one-problem calls
         cell, truth = tilted_scene_cell(sigma=0.5, rng=rng)
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
-        pts, image = _board_points(cell.board), cell.image
-        problem = _pose_problem(*_intrinsic_arrays([intr] * len(cell)), pts, image)
+        pts, image = _board_points(cell.board[:, None]), cell.image[:, None]
+        mask = np.ones((1, cell.board.shape[1]), dtype=bool)
+        problem = _views_problem(pts, image, mask, _intrinsic_arrays([intr] * len(cell)))
         params0 = np.array([np.concatenate([rot.ravel(), t]) for rot, t in truth])
         steps = rng.normal(0.0, 1.0, (len(cell), 6)) * np.geomspace(1e-6, 0.3, len(cell))[:, None]
         params0 = problem[2](params0, steps)
@@ -446,7 +459,7 @@ class TestBatchedPoseRefit:
         for i in range(len(cell)):
             alone = _levenberg_marquardt(
                 params0[i : i + 1],
-                *_pose_problem(*_intrinsic_arrays([intr]), pts[i : i + 1], image[i : i + 1]),
+                *_views_problem(pts[i : i + 1], image[i : i + 1], mask, _intrinsic_arrays([intr])),
             )
             np.testing.assert_allclose(stacked[0][i], alone[0][0], rtol=1e-12, atol=0.0)
             assert abs(stacked[1][i] - alone[1][0]) <= 1e-12 * alone[1][0]
@@ -502,21 +515,26 @@ class TestBatchedPoseRefit:
             refit_view_poses([Intrinsics(3000.0, Point2(3024.0, 2012.0))], cell)
 
     def test_singular_system_falls_back_per_problem(self, rng):
-        # a zero row and column with zero damping make problem 2 exactly
-        # singular, so the stacked solve raises and each problem is solved alone
-        m = rng.normal(size=(4, 6, 6))
-        hess = m @ np.swapaxes(m, -1, -2)
-        hess[2, 5, :] = hess[2, :, 5] = 0.0
-        damping = np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)
-        damping[2] = 0.0
+        # at lam = 0 the damped system is J^T J itself. A zero row and column
+        # make it exactly singular: in one case the pose block of view 1 of
+        # problem 2, in the other the shared (f, u0, v0) coordinate 0 of
+        # problem 1, and so its reduced 3x3 system. The stacked solve then
+        # raises, and every problem is solved alone
+        jac = rng.normal(size=(4, 3, 20, 9))
+        blocks = np.swapaxes(jac, -1, -2) @ jac
+        grads = rng.normal(size=(4, 3, 9))
         lam = np.array([1e-3, 1e-2, 1e-3, 1e4])
-        grad = rng.normal(size=(4, 6))
-        steps, solved = _damped_steps(hess, damping, lam, grad)
-        assert solved.tolist() == [True, True, False, True]
-        for i in (0, 1, 3):
-            alone, (ok,) = _damped_steps(hess[i : i + 1], damping[i : i + 1], lam[i : i + 1], grad[i : i + 1])
-            assert ok
-            np.testing.assert_array_equal(steps[i], alone[0])
+        for problem, zeroed in ((2, (slice(1, 2), 5)), (1, (slice(None), 0))):
+            case_blocks, case_lam = blocks.copy(), lam.copy()
+            views, k = zeroed
+            case_blocks[problem, views, k, :] = case_blocks[problem, views, :, k] = 0.0
+            case_lam[problem] = 0.0
+            steps, solved = _damped_steps(case_blocks, grads, case_lam)
+            assert solved.tolist() == [i != problem for i in range(4)]
+            for i in set(range(4)) - {problem}:
+                alone, (ok,) = _damped_steps(case_blocks[i : i + 1], grads[i : i + 1], case_lam[i : i + 1])
+                assert ok
+                np.testing.assert_array_equal(steps[i], alone[0])
 
     @staticmethod
     def break_kernel(monkeypatch, behind, non_finite):

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import caliblab
 from caliblab.cli import main
-from caliblab.dataset_io import dumps_dataset
+from caliblab.dataset_io import TRUTH_MAX_ABS_PX, dumps_dataset
 from caliblab.synth import PoseLabel, SceneConfig, generate_dataset
 
 
@@ -581,6 +582,30 @@ class TestAnalyze:
         assert truth["trajectory"]["degenerate"] is True
         assert truth["trajectory"]["direction_deg"] is None
         assert "gravity" not in truth
+
+    def test_ground_truth_beyond_bound_exits_2(self, tmp_path, capsys):
+        # true principal points at +-1.7e308 overflow the truth block's
+        # differences; at the bound the analysis runs without a warning
+        ds = tmp_path / "ds.json"
+        assert main(["simulate", "--camera", "cam1", "--seed", "0", "--out", str(ds)]) == 0
+        data = json.loads(ds.read_text())
+        for value, code in ((1.7e308, 2), (TRUTH_MAX_ABS_PX, 0)):
+            for k, cell in enumerate(data["cells"]):
+                cell["ground_truth"]["pp_u_px"] = value if k % 2 else -value
+            edited = tmp_path / f"pp-{value:g}.json"
+            edited.write_text(json.dumps(data))
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["analyze", "--dataset", str(edited), "--out-dir", str(tmp_path / f"{value:g}")]) == code
+            assert caught == []
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith("error: malformed dataset at cell 0, ground truth: ")
+                assert len(err.splitlines()) == 1
+            else:
+                assert err == ""
+                assert strict_json(tmp_path / f"{value:g}" / "summary.json")["truth"]["notices"] == []
 
 
 class TestEntryPoint:
