@@ -16,23 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbiguousDirection,
-    BehindCamera,
-    CaliblabError,
-    DegenerateSystem,
-    DegenerateView,
-    InsufficientViews,
-    NoFocalEstimate,
-)
+from .errors import BehindCamera, CaliblabError, DegenerateSystem, InsufficientViews, NoFocalEstimate
 from .geometry import Point2, estimate_homographies
-from .principal_line import (
-    DEFAULT_OUTLIER_THRESHOLD_PX,
-    PPEstimate,
-    estimate_pp,
-    flag_outlier_lines,
-    principal_lines,
-)
+from .principal_line import DEFAULT_OUTLIER_THRESHOLD_PX, estimate_pp, flag_outlier_lines, principal_lines
 from .rotations import nearest_rotation, rodrigues, vector_norm
 
 # Focal-length constraints are skipped when their denominator is this small
@@ -64,19 +50,17 @@ class Intrinsics:
 class Cell:
     """The views of one (pose, focal setting) cell as stacked arrays, row i
     for view ids[i]: board and image corners (V, n, 2), of which the first
-    count[i] of row i are real and the rest zero padding, homographies h
-    (V, 3, 3) and principal lines (a, b, c) as rows of line (V, 3), a NaN
-    row where a view has no perspective. The arrays are made read-only."""
+    count[i] of row i are real and the rest zero padding, and homographies
+    h (V, 3, 3). The arrays are made read-only."""
 
     ids: tuple[str, ...]
     board: np.ndarray
     image: np.ndarray
     count: np.ndarray
     h: np.ndarray
-    line: np.ndarray
 
     def __post_init__(self):
-        for array in (self.board, self.image, self.count, self.h, self.line):
+        for array in (self.board, self.image, self.count, self.h):
             array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -95,7 +79,7 @@ class Cell:
         width = self.count[rows].max(initial=0)
         ids = tuple(self.ids[i] for i in rows.tolist())
         board, image = self.board[rows, :width], self.image[rows, :width]
-        return Cell(ids, board, image, self.count[rows], self.h[rows], self.line[rows])
+        return Cell(ids, board, image, self.count[rows], self.h[rows])
 
     @staticmethod
     def concat(cells: Sequence[Cell]) -> Cell:
@@ -108,8 +92,8 @@ class Cell:
         for c, start, end in zip(cells, [0, *ends], ends):
             board[start:end, : c.board.shape[1]], image[start:end, : c.image.shape[1]] = c.board, c.image
         ids = sum((c.ids for c in cells), ())
-        count, hs, lines = (np.concatenate([getattr(c, name) for c in cells]) for name in ("count", "h", "line"))
-        return Cell(ids, board, image, count, hs, lines)
+        count, hs = (np.concatenate([getattr(c, name) for c in cells]) for name in ("count", "h"))
+        return Cell(ids, board, image, count, hs)
 
     def by_count(self):
         """(n, rows) per corner count n, ascending; rows index the views with n corners."""
@@ -122,7 +106,7 @@ def views_from_points(
 ) -> tuple[Cell, list[Exception | None]]:
     """Build the cell of views from matching (n, 2) board and image corner
     arrays, one pair per view id. Views with the same corner count share
-    one stacked DLT, and all views one stacked principal-line pass.
+    one stacked DLT.
 
     Returns the cell of the views that were built, in input order, and,
     aligned with view_ids, the error of each view that cannot be built:
@@ -132,7 +116,7 @@ def views_from_points(
     """
     errors: list[Exception | None] = [None] * len(view_ids)
     arrays = []
-    for i, (view_id, board_xy, image_uv) in enumerate(zip(view_ids, boards, images)):
+    for i, (_, board_xy, image_uv) in enumerate(zip(view_ids, boards, images)):
         board_xy = np.array(board_xy, dtype=float)
         image_uv = np.array(image_uv, dtype=float)
         if board_xy.shape != image_uv.shape or board_xy.ndim != 2 or board_xy.shape[1] != 2:
@@ -140,7 +124,7 @@ def views_from_points(
         elif len(board_xy) < 4:
             errors[i] = ValueError(f"a calibration view needs at least 4 corners, got {len(board_xy)}")
         elif not (np.all(np.isfinite(board_xy)) and np.all(np.isfinite(image_uv))):
-            errors[i] = ValueError(f"view {view_id}: corner coordinates must be finite")
+            errors[i] = ValueError("corner coordinates must be finite")
         arrays.append((board_xy, image_uv))
 
     count = np.array([0 if err else len(board) for (board, _), err in zip(arrays, errors)], dtype=int)
@@ -153,14 +137,7 @@ def views_from_points(
         hs[rows], failed = estimate_homographies(board[rows, :n], image[rows, :n])
         for i, err in zip(rows.tolist(), failed):
             errors[i] = err
-
-    valid = [i for i, err in enumerate(errors) if err is None]
-    lines = np.full((len(arrays), 3), np.nan)
-    lines[valid], failed = principal_lines(hs[valid])
-    for i, err in zip(valid, failed):
-        if err is not None and not isinstance(err, (DegenerateView, AmbiguousDirection)):
-            errors[i] = err
-    cell = Cell(tuple(view_ids), board, image, count, hs, lines)
+    cell = Cell(tuple(view_ids), board, image, count, hs)
     return cell.take([i for i, err in enumerate(errors) if err is None]), errors
 
 
@@ -168,16 +145,13 @@ def views_from_points(
 class CalibrationResult:
     """Intrinsics of a cell and the pose of each accepted view: row i of
     rot (V, 3, 3) and t (V, 3) belongs to row i of views, the accepted views.
-    focal_samples holds the per-view closed-form focal estimates whose
-    median the geometric route takes; the algebraic route leaves it empty."""
+    diagnostics holds the geometric route's principal-line bundle
+    "condition" and the refinement's "converged" and "lm_iterations"."""
 
-    method: str
     intrinsics: Intrinsics
     rot: np.ndarray
     t: np.ndarray
     views: Cell
-    pp_estimate: PPEstimate | None
-    focal_samples: tuple[float, ...]
     rmse: float
     flags: tuple[str, ...]
     diagnostics: dict = field(default_factory=dict)
@@ -300,10 +274,11 @@ def calibrate_geometric(
     Screened-out or degenerate views are reported in flags and excluded
     from every later stage.
     """
-    has_line = ~np.isnan(cell.line[:, 0])
+    lines, _ = principal_lines(cell.h)
+    has_line = ~np.isnan(lines[:, 0])
     flags = [cell.ids[i] for i in np.flatnonzero(~has_line).tolist()]
     rows = np.flatnonzero(has_line)
-    lines = cell.line[rows]
+    lines = lines[rows]
     if len(rows) >= 4:
         inliers, outliers = flag_outlier_lines(lines, threshold_px=pl_outlier_px)
         flags.extend(cell.ids[rows[i]] for i in outliers)
@@ -324,15 +299,13 @@ def calibrate_geometric(
     flags.extend(flagged)
 
     return CalibrationResult(
-        method="geometric",
         intrinsics=intr,
         rot=rot,
         t=t,
         views=kept,
-        pp_estimate=pp_est,
-        focal_samples=tuple(samples),
         rmse=_views_rmse(intr, rot, t, kept),
         flags=tuple(flags),
+        diagnostics={"condition": pp_est.condition},
     )
 
 
@@ -348,10 +321,9 @@ def calibrate_algebraic(cell: Cell) -> CalibrationResult:
 
     Each homography contributes two linear constraints on the absolute
     conic; the smallest singular vector gives the conic, from which
-    (u0, v0, f) are extracted in closed form. The artifact's camera model
-    fixes skew at zero and aspect at one, so the recovered skew and aspect
-    ratio are reported as diagnostics of that assumption. The system is
-    solved in similarity-normalized image coordinates for conditioning.
+    (u0, v0, f) are extracted in closed form; the camera model fixes skew
+    at zero and aspect at one. The system is solved in similarity-normalized
+    image coordinates for conditioning.
     """
     if len(cell) < 3:
         raise InsufficientViews(
@@ -401,16 +373,12 @@ def calibrate_algebraic(cell: Cell) -> CalibrationResult:
     kept, rot, t, flags = _decompose_views(cell, intr)
 
     return CalibrationResult(
-        method="algebraic",
         intrinsics=intr,
         rot=rot,
         t=t,
         views=kept,
-        pp_estimate=None,
-        focal_samples=(),
         rmse=_views_rmse(intr, rot, t, kept),
         flags=tuple(flags),
-        diagnostics={"skew_px": gamma * spread, "aspect_ratio": beta / alpha},
     )
 
 
@@ -695,21 +663,14 @@ def refine(starts: Sequence[CalibrationResult]) -> Refinement:
                     f"view {start.views.ids[bad[0]]}: refined pose is not finite or lies behind the camera"
                 )
                 continue
-            diagnostics = dict(start.diagnostics)
-            diagnostics.update(
-                {"converged": bool(converged[b]), "lm_iterations": int(iters[b]), "initial_rmse": start.rmse}
-            )
             results[i] = CalibrationResult(
-                method="refined",
                 intrinsics=Intrinsics(params[b, 0], Point2(params[b, 1], params[b, 2])),
                 rot=rot[b],
                 t=t[b],
                 views=start.views,
-                pp_estimate=start.pp_estimate,
-                focal_samples=start.focal_samples,
                 rmse=math.sqrt(cost[b] / sum(layout)),
                 flags=start.flags,
-                diagnostics=diagnostics,
+                diagnostics={**start.diagnostics, "converged": bool(converged[b]), "lm_iterations": int(iters[b])},
             )
     return Refinement(results, errors)
 

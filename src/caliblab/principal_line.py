@@ -43,7 +43,6 @@ class PPEstimate:
     """Least-squares intersection of a line bundle."""
 
     pp: Point2
-    rms_residual: float
     per_line_residual: tuple[float, ...]
     condition: float
 
@@ -137,7 +136,6 @@ def estimate_pp(lines: np.ndarray) -> PPEstimate:
     residuals = normals @ sol[0] + offsets
     return PPEstimate(
         pp=Point2(sol[0, 0], sol[0, 1]),
-        rms_residual=float(np.sqrt(np.mean(residuals**2))),
         per_line_residual=tuple(float(r) for r in residuals),
         condition=float(cond[0]),
     )

@@ -417,12 +417,7 @@ def generate_dataset(config: SceneConfig) -> Dataset:
                 np.random.default_rng(mix_seed(config.rng_seed, pose_index, setting_index, roll_index))
                 for roll_index in range(len(config.rolls))
             ]
-            try:
-                cell, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
-            except BoardOutOfView as err:
-                raise BoardOutOfView(
-                    f"cell (pose {pose.value}, setting {setting.label_mm} mm): {err}"
-                ) from err
+            cell, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
             intr = Intrinsics(
                 setting.f_px,
                 true_pp(config.drift, setting_index, len(config.focal_settings), pose),

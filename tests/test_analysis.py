@@ -294,7 +294,7 @@ class TestCalibrateCells:
         refined = calibrate_cells(broken, "algebraic-refined", 5.0)
         assert list(refined) == list(results)
         assert [str(refined[key]) for key in failed] == [str(results[key]) for key in failed]
-        assert all(r.method == "refined" for key, r in refined.items() if key not in failed)
+        assert all("lm_iterations" in r.diagnostics for key, r in refined.items() if key not in failed)
         notices = cross_validate(broken, "algebraic").notices
         assert "setting 15.0 mm: cell for pose W is absent" in notices
         assert any(n.startswith("setting 10.0 mm: calibration failed for pose N: ") for n in notices)
@@ -515,7 +515,7 @@ class TestBatchedCrossval:
         h = scene_homography(3000.0, (3024.0, 2012.0), oracle_rot_x(45.0), [0.0, 800.0, 1e-9])
         through_center = Cell(
             ("through-center",), cell.board[2:3], cell.image[2:3], cell.count[2:3],
-            canonical_homography(h)[None], np.full((1, 3), np.nan),
+            canonical_homography(h)[None],
         )
         cell = Cell.concat([cell.take(slice(2)), through_center, cell.take(slice(2, None))])
         report = self.assert_matches_reference(replace(dataset, cells={**dataset.cells, key: cell}))
@@ -735,6 +735,23 @@ class TestRefineStacks:
         for i in (1, 2, 4, 5):
             assert errors[i] is None
             assert_same_refinement(results[i], reference[i])
+
+    def test_call_diagnostics(self, cam1_dataset, monkeypatch):
+        # the benchmark's tracer reads a refine call's LM summary from
+        # Refinement.diagnostics: the mean iterations over the refined cells
+        # and whether all of them converged; a failed cell does not count
+        starts = self.algebraic_starts(cam1_dataset, 8)
+        start = starts[0]
+        starts[0] = replace(start, views=start.views.take(slice(1)), rot=start.rot[:1], t=start.t[:1])
+        refinement = refine(starts)
+        done = [r.diagnostics for r in refinement.results[1:]]
+        assert refinement.results[0] is None and all(d["converged"] for d in done)
+        iterations = [d["lm_iterations"] for d in done]
+        assert len(set(iterations)) > 1
+        assert refinement.diagnostics == {"lm_iterations": sum(iterations) / 7, "converged": True}
+        monkeypatch.setattr(calibrate, "LM_MAX_ITERS", 2)
+        assert refine(starts[1:]).diagnostics == {"lm_iterations": 2, "converged": False}
+        assert refine([starts[0]]).diagnostics == {"lm_iterations": 0, "converged": True}
 
     def test_memory_peak(self, cam1_dataset):
         calibrate_cells(cam1_dataset, "algebraic-refined", 5.0)

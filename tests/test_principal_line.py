@@ -129,13 +129,17 @@ class TestPrincipalLine:
         assert line_distance(line, (u, v)) < 1e-9 * max(1.0, abs(u), abs(v))
 
 
+def rms_residual(est):
+    return math.sqrt(np.mean(np.square(est.per_line_residual)))
+
+
 class TestEstimatePP:
     def test_perpendicular_pair(self):
         lines = np.array([[1.0, 0.0, -2000.0], [0.0, 1.0, -1500.0]])
         est = estimate_pp(lines)
         assert est.pp.u == pytest.approx(2000.0)
         assert est.pp.v == pytest.approx(1500.0)
-        assert est.rms_residual == pytest.approx(0.0, abs=1e-12)
+        assert rms_residual(est) == pytest.approx(0.0, abs=1e-12)
 
     def test_concurrent_star(self):
         est = estimate_pp(star_lines())
@@ -170,7 +174,7 @@ class TestEstimatePP:
         else:
             est = estimate_pp(lines)
             assert est.condition == pytest.approx(cond, rel=1e-6)
-            assert est.rms_residual == pytest.approx(0.0, abs=1e-6)
+            assert rms_residual(est) == pytest.approx(0.0, abs=1e-6)
 
     def test_too_few(self):
         with pytest.raises(TooFewLines):
@@ -202,7 +206,7 @@ class TestFlagOutliers:
         assert outliers == [7]
         est_all = estimate_pp(lines)
         est_in = estimate_pp(lines[inliers])
-        assert est_in.rms_residual <= est_all.rms_residual
+        assert rms_residual(est_in) <= rms_residual(est_all)
 
     def test_too_few(self):
         with pytest.raises(TooFewLines):
@@ -240,7 +244,7 @@ class TestStackedLeaveOneOut:
         dataset = generate_dataset(SceneConfig.for_camera("cam2", rng_seed=54016, noise_sigma_px=0.5))
         checked = 0
         for cell in dataset.cells.values():
-            lines = np.array(cell.line)
+            lines, _ = principal_lines(cell.h)
             # push one line 40 px off, as a corrupted view would
             lines[3, 2] += 40.0
             while len(lines) >= 4:

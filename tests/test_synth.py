@@ -11,6 +11,7 @@ from caliblab.calibrate import Cell, Intrinsics
 from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
+from caliblab.principal_line import principal_lines
 from caliblab.rotations import rodrigues, rot_x, rot_y, rot_z, rvec_from_rotation
 from caliblab.synth import (
     CAMERA_PRESETS,
@@ -130,7 +131,8 @@ class TestGenerateView:
         setting = config.focal_settings[0]
         cell, _, _ = generate_cell(config, PoseLabel.DOWN, setting, [45.0], [rng])
         pp = true_pp(config.drift, 0, 2, PoseLabel.DOWN)
-        assert line_distance(cell.line[0], (pp.u, pp.v)) < 1e-6
+        (line,), _ = principal_lines(cell.h)
+        assert line_distance(line, (pp.u, pp.v)) < 1e-6
 
     def test_corners_in_bounds(self):
         config = small_config(noise_sigma_px=0.5)
@@ -301,7 +303,7 @@ class TestStackedSynthesis:
         assert dumps_dataset(dataset) == dumps_dataset(reference)
         for key, cell in dataset.cells.items():
             assert cell.h.tobytes() == reference.cells[key].h.tobytes()
-            assert cell.line.tobytes() == reference.cells[key].line.tobytes()
+            assert principal_lines(cell.h)[0].tobytes() == principal_lines(reference.cells[key].h)[0].tobytes()
 
     def test_first_failing_roll_is_reported(self):
         # at 400 px of noise no roll fits; the error names the first one
