@@ -340,6 +340,9 @@ def calibrate_algebraic(cell: Cell) -> CalibrationResult:
     )
 
     hs = tmat @ cell.h
+    # unit first two columns per view, or an image shift or a board unit reweights the views
+    # (conditioning by normalisation: Hartley 1997; Zhang 2000)
+    hs = hs / np.sqrt((hs[:, :, :2] ** 2).sum(axis=(1, 2)))[:, None, None]
     vmat = np.empty((2 * len(cell), 6))
     vmat[0::2] = _conic_rows(hs[:, :, 0], hs[:, :, 1])
     vmat[1::2] = _conic_rows(hs[:, :, 0], hs[:, :, 0]) - _conic_rows(hs[:, :, 1], hs[:, :, 1])

@@ -190,9 +190,9 @@ class TestCalibrateGeometric:
 
 
 class TestGeometricEquivariance:
-    """Camera-model properties of the geometric route on noisy cam1 cells.
-    The algebraic conic system is only scale invariant to about 1e-3 px,
-    so it is not covered."""
+    """Camera-model properties of the calibration routes on noisy cam1
+    cells. The board-unit case covers the algebraic route at the scales of
+    mm -> m and inch -> mm: its worst pp deviation measured 6.7e-11 px."""
 
     @pytest.fixture(scope="class")
     def cells(self):
@@ -205,15 +205,16 @@ class TestGeometricEquivariance:
 
     def test_board_units_scale_translations_only(self, cells):
         for cell in cells:
-            base = calibrate_geometric(cell)
             boards, images = zip(*(view_points(cell, i) for i in range(len(cell))))
-            rebuilt, errors = views_from_points(cell.ids, [2.5 * b for b in boards], images)
-            assert errors == [None] * len(cell)
-            scaled = calibrate_geometric(rebuilt)
-            self.assert_same_intrinsics(scaled, base)
-            assert scaled.views.ids == base.views.ids
-            np.testing.assert_allclose(scaled.rot, base.rot, rtol=0.0, atol=1e-12)
-            assert np.abs(scaled.t - 2.5 * base.t).max() <= 1e-12 * np.abs(2.5 * base.t).max()
+            for method, scale in [("geometric", 2.5), ("algebraic", 0.001), ("algebraic", 25.4)]:
+                base = calibrate_views(method, cell, 5.0)
+                rebuilt, errors = views_from_points(cell.ids, [scale * b for b in boards], images)
+                assert errors == [None] * len(cell)
+                scaled = calibrate_views(method, rebuilt, 5.0)
+                self.assert_same_intrinsics(scaled, base)
+                assert scaled.views.ids == base.views.ids
+                np.testing.assert_allclose(scaled.rot, base.rot, rtol=0.0, atol=1e-12)
+                assert np.abs(scaled.t - scale * base.t).max() <= 1e-12 * np.abs(scale * base.t).max()
 
     def test_view_order_only_reorders_poses(self, cells):
         rng = np.random.default_rng(0)
@@ -235,11 +236,11 @@ class TestImageShift:
     Measured worst deviations for the shift (37.5, -21.25) px on cam1 seed
     256 at sigma 0.5 px (numpy 2.4.6, OpenBLAS, x86-64):
     - geometric: pp 3.7e-11 px, f 4.4e-15 relative (exact up to roundoff);
-    - algebraic: pp 0.42 px, f 2.5e-5 relative. The conic rows of a view are
-      weighted by its homography's Frobenius norm, which the shift changes,
-      so the least-squares conic moves; the deviation grows with the shift
-      (7.4 px at (1000, 1000));
-    - algebraic-refined: pp 8.5e-6 px, f 3.9e-11 relative, where LM stops
+    - algebraic: pp 1.1e-10 px, f 1.5e-15 relative. Each view's conic rows
+      are built from homography columns scaled to unit norm, so the shift
+      does not reweight the views (without that scaling, 0.42 px here and
+      7.1 px at (1000, 1000));
+    - algebraic-refined: pp 1.8e-6 px, f 1.2e-11 relative, where LM stops
       on a relative cost change of 1e-12.
     Each tolerance is a few times its measurement."""
 
@@ -256,7 +257,7 @@ class TestImageShift:
 
     @pytest.mark.parametrize(
         "method, pp_tol_px, f_rtol",
-        [("geometric", 1e-9, 1e-13), ("algebraic", 1.0, 1e-4), ("algebraic-refined", 1e-4, 1e-9)],
+        [("geometric", 1e-9, 1e-13), ("algebraic", 5e-10, 1e-14), ("algebraic-refined", 1e-4, 1e-9)],
     )
     def test_shift_moves_pp_only(self, cells, method, pp_tol_px, f_rtol):
         du, dv = self.SHIFT
