@@ -435,29 +435,29 @@ def _pose_rows(f, rot: np.ndarray, t: np.ndarray, pts: np.ndarray, out: np.ndarr
     return xy
 
 
-def _views_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray, frozen=None):
+def _views_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray, cam_map: np.ndarray, cam_offset: np.ndarray):
     """Residual, normal-equation and retraction callbacks of independent
     problems over views: problem i's views have board points pts[i]
     (V, n, 3) and image corners image[i] (V, n, 2), real where mask (V, n)
     is set and padding elsewhere, and each its own pose, with parameters
-    (R row-major, t) and steps (delta, dt). With frozen None the views
-    share a camera whose (f, u0, v0) lead the parameters and steps (S = 3);
-    with frozen = (f, pp) problem i's camera is fixed at f[i], pp[i]
-    (S = 0). Residuals run over views, then real corners, then (u, v).
+    (R row-major, t) and steps (delta, dt). The first P parameters and
+    steps, theta, map to the cameras: view v of problem i has (f, u0, v0)
+    = cam_map[v] @ theta_i + cam_offset[i, v], for cam_map (V, 3, P) and
+    cam_offset (B, V, 3), whose view axes may be 1 to share across views.
+    Residuals run over views, then real corners, then (u, v).
 
     The normal equations come per view in block-arrow form, view v's
-    J_v^T J_v and J_v^T r_v over the S shared and its 6 pose coordinates
+    J_v^T J_v and J_v^T r_v over the P shared and its 6 pose coordinates
     (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000). Only
     a padded stack gathers residuals and zeroes padded Jacobian rows."""
-    n_views, shared, padded = len(mask), 3 if frozen is None else 0, not mask.all()
+    n_views, shared, padded = len(mask), cam_map.shape[-1], not mask.all()
     # one Jacobian buffer per stack: fresh arrays every iteration would
     # fault in new pages or not depending on the process's heap history
     jac_buffer = np.zeros(pts.shape[:-1] + (2, shared + 6))
 
     def camera(params, rows):
-        if frozen is None:
-            return params[:, :1], params[:, None, 1:3]
-        return frozen[0][rows, None], frozen[1][rows, None]
+        cam = (cam_map @ params[:, None, :shared, None])[..., 0] + cam_offset[rows]
+        return cam[..., 0], cam[..., 1:]
 
     def poses(params):
         return _split_poses(params[:, shared:].reshape(len(params), n_views, 12))
@@ -471,9 +471,8 @@ def _views_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray, frozen=
         jac = jac_buffer[: len(rows)]
         f, _ = camera(params, rows)
         xy = _pose_rows(f[..., None], *poses(params), pts[rows], jac[..., shared:])
-        if shared:  # d(u, v)/d(f, u0, v0)
-            jac[..., 0] = xy
-            jac[..., 0, 1] = jac[..., 1, 2] = 1.0
+        # d(u, v)/d(theta) = [[x, 1, 0], [y, 0, 1]] @ cam_map[v]
+        jac[..., :shared] = xy[..., None] * cam_map[:, None, None, 0] + cam_map[:, None, 1:]
         if padded:
             jac[:, ~mask] = 0.0
             per_corner = np.zeros(jac.shape[:-1])
@@ -486,8 +485,7 @@ def _views_problem(pts: np.ndarray, image: np.ndarray, mask: np.ndarray, frozen=
     def retract(params, steps):
         # poses as rows of one (B * V, 12) stack: small numpy calls cost more per axis
         moved = _retract_poses(params[:, shared:].reshape(-1, 12), steps[:, shared:].reshape(-1, 6))
-        moved = moved.reshape(len(params), -1)
-        return np.concatenate([params[:, :shared] + steps[:, :shared], moved], axis=1) if shared else moved
+        return np.concatenate([params[:, :shared] + steps[:, :shared], moved.reshape(len(params), -1)], axis=1)
 
     return residuals, normal_equations, retract
 
@@ -530,7 +528,7 @@ def _damped_steps(blocks: np.ndarray, grads: np.ndarray, lam: np.ndarray) -> tup
     shared, lam = blocks.shape[-1] - 6, lam[:, None, None]
     diag = np.diagonal(blocks, axis1=-2, axis2=-1)
     pose_blocks = blocks[..., shared:, shared:] + (lam * np.maximum(diag[..., shared:], 1e-12))[..., None] * np.eye(6)
-    if not shared:
+    if not shared:  # pose refits (P = 0): skipping the empty Schur step saves 7-11% of cross_validate's CPU
         steps, solved = _solve_each(pose_blocks, -grads[..., None])
         return steps.reshape(len(blocks), -1), solved
     coupling = blocks[..., :shared, shared:]  # W_v, (B, V, S, 6)
@@ -654,8 +652,9 @@ def refine(starts: Sequence[CalibrationResult]) -> Refinement:
         params0 = np.array([_pack(r.intrinsics.f, r.intrinsics.pp, r.rot, r.t) for r in group])
         board = np.stack([r.views.board for r in group])
         image = np.stack([r.views.image for r in group])
+        shared_camera = np.eye(3)[None], np.zeros((len(group), 1, 3))  # each view's (f, u0, v0) is theta
         params, cost, converged, iters = _levenberg_marquardt(
-            params0, *_views_problem(_board_points(board), image, group[0].views.mask)
+            params0, *_views_problem(_board_points(board), image, group[0].views.mask, *shared_camera)
         )
         rot, t = _split_poses(params[:, 3:].reshape(len(members), len(layout), 12))
         usable = _usable_poses(rot, t)
@@ -718,7 +717,8 @@ def refit_view_poses(intrinsics: Sequence[Intrinsics], cell: Cell) -> PoseRefits
         if not rows.size:
             continue
         pts = _board_points(cell.board[rows, None, :n])
-        problem = _views_problem(pts, cell.image[rows, None, :n], np.ones((1, n), dtype=bool), (f[rows], pp[rows]))
+        frozen_camera = np.zeros((1, 3, 0)), np.column_stack([f[rows], pp[rows]])[:, None]  # P = 0
+        problem = _views_problem(pts, cell.image[rows, None, :n], np.ones((1, n), dtype=bool), *frozen_camera)
         params, cost, _, _ = _levenberg_marquardt(_join_poses(rot0[rows], t0[rows]), *problem)
         (rot[rows], t[rows]), rmse[rows] = _split_poses(params), np.sqrt(cost / n)
     usable = _usable_poses(rot, t) & np.isfinite(rmse)

@@ -44,7 +44,7 @@ def _load_scene(args) -> SceneConfig:
         except (OSError, ValueError) as err:  # a JSON integer past the digit limit is a ValueError
             raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
     if getattr(args, "camera", None):
-        raw.setdefault("camera", args.camera)
+        raw["camera"] = args.camera
     if args.seed is not None:
         raw["rng_seed"] = args.seed
     for key in ("tilt_deg", "noise_sigma_px"):

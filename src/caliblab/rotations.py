@@ -27,8 +27,11 @@ def skew(v) -> np.ndarray:
     (..., 3, 3) stack."""
     v = np.asarray(v, dtype=float)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape[:-1] + (3, 3))
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def vector_norm(v) -> np.ndarray:

@@ -81,26 +81,57 @@ def retraction_differences(residuals, retract, params, head) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def dense_joint_jacobian(params, pts, mask, frozen_f=None) -> np.ndarray:
-    """The dense (m, S + 6V) Jacobian of the residuals of one problem of
+def shared_camera(n_problems):
+    """The camera map of `refine` for a stack of n_problems: every view's
+    (f, u0, v0) is its problem's first 3 parameters (P = 3)."""
+    return np.eye(3)[None], np.zeros((n_problems, 1, 3))
+
+
+def frozen_cameras(intrinsics):
+    """The camera map of `refit_view_poses`: no shared parameters (P = 0),
+    and problem i's camera fixed at intrinsics[i]."""
+    from caliblab.calibrate import _intrinsic_arrays
+
+    f, pp = _intrinsic_arrays(intrinsics)
+    return np.zeros((1, 3, 0)), np.column_stack([f, pp])[:, None]
+
+
+def random_camera_map(rng, params, n_views, shared=5):
+    """A camera map that is neither the identity nor empty, for one problem
+    of a joint stack with parameters params (1, 3 + 12V): a random A_v
+    (3, shared) per view, a random theta, and offsets b_v that keep every
+    view's camera at the problem's (f, u0, v0) up to rounding. Returns the
+    map (cam_map, cam_offset) and the parameters (1, shared + 12V)."""
+    cam_map = rng.normal(0.0, 1.0, (n_views, 3, shared))
+    theta = rng.normal(0.0, 10.0, shared)
+    offset = params[0, :3] - cam_map @ theta
+    return (cam_map, offset[None]), np.concatenate([theta, params[0, 3:]])[None]
+
+
+def dense_joint_jacobian(params, pts, mask, cam_map, cam_offset) -> np.ndarray:
+    """The dense (m, P + 6V) Jacobian of the residuals of one problem of
     `_views_problem`: views with board points pts (V, n, 3) and corner
-    mask (V, n) at parameters params (S + 12V,), built from the per-view
-    pose rows of `_pose_rows`. With frozen_f None the camera is refined
-    (S = 3) and every view's d(u, v)/d(f, u0, v0) fills the first three
-    columns side by side; with a frozen focal length frozen_f, S = 0.
-    Each view's pose columns form their own block, and the rows of padded
+    mask (V, n) at parameters params (P + 12V,), view v with the camera
+    cam_map[v] @ theta + cam_offset[v] of the P leading parameters theta
+    (cam_map (V, 3, P), cam_offset (V, 3), either view axis 1 to share).
+    Built from the per-view pose rows of `_pose_rows`: view v's rows of the
+    P shared columns are its d(u, v)/d(f, u0, v0) times cam_map[v], each
+    view's pose columns form their own block, and the rows of padded
     corners are dropped."""
     from caliblab.calibrate import _pose_rows
 
-    shared, n_views = 3 if frozen_f is None else 0, len(mask)
+    shared, n_views = cam_map.shape[-1], len(mask)
+    cam_map = np.broadcast_to(cam_map, (n_views, 3, shared))
+    cameras = cam_map @ params[:shared] + cam_offset
     poses = params[shared:].reshape(n_views, 12)
     pose_rows = np.zeros(pts.shape[:-1] + (2, 6))
-    xy = _pose_rows(params[0] if shared else frozen_f, poses[:, :9].reshape(-1, 3, 3), poses[:, 9:], pts, pose_rows)
+    xy = _pose_rows(cameras[:, :1], poses[:, :9].reshape(-1, 3, 3), poses[:, 9:], pts, pose_rows)
+    camera_rows = np.zeros(pts.shape[:-1] + (2, 3))  # d(u, v)/d(f, u0, v0)
+    camera_rows[..., 0] = xy
+    camera_rows[..., 0, 1] = camera_rows[..., 1, 2] = 1.0
     jac = np.zeros(pts.shape[:-1] + (2, shared + 6 * n_views))
-    if shared:
-        jac[..., 0] = xy
-        jac[..., 0, 1] = jac[..., 1, 2] = 1.0
     for v in range(n_views):
+        jac[v, ..., :shared] = camera_rows[v] @ cam_map[v]
         jac[v, ..., shared + 6 * v : shared + 6 * v + 6] = pose_rows[v]
     return jac[mask].reshape(-1, jac.shape[-1])
 

@@ -35,6 +35,7 @@ from conftest import (
     protocol_distance,
     retraction_differences,
     scene_homography,
+    shared_camera,
     tilted_scene_cell,
     view_points,
     with_image,
@@ -262,8 +263,9 @@ def test_numerical_hygiene(tmp_path):
         )
         result = calibrate_geometric(cell)
         pts, image, mask, params = joint_stack(result)
-        residuals, _, retract = _views_problem(pts, image, mask)
-        jac = dense_joint_jacobian(params[0], pts[0], mask)
+        cam_map, cam_offset = shared_camera(1)
+        residuals, _, retract = _views_problem(pts, image, mask, cam_map, cam_offset)
+        jac = dense_joint_jacobian(params[0], pts[0], mask, cam_map, cam_offset[0])
         fd = retraction_differences(residuals, retract, params, head=3)[0]
         rel = np.abs(jac - fd).max(axis=0) / np.abs(fd).max(axis=0)
         assert rel.max() < 1e-4

@@ -47,6 +47,7 @@ from conftest import (
     only,
     oracle_rot_x,
     scene_homography,
+    shared_camera,
     short_view,
     tilted_scene_cell,
     view_points,
@@ -654,7 +655,8 @@ class TestRefineStacks:
         stacks = [joint_stack(start) for start in starts]
         pts, image, params = (np.concatenate([stack[k] for stack in stacks]) for k in (0, 1, 3))
         mask = stacks[0][2]
-        residuals, normal_equations, _ = calibrate._views_problem(pts, image, mask)
+        cam_map, cam_offset = shared_camera(len(starts))
+        residuals, normal_equations, _ = calibrate._views_problem(pts, image, mask, cam_map, cam_offset)
         rows = np.arange(len(starts))
         res = residuals(params, rows)
         blocks, grads = normal_equations(params, rows, res)
@@ -662,7 +664,7 @@ class TestRefineStacks:
             steps, solved = calibrate._damped_steps(blocks, grads, np.full(len(starts), lam))
             assert solved.all()
             for b in rows:
-                jac = dense_joint_jacobian(params[b], pts[b], mask)
+                jac = dense_joint_jacobian(params[b], pts[b], mask, cam_map, cam_offset[b])
                 (dense,), _ = dense_damped_steps((jac.T @ jac)[None], (jac.T @ res[b])[None], np.array([lam]))
                 assert np.abs(steps[b] - dense).max() <= 1e-10 * np.abs(dense).max()
         # the same kernel on the dense J^T J and J^T r with the dense damped
@@ -672,10 +674,10 @@ class TestRefineStacks:
         monkeypatch.setattr(calibrate, "_damped_steps", dense_damped_steps)
         for start, result in zip(starts[::3], results):
             pts, image, mask, params0 = joint_stack(start)
-            residuals, _, retract = calibrate._views_problem(pts, image, mask)
+            residuals, _, retract = calibrate._views_problem(pts, image, mask, cam_map, cam_offset[:1])
 
             def dense(params, rows, res):
-                jac = dense_joint_jacobian(params[0], pts[0], mask)
+                jac = dense_joint_jacobian(params[0], pts[0], mask, cam_map, cam_offset[0])
                 return (jac.T @ jac)[None], (jac.T @ res[0])[None]
 
             params, _, converged, iters = calibrate._levenberg_marquardt(params0, residuals, dense, retract)

@@ -49,14 +49,17 @@ from conftest import (
     build_cell,
     canonical_homography,
     dense_joint_jacobian,
+    frozen_cameras,
     grid_board,
     joint_stack,
     only,
     oracle_rot_x,
     oracle_rot_z,
     pinhole_project,
+    random_camera_map,
     retraction_differences,
     scene_homography,
+    shared_camera,
     short_view,
     tilted_scene_cell,
     view_points,
@@ -361,32 +364,43 @@ class TestRefine:
         # the dense Jacobian built from the per-view pose rows against
         # central differences of the retraction along each step coordinate,
         # checked relative to the column scale: each column is one step
-        # coordinate's sensitivity, so entries within it share units
+        # coordinate's sensitivity, so entries within it share units; with
+        # the refined camera (P = 3) and with a random map per view (P = 5)
+        map_rng = np.random.default_rng(5)
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            residuals, _, retract = _views_problem(pts, image, mask)
-            jac = dense_joint_jacobian(params[0], pts[0], mask)
-            fd = retraction_differences(residuals, retract, params, head=3)[0]
-            col_scale = np.abs(fd).max(axis=0)
-            rel = np.abs(jac - fd).max(axis=0) / col_scale
-            assert rel.max() < 1e-4
+            for (cam_map, cam_offset), x in (
+                (shared_camera(1), params),
+                random_camera_map(map_rng, params, len(mask)),
+            ):
+                residuals, _, retract = _views_problem(pts, image, mask, cam_map, cam_offset)
+                jac = dense_joint_jacobian(x[0], pts[0], mask, cam_map, cam_offset[0])
+                fd = retraction_differences(residuals, retract, x, head=cam_map.shape[-1])[0]
+                col_scale = np.abs(fd).max(axis=0)
+                rel = np.abs(jac - fd).max(axis=0) / col_scale
+                assert rel.max() < 1e-4
 
     def test_normal_equations_equal_dense_products(self, rng):
         # each view's block-arrow block and gradient are that view's part of
         # J^T J and J^T r of the dense Jacobian, up to summation order: the
-        # shared (f, u0, v0) block, its coupling and the pose block with the
-        # camera refined (S = 3), the pose block alone under frozen
-        # intrinsics (S = 0); the dense J^T J couples no two views' poses
+        # shared block, its coupling and the pose block with the camera
+        # refined (P = 3) or mapped from 5 parameters by a random map per
+        # view (P = 5), the pose block alone under frozen intrinsics
+        # (P = 0); the dense J^T J couples no two views' poses
         rows = np.arange(1)
+        map_rng = np.random.default_rng(5)
         for result in self.jacobian_cases(rng):
             pts, image, mask, params = joint_stack(result)
-            f, pp = _intrinsic_arrays([result.intrinsics])
-            for shared, frozen in ((3, None), (0, (f, pp))):
-                x = params[:, 3 - shared :]
-                residuals, normal_equations, _ = _views_problem(pts, image, mask, frozen)
+            for (cam_map, cam_offset), x in (
+                (shared_camera(1), params),
+                (frozen_cameras([result.intrinsics]), params[:, 3:]),
+                random_camera_map(map_rng, params, len(mask)),
+            ):
+                shared = cam_map.shape[-1]
+                residuals, normal_equations, _ = _views_problem(pts, image, mask, cam_map, cam_offset)
                 res = residuals(x, rows)
                 blocks, grads = normal_equations(x, rows, res)
-                jac = dense_joint_jacobian(x[0], pts[0], mask, None if frozen is None else f[0])
+                jac = dense_joint_jacobian(x[0], pts[0], mask, cam_map, cam_offset[0])
                 owner = np.repeat(np.arange(len(mask)), 2 * mask.sum(axis=1))  # view of each residual
                 for v in range(len(mask)):
                     cols = np.r_[:shared, shared + 6 * v : shared + 6 * v + 6]
@@ -416,9 +430,11 @@ class TestBatchedPoseRefit:
         rot = rodrigues(rng.normal(0.0, 0.5, (len(cell), 3)))
         rot[0] = np.eye(3)
         params = np.concatenate([rot.reshape(-1, 9), [t for _, t in truth]], axis=1)
-        f, pp = _intrinsic_arrays([intr] * len(cell))
+        f, _ = _intrinsic_arrays([intr] * len(cell))
         mask = np.ones((1, cell.board.shape[1]), dtype=bool)
-        residuals, normal_equations, retract = _views_problem(pts[:, None], cell.image[:, None], mask, (f, pp))
+        residuals, normal_equations, retract = _views_problem(
+            pts[:, None], cell.image[:, None], mask, *frozen_cameras([intr] * len(cell))
+        )
         rows = np.arange(len(cell))
         jac = np.zeros(pts.shape[:-1] + (2, 6))
         _pose_rows(f[:, None], rot, params[:, 9:], pts, jac)
@@ -447,7 +463,7 @@ class TestBatchedPoseRefit:
         intr = Intrinsics(3000.0, Point2(3024.0, 2012.0))
         pts, image = _board_points(cell.board[:, None]), cell.image[:, None]
         mask = np.ones((1, cell.board.shape[1]), dtype=bool)
-        problem = _views_problem(pts, image, mask, _intrinsic_arrays([intr] * len(cell)))
+        problem = _views_problem(pts, image, mask, *frozen_cameras([intr] * len(cell)))
         params0 = np.array([np.concatenate([rot.ravel(), t]) for rot, t in truth])
         steps = rng.normal(0.0, 1.0, (len(cell), 6)) * np.geomspace(1e-6, 0.3, len(cell))[:, None]
         params0 = problem[2](params0, steps)
@@ -456,7 +472,7 @@ class TestBatchedPoseRefit:
         for i in range(len(cell)):
             alone = _levenberg_marquardt(
                 params0[i : i + 1],
-                *_views_problem(pts[i : i + 1], image[i : i + 1], mask, _intrinsic_arrays([intr])),
+                *_views_problem(pts[i : i + 1], image[i : i + 1], mask, *frozen_cameras([intr])),
             )
             np.testing.assert_allclose(stacked[0][i], alone[0][0], rtol=1e-12, atol=0.0)
             assert abs(stacked[1][i] - alone[1][0]) <= 1e-12 * alone[1][0]

@@ -86,6 +86,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_camera_option_overrides_config(self, tmp_path):
+        # --camera wins over the configuration's camera, as --seed does
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps({"camera": "cam1"}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["simulate", "--config", str(config), "--camera", "cam3", "--out", str(a)]) == 0
+        assert main(["simulate", "--camera", "cam3", "--out", str(b)]) == 0
+        assert json.loads(a.read_text())["camera_id"] == "cam3"
+        assert a.read_bytes() == b.read_bytes()
+
     def test_degenerate_tilt_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, tilt_deg=0.0)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.json")])

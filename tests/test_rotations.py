@@ -59,6 +59,14 @@ class TestNearestRotation:
         assert np.linalg.det(proj) == pytest.approx(1.0)
 
 
+class TestSkew:
+    @pytest.mark.parametrize("shape", [(3,), (128, 3), (128, 1, 3)])
+    def test_matches_cross_product(self, shape):
+        rng = np.random.default_rng(3)
+        v, w = rng.normal(size=shape), rng.normal(size=shape)
+        np.testing.assert_allclose((skew(v) @ w[..., None])[..., 0], np.cross(v, w), rtol=0.0, atol=1e-13)
+
+
 class TestLeftPerturbation:
     def test_matches_central_differences(self):
         # the pose refits step a rotation as R <- rodrigues(delta) @ R, so
