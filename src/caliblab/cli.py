@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration or input validation failure,
-3 dataset generation failure, 4 calibration failure in one or more cells
-(partial CSV is still written), 5 too many missing cells for the
-requested analysis (more than 25 percent absent).
+3 dataset generation failure (a board that does not fit the image, or a
+view that cannot be built from its corners), 4 calibration failure in
+one or more cells (partial CSV is still written), 5 too many missing
+cells for the requested analysis (more than 25 percent absent).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import analysis, dataset_io, reports
 from .calibrate import CalibrationResult
-from .errors import BoardOutOfView, CaliblabError, ConfigError, DegenerateSystem
+from .errors import BoardOutOfView, CaliblabError, ConfigError, DegenerateConfiguration, DegenerateSystem
 from .geometry import Point2
 from .principal_line import DEFAULT_OUTLIER_THRESHOLD_PX
 from .synth import Dataset, PoseLabel, SceneConfig, generate_dataset, scene_config_from_dict
@@ -57,7 +58,7 @@ def cmd_simulate(args) -> int:
     scene = _load_scene(args)
     try:
         dataset = generate_dataset(scene)
-    except BoardOutOfView as err:
+    except (BoardOutOfView, DegenerateConfiguration) as err:
         return _fail(str(err), EXIT_GENERATION)
     dataset_io.write_dataset(args.out, dataset)
     print(f"wrote {dataset.n_views()} views to {args.out}")
@@ -211,7 +212,7 @@ def cmd_analyze(args) -> int:
     if dataset.ground_truth:
         setting_index = {setting: k for k, setting in enumerate(settings)}
         truth = {
-            (pose, setting_index[setting]): intr.pp for (pose, setting), (intr, _, _) in dataset.ground_truth.items()
+            (pose, setting_index[setting]): gt[0].pp for (pose, setting), gt in dataset.ground_truth.items()
         }
         summary["truth"] = _drift_summary(analysis.analyze_drift(truth, len(dataset.poses())))
 

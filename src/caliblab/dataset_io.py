@@ -6,14 +6,13 @@ Layout:
         {"pose": "DOWN", "focal_label_mm": 18, "focal_px": 4500,
          "views": [{"id": ..., "corners": [
              {"x_mm": ..., "y_mm": ..., "u_px": ..., "v_px": ...}, ...]}],
-         "ground_truth": {"f_px": ..., "pp_u_px": ..., "pp_v_px": ...,
-                          "views": [{"rvec": [...], "t_mm": [...]}, ...]}}]}
+         "ground_truth": {"f_px": ..., "pp_u_px": ..., "pp_v_px": ...}}]}
 
 Floats are written as decimals with 9 significant digits, corners row
-major from the board origin, ground-truth rotations as axis-angle
-vectors. Ground truth is read back in that stored form (axis-angle
-vectors and translations) and writing is deterministic, so write -> read
--> write round trips byte for byte.
+major from the board origin. A cell's ground truth is its intrinsics;
+the per-view board poses that older files also store under
+"ground_truth"."views" are ignored, like any other unknown key. Writing
+is deterministic, so write -> read -> write round trips byte for byte.
 """
 
 from __future__ import annotations
@@ -105,15 +104,9 @@ def dumps_dataset(dataset: Dataset) -> str:
             views.append('{"id":%s,"corners":[%s]}' % (json.dumps(view_id), corners))
         out.append(",".join(views) + "]")
         if dataset.ground_truth and (pose, setting) in dataset.ground_truth:
-            intr, rvec, t = dataset.ground_truth[(pose, setting)]
+            intr = dataset.ground_truth[(pose, setting)][0]
             out.append(',"ground_truth":')
-            truth = {
-                "f_px": float(intr.f),
-                "pp_u_px": float(intr.pp.u),
-                "pp_v_px": float(intr.pp.v),
-                "views": [{"rvec": r, "t_mm": shift} for r, shift in zip(rvec.tolist(), t.tolist())],
-            }
-            _emit(truth, out)
+            _emit({"f_px": float(intr.f), "pp_u_px": float(intr.pp.u), "pp_v_px": float(intr.pp.v)}, out)
         out.append("}")
     out.append("]}\n")
     return "".join(out)
@@ -124,14 +117,6 @@ def _number(value, field: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"field {field} must be a number, got {type(value).__name__}")
     return float(value)
-
-
-def _vector(value, field: str) -> np.ndarray:
-    """A JSON array as a float array; each element must be a number."""
-    bad = [x for x in value if type(x) not in (int, float)] if isinstance(value, list) else []
-    if bad:
-        raise ValueError(f"field {field} must hold only numbers, got {type(bad[0]).__name__}")
-    return np.array(value, dtype=float)
 
 
 _CORNER_FIELDS = ("x_mm", "y_mm", "u_px", "v_px")
@@ -147,7 +132,7 @@ def _corner_rows(corners) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, Cell, tuple | None]:
+def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, Cell, tuple[Intrinsics] | None]:
     """Parse one cell; any malformed field raises ConfigError naming the
     cell index and, inside a view, the view id. Every numeric field must
     be a JSON number: a string or a bool in its place is malformed."""
@@ -180,22 +165,7 @@ def _parse_cell(index: int, node: dict) -> tuple[PoseLabel, FocalSetting, Cell, 
             f, u, v = (_number(g[name], name) for name in ("f_px", "pp_u_px", "pp_v_px"))
             if not all(abs(x) <= TRUTH_MAX_ABS_PX for x in (f, u, v)):  # NaN fails too
                 raise ValueError(f"f_px, pp_u_px and pp_v_px must be finite and at most {TRUTH_MAX_ABS_PX:g} in size")
-            intr = Intrinsics(f, Point2(u, v))
-            rvec = [_vector(e["rvec"], f"rvec of view {k}") for k, e in enumerate(g["views"])]
-            t = [_vector(e["t_mm"], f"t_mm of view {k}") for k, e in enumerate(g["views"])]
-            if any(r.shape != (3,) for r in rvec):
-                raise ValueError("a ground-truth rvec needs 3 components")
-            if any(shift.shape != (3,) for shift in t):
-                raise ValueError("a ground-truth t_mm must be a 3-vector translation")
-            rvec, t = np.array(rvec).reshape(-1, 3), np.array(t).reshape(-1, 3)
-            if not (np.all(np.isfinite(rvec)) and np.all(np.isfinite(t))):
-                raise ValueError("ground-truth poses must be finite")
-            behind = np.flatnonzero(t[:, 2] <= 0.0)
-            if behind.size:
-                raise ValueError(f"board must lie in front of the camera, got t_z = {t[behind[0], 2]}")
-            if len(t) != len(cell):
-                raise ValueError("ground truth view count does not match the cell's views")
-            truth = (intr, rvec, t)
+            truth = (Intrinsics(f, Point2(u, v)),)
     except KeyError as err:
         raise ConfigError(f"malformed dataset at {where}: missing field {err}") from None
     except (TypeError, ValueError, OverflowError, ConfigError, DegenerateConfiguration) as err:

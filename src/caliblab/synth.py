@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import Cell, Intrinsics, _board_points, _project, views_from_points
-from .errors import BoardOutOfView, ConfigError
+from .errors import BoardOutOfView, ConfigError, DegenerateConfiguration
 from .geometry import Point2
-from .rotations import rot_x, rot_y, rot_z, rvec_from_rotation
+from .rotations import rot_x, rot_y, rot_z
 
 _MASK64 = (1 << 64) - 1
 
@@ -282,13 +282,15 @@ class SceneConfig:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Views and (for synthetic data) ground truth, one cell per
-    (pose, focal setting). A cell's ground truth is its intrinsics and
-    the board poses of its views in the form the dataset file stores:
-    axis-angle rvec (V, 3) and translation t (V, 3), row i for view i."""
+    (pose, focal setting). A cell's ground truth is its intrinsics only;
+    the board poses that older dataset files store are not read. Each
+    truth value is the one-item tuple (Intrinsics,), since the benchmark
+    reads item 0; a plain Intrinsics map waits for a change to the
+    benchmark."""
 
     camera_id: str
     cells: dict[tuple[PoseLabel, FocalSetting], Cell]
-    ground_truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] | None
+    ground_truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics]] | None
 
     def poses(self) -> list[PoseLabel]:
         """The poses of the cells, in order of first appearance."""
@@ -333,7 +335,9 @@ def generate_cell(
     or not in front of the camera has its distance grown by 30 percent,
     up to 5 retries. All rolls are placed, projected and turned into views
     as stacks; each roll's result is the one a cell of that roll alone
-    gives. Raises BoardOutOfView naming the first roll that does not fit.
+    gives. Raises BoardOutOfView naming the first roll that does not fit,
+    and DegenerateConfiguration naming the first roll whose view cannot be
+    built (a board too small or too large for its corners to be told apart).
     """
     try:
         setting_index = config.focal_settings.index(setting)
@@ -399,31 +403,28 @@ def generate_cell(
             uv[i] += rng.normal(0.0, config.noise_sigma_px, size=uv[i].shape)
     view_ids = [f"{pose.value}-s{setting_index}-r{roll:g}" for roll in rolls]
     cell, errors = views_from_points(view_ids, [board] * count, uv)
-    for err in errors:
+    for roll, err in zip(rolls, errors):
         if err is not None:
-            raise err
+            raise DegenerateConfiguration(
+                f"board view cannot be built for pose {pose.value}, setting {setting.label_mm} mm, roll {roll}: {err}"
+            )
     return cell, rots, t
 
 
 def generate_dataset(config: SceneConfig) -> Dataset:
     """Full dataset over poses x settings x rolls, reproducible from the
-    configured seed. Each cell carries its ground-truth intrinsics and
-    per-view axis-angle rvec and translation t."""
+    configured seed. Each cell carries its ground-truth intrinsics."""
     cells: dict[tuple[PoseLabel, FocalSetting], Cell] = {}
-    truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics, np.ndarray, np.ndarray]] = {}
+    truth: dict[tuple[PoseLabel, FocalSetting], tuple[Intrinsics]] = {}
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
             rngs = [
                 np.random.default_rng(mix_seed(config.rng_seed, pose_index, setting_index, roll_index))
                 for roll_index in range(len(config.rolls))
             ]
-            cell, rot, t = generate_cell(config, pose, setting, config.rolls, rngs)
-            intr = Intrinsics(
-                setting.f_px,
-                true_pp(config.drift, setting_index, len(config.focal_settings), pose),
-            )
-            cells[(pose, setting)] = cell
-            truth[(pose, setting)] = (intr, rvec_from_rotation(rot), t)
+            cells[(pose, setting)], _, _ = generate_cell(config, pose, setting, config.rolls, rngs)
+            pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
+            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp),)
     return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth)
 
 

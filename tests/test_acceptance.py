@@ -68,7 +68,7 @@ def test_exact_recovery_oracle():
     dataset = generate_dataset(config)
     assert dataset.n_views() == 224
     for (pose, setting), views in dataset.cells.items():
-        intr_gt, _, _ = dataset.ground_truth[(pose, setting)]
+        (intr_gt,) = dataset.ground_truth[(pose, setting)]
         geo = calibrate_geometric(views)
         assert math.hypot(geo.intrinsics.pp.u - intr_gt.pp.u, geo.intrinsics.pp.v - intr_gt.pp.v) < 0.01
         assert abs(geo.intrinsics.f - intr_gt.f) / intr_gt.f < 1e-4

@@ -12,7 +12,7 @@ from caliblab.dataset_io import dumps_dataset
 from caliblab.errors import BoardOutOfView, ConfigError
 from caliblab.geometry import Point2
 from caliblab.principal_line import principal_lines
-from caliblab.rotations import rodrigues, rot_x, rot_y, rot_z, rvec_from_rotation
+from caliblab.rotations import rot_x, rot_y, rot_z
 from caliblab.synth import (
     CAMERA_PRESETS,
     Dataset,
@@ -175,9 +175,8 @@ class TestGenerateDataset:
         )
         dataset = generate_dataset(config)
         assert dataset.n_views() == 2
-        (intr, rvec, t), = [dataset.ground_truth[k] for k in dataset.ground_truth]
+        ((intr,),) = dataset.ground_truth.values()
         assert intr.f == 3000.0
-        assert rvec.shape == t.shape == (2, 3)
 
     def test_noise_statistics(self):
         config = small_config(
@@ -200,11 +199,14 @@ class TestGenerateDataset:
         config = small_config(poses=(PoseLabel.DOWN, PoseLabel.N))
         dataset = generate_dataset(config)
         setting = config.focal_settings[0]
-        intr_down, rvec_down, _ = dataset.ground_truth[(PoseLabel.DOWN, setting)]
-        intr_n, rvec_n, _ = dataset.ground_truth[(PoseLabel.N, setting)]
+        (intr_down,) = dataset.ground_truth[(PoseLabel.DOWN, setting)]
+        (intr_n,) = dataset.ground_truth[(PoseLabel.N, setting)]
         # true pp moves by the gravity offset and the camera physically tips
         assert math.hypot(intr_n.pp.u - intr_down.pp.u, intr_n.pp.v - intr_down.pp.v) == pytest.approx(15.0)
-        rel = rodrigues(rvec_n[0]) @ rodrigues(rvec_down[0]).T
+        rng = np.random.default_rng(0)
+        _, (rot_down,), _ = generate_cell(config, PoseLabel.DOWN, setting, config.rolls[:1], [rng])
+        _, (rot_n,), _ = generate_cell(config, PoseLabel.N, setting, config.rolls[:1], [rng])
+        rel = rot_n @ rot_down.T
         angle = math.degrees(math.acos(np.clip((np.trace(rel) - 1) / 2, -1, 1)))
         assert angle == pytest.approx(10.0, abs=1e-9)
 
@@ -259,8 +261,9 @@ def reference_view(config, pose, setting, roll_deg, rng):
 
 def reference_dataset(config):
     """`generate_dataset` assembled from `reference_view`, plus the number
-    of retries of every view."""
-    cells, truth, retries = {}, {}, []
+    of retries of every view and each cell's board rotations and
+    translations."""
+    cells, truth, retries, placements = {}, {}, [], {}
     for pose_index, pose in enumerate(config.poses):
         for setting_index, setting in enumerate(config.focal_settings):
             views, rots, ts = [], [], []
@@ -273,8 +276,9 @@ def reference_dataset(config):
                 retries.append(grown)
             pp = true_pp(config.drift, setting_index, len(config.focal_settings), pose)
             cells[(pose, setting)] = Cell.concat(views)
-            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp), rvec_from_rotation(np.array(rots)), np.array(ts))
-    return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth), retries
+            truth[(pose, setting)] = (Intrinsics(setting.f_px, pp),)
+            placements[(pose, setting)] = (np.array(rots), np.array(ts))
+    return Dataset(camera_id=config.camera_id, cells=cells, ground_truth=truth), retries, placements
 
 
 class TestStackedSynthesis:
@@ -282,7 +286,7 @@ class TestStackedSynthesis:
     @pytest.mark.parametrize("seed", [256, 1792])
     def test_default_dataset_matches_per_roll_reference(self, seed, sigma):
         config = SceneConfig.for_camera("cam1", rng_seed=seed, noise_sigma_px=sigma)
-        reference, _ = reference_dataset(config)
+        reference, _, _ = reference_dataset(config)
         assert dumps_dataset(generate_dataset(config)) == dumps_dataset(reference)
 
     def test_cell_with_retries_matches_reference(self):
@@ -297,13 +301,18 @@ class TestStackedSynthesis:
             noise_sigma_px=0.5,
             rng_seed=5,
         )
-        reference, retries = reference_dataset(config)
+        reference, retries, placements = reference_dataset(config)
         assert min(retries) == 0 and max(retries) >= 1
         dataset = generate_dataset(config)
         assert dumps_dataset(dataset) == dumps_dataset(reference)
         for key, cell in dataset.cells.items():
             assert cell.h.tobytes() == reference.cells[key].h.tobytes()
             assert principal_lines(cell.h)[0].tobytes() == principal_lines(reference.cells[key].h)[0].tobytes()
+        # the board placements, which the dataset file does not store
+        for (pose, setting), (ref_rots, ref_t) in placements.items():
+            rngs = [np.random.default_rng(0)] * len(config.rolls)
+            _, rots, t = generate_cell(config, pose, setting, config.rolls, rngs)
+            assert rots.tobytes() == ref_rots.tobytes() and t.tobytes() == ref_t.tobytes()
 
     def test_first_failing_roll_is_reported(self):
         # at 400 px of noise no roll fits; the error names the first one
